@@ -17,9 +17,7 @@ from .match_data import (
     to_quads,
 )
 from .trainer import (
-    AdamState,
     EmbeddingModel,
-    GradientUpdate,
     TrainConfig,
     batch_gradients,
     init_model,
@@ -65,12 +63,10 @@ from .model_io import MODEL_FORMAT_VERSION, load_model, read_model_file, save_mo
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "Competition",
     "Dataset",
     "EmbeddingModel",
     "EvalReport",
-    "GradientUpdate",
     "HeadToHead",
     "MLP",
     "MLPConfig",

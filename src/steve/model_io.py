@@ -3,12 +3,14 @@
 The file keeps one record per team (name plus winner and loser vector) in
 registry order.  Floats are written as Python's shortest round-tripping
 decimal representation, so a save/load cycle reproduces every vector
-bit-exactly.
+bit-exactly.  A save writes a temporary file beside the target and renames
+it over the target, so a failed save leaves any earlier file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -19,6 +21,9 @@ from .match_data import TeamRegistry
 from .trainer import EmbeddingModel, TrainConfig
 
 MODEL_FORMAT_VERSION = 1
+
+#: Largest deviation from unit L2 norm that :func:`load_model` accepts in a row.
+UNIT_NORM_TOL = 1e-6
 
 
 def save_model(
@@ -40,9 +45,16 @@ def save_model(
             for i, name in enumerate(model.registry.names)
         ],
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=1)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_model_file(path: str | Path) -> dict:
@@ -56,6 +68,10 @@ def read_model_file(path: str | Path) -> dict:
         raise ValueError(
             f"{path}: unsupported model file (expected format_version {MODEL_FORMAT_VERSION})"
         )
+    for key in ("delta", "x_max"):
+        value = doc.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{path}: {key} must be a positive integer, got {value!r}")
     teams = doc.get("teams")
     if not isinstance(teams, list) or not teams:
         raise ValueError(f"{path}: model file has no teams")
@@ -63,21 +79,45 @@ def read_model_file(path: str | Path) -> dict:
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    """Rebuild an :class:`EmbeddingModel` from a file written by :func:`save_model`."""
+    """Rebuild an :class:`EmbeddingModel` from a file written by :func:`save_model`.
+
+    Every team record needs a name and finite ``phi`` and ``psi`` vectors of
+    width ``delta`` and unit norm (within :data:`UNIT_NORM_TOL`); anything
+    else raises ``ValueError`` naming the file.
+    """
     doc = read_model_file(path)
     delta = doc["delta"]
     teams = doc["teams"]
+    if not all(isinstance(t, dict) and isinstance(t.get("name"), str) for t in teams):
+        raise ValueError(f"{path}: every team record needs a name")
     names = [t["name"] for t in teams]
-    registry = TeamRegistry(names)
+    try:
+        registry = TeamRegistry(names)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if registry.m != len(teams):
         raise ValueError(f"{path}: duplicate team names in model file")
-    phi = np.empty((len(teams), delta))
-    psi = np.empty((len(teams), delta))
-    for i, team in enumerate(teams):
-        if len(team["phi"]) != delta or len(team["psi"]) != delta:
-            raise ValueError(f"{path}: team {team['name']!r} has vectors of the wrong width")
-        phi[i] = team["phi"]
-        psi[i] = team["psi"]
+    for team in teams:
+        for key in ("phi", "psi"):
+            vec = team.get(key)
+            if not isinstance(vec, list):
+                raise ValueError(f"{path}: team {team['name']!r} has no {key} vector")
+            if len(vec) != delta:
+                raise ValueError(f"{path}: team {team['name']!r} has vectors of the wrong width")
+    vectors = {}
+    for key in ("phi", "psi"):
+        try:
+            mat = np.array([t[key] for t in teams], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: a {key} vector holds a non-numeric value") from None
+        finite = np.isfinite(mat).all(axis=1)
+        off = np.abs(np.linalg.norm(mat, axis=1) - 1.0)
+        bad = ~finite | (off > UNIT_NORM_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            problem = "non-finite values" if not finite[i] else f"a norm off 1 by {off[i]:.3g}"
+            raise ValueError(f"{path}: team {names[i]!r} has a {key} vector with {problem}")
+        vectors[key] = mat
     return EmbeddingModel(
-        phi=phi, psi=psi, delta=delta, registry=registry, x_max=doc["x_max"]
+        phi=vectors["phi"], psi=vectors["psi"], delta=delta, registry=registry, x_max=doc["x_max"]
     )

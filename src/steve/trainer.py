@@ -1,17 +1,20 @@
 """Learning winner/loser team vectors with mini-batch Adam.
 
 Each team owns two unit-norm rows: a winner representation (``phi``) and a
-loser representation (``psi``).  A draw pulls the two winner rows together;
-a decided match pulls the winner's ``phi`` row toward the loser's ``psi``
-row.  Losses are weighted ``s / x_max`` so old seasons matter less.  Updates
-are sparse: only rows touched by a batch move, each along its tangent plane
-on the unit sphere (Riemannian Adam), and exactly those rows are
-renormalized to unit length after every step.
+loser representation (``psi``).  Both live in one stacked parameter block
+``theta = [phi; psi]`` of shape ``(2m, delta)``, loser rows offset by ``m``.
+A draw pulls the two winner rows together; a decided match pulls the
+winner's ``phi`` row toward the loser's ``psi`` row, so every match pulls
+row ``a`` of ``theta`` toward its opponent row ``b + m * (1 - d)``.  Losses
+are weighted ``s / x_max`` so old seasons matter less.  Updates are sparse:
+only rows touched by a batch move, each along its tangent plane on the unit
+sphere (Riemannian Adam), and exactly those rows are renormalized to unit
+length after every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +30,9 @@ class TrainConfig:
 
     ``x_max`` is normally left ``None`` and taken from the dataset; setting
     it explicitly re-bases the season weighting (it must cover every season
-    index present).
+    index present).  ``weight_decay`` changes only the reported loss, not
+    the trained vectors: its gradient is radial on unit rows, and the
+    tangent Adam step removes it.
     """
 
     delta: int = 16
@@ -60,7 +65,9 @@ class EmbeddingModel:
     """Winner matrix ``phi`` and loser matrix ``psi``, one row per team.
 
     Rows are kept at unit L2 norm.  Row ``i`` of either matrix belongs to
-    the team with id ``i + 1`` (registry ids are 1-based).
+    the team with id ``i + 1`` (registry ids are 1-based).  Both matrices
+    are views of one stacked block ``theta = [phi; psi]`` of shape
+    ``(2m, delta)``, which the constructor copies them into.
     """
 
     phi: np.ndarray
@@ -68,17 +75,20 @@ class EmbeddingModel:
     delta: int
     registry: TeamRegistry
     x_max: int
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.phi = np.ascontiguousarray(self.phi, dtype=np.float64)
-        self.psi = np.ascontiguousarray(self.psi, dtype=np.float64)
+        phi = np.asarray(self.phi, dtype=np.float64)
+        psi = np.asarray(self.psi, dtype=np.float64)
         expected = (self.registry.m, self.delta)
-        if self.phi.shape != expected or self.psi.shape != expected:
+        if phi.shape != expected or psi.shape != expected:
             raise ValueError(
-                f"phi/psi must have shape {expected}, got {self.phi.shape} and {self.psi.shape}"
+                f"phi/psi must have shape {expected}, got {phi.shape} and {psi.shape}"
             )
         if self.x_max < 1:
             raise ValueError("x_max must be >= 1")
+        self.theta = np.concatenate([phi, psi])
+        self.phi, self.psi = self.theta[: self.m], self.theta[self.m :]
 
     @property
     def m(self) -> int:
@@ -95,19 +105,18 @@ class EmbeddingModel:
 
 @dataclass
 class AdamState:
-    """Moment accumulators for both matrices, in the style of Riemannian Adam.
+    """Moment accumulators for the stacked block, in the style of Riemannian Adam.
 
-    The first moments ``m_*`` hold one tangent vector per row, shape
-    ``(m, delta)``.  The second moments ``v_*`` hold one scalar per row,
-    shape ``(m,)``: the running mean of the squared norm of that row's
-    tangent gradient.  The timestep advances once per batch; bias correction
-    uses the global timestep even though only touched rows are updated.
+    The first moments ``first`` hold one tangent vector per row of
+    ``theta``, shape ``(2m, delta)``.  The second moments ``second`` hold
+    one scalar per row, shape ``(2m,)``: the running mean of the squared
+    norm of that row's tangent gradient.  The timestep advances once per
+    batch; bias correction uses the global timestep even though only
+    touched rows are updated.
     """
 
-    m_phi: np.ndarray
-    v_phi: np.ndarray
-    m_psi: np.ndarray
-    v_psi: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
     t: int = 0
 
     BETA1 = 0.9
@@ -116,12 +125,7 @@ class AdamState:
 
     @classmethod
     def zeros(cls, m: int, delta: int) -> "AdamState":
-        return cls(
-            m_phi=np.zeros((m, delta)),
-            v_phi=np.zeros(m),
-            m_psi=np.zeros((m, delta)),
-            v_psi=np.zeros(m),
-        )
+        return cls(first=np.zeros((2 * m, delta)), second=np.zeros(2 * m))
 
 
 @dataclass
@@ -138,6 +142,12 @@ class GradientUpdate:
     psi_rows: np.ndarray
     psi_grads: np.ndarray
 
+    @classmethod
+    def split(cls, rows: np.ndarray, grads: np.ndarray, m: int) -> "GradientUpdate":
+        """Split sorted rows of the stacked block (loser rows offset by ``m``)."""
+        k = int(np.searchsorted(rows, m))
+        return cls(rows[:k], grads[:k], rows[k:] - m, grads[k:])
+
     def as_dict(self) -> dict[tuple[str, int], np.ndarray]:
         out: dict[tuple[str, int], np.ndarray] = {}
         for row, grad in zip(self.phi_rows, self.phi_grads):
@@ -145,6 +155,12 @@ class GradientUpdate:
         for row, grad in zip(self.psi_rows, self.psi_grads):
             out[("psi", int(row))] = grad
         return out
+
+
+def _unit_rows(rng: np.random.Generator, m: int, delta: int) -> np.ndarray:
+    rows = rng.standard_normal((m, delta))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows
 
 
 def init_model(
@@ -170,10 +186,8 @@ def init_model(
     elif registry.m != m:
         raise ValueError(f"registry holds {registry.m} teams, expected {m}")
     rng = np.random.default_rng(seed)
-    phi = rng.standard_normal((m, delta))
-    psi = rng.standard_normal((m, delta))
-    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    phi = _unit_rows(rng, m, delta)
+    psi = _unit_rows(rng, m, delta)
     return EmbeddingModel(phi=phi, psi=psi, delta=delta, registry=registry, x_max=x_max)
 
 
@@ -191,48 +205,44 @@ def sample_loss(model: EmbeddingModel, q: MatchQuad) -> float:
     return (q.s / model.x_max) * float(diff @ diff)
 
 
-def _batch_arrays(
-    model: EmbeddingModel, a: np.ndarray, b: np.ndarray, s: np.ndarray, d: np.ndarray,
-    weight_decay: float,
-) -> tuple[float, GradientUpdate]:
-    """Vectorized loss + sparse gradients over pre-validated index arrays."""
-    phi, psi = model.phi, model.psi
-    w = s / model.x_max
-    draws = d == 1
+def _stacked_gradients(
+    theta: np.ndarray, a: np.ndarray, opp: np.ndarray, w: np.ndarray, weight_decay: float,
+    mask: np.ndarray, pos: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch loss, touched rows of ``theta`` (sorted) and their summed gradients.
 
-    other = psi[b].copy()
-    other[draws] = phi[b[draws]]
-    diff = phi[a] - other
-    data_loss = float(np.sum(w * np.einsum("ij,ij->i", diff, diff)))
+    Match ``i`` pulls row ``a[i]`` toward row ``opp[i]`` with weight
+    ``w[i]``.  ``mask`` (all False, length 2m) and ``pos`` (length 2m) are
+    scratch buffers reused across batches; ``mask`` is left all False.
+    """
+    diff = theta.take(a, axis=0) - theta.take(opp, axis=0)
+    loss = float(np.sum(w * np.einsum("ij,ij->i", diff, diff)))
 
-    # d(loss)/d(phi_a) per sample; the opposing row gets the negation.
+    # d(loss)/d(theta_a) per sample; the opposing row gets the negation.
     g = (2.0 * w)[:, None] * diff
-    phi_target = np.concatenate([a, b[draws]])
-    phi_contrib = np.concatenate([g, -g[draws]])
-    psi_target = b[~draws]
-    psi_contrib = -g[~draws]
+    target = np.concatenate([a, opp])
+    mask[target] = True
+    rows = np.flatnonzero(mask)
+    mask[rows] = False
+    pos[rows] = np.arange(rows.size)
+    # One weighted bincount adds each row's contributions in input order,
+    # starting from 0.0, so the sums are those of a sequential np.add.at.
+    delta = theta.shape[1]
+    flat = (pos[target] * delta)[:, None] + np.arange(delta)
+    grads = np.bincount(
+        flat.ravel(), weights=np.concatenate([g, -g]).ravel(), minlength=rows.size * delta
+    ).reshape(rows.size, delta)
 
-    phi_rows, inv = np.unique(phi_target, return_inverse=True)
-    phi_grads = np.zeros((phi_rows.size, model.delta))
-    np.add.at(phi_grads, inv, phi_contrib)
-    if psi_target.size:
-        psi_rows, inv = np.unique(psi_target, return_inverse=True)
-        psi_grads = np.zeros((psi_rows.size, model.delta))
-        np.add.at(psi_grads, inv, psi_contrib)
-    else:
-        psi_rows = np.empty(0, dtype=np.int64)
-        psi_grads = np.empty((0, model.delta))
-
-    loss = data_loss
     if weight_decay:
-        # Coupled L2 on exactly the touched rows, evaluated pre-update.
-        loss += weight_decay * (
-            float(np.sum(phi[phi_rows] ** 2)) + float(np.sum(psi[psi_rows] ** 2))
-        )
-        phi_grads += 2.0 * weight_decay * phi[phi_rows]
-        psi_grads += 2.0 * weight_decay * psi[psi_rows]
+        # Coupled L2 on exactly the touched rows, evaluated pre-update, with
+        # the winner and loser sums added separately.
+        x = theta.take(rows, axis=0)
+        sq = x**2
+        split = np.searchsorted(rows, theta.shape[0] // 2)
+        loss += weight_decay * (float(np.sum(sq[:split])) + float(np.sum(sq[split:])))
+        grads += 2.0 * weight_decay * x
 
-    return loss, GradientUpdate(phi_rows, phi_grads, psi_rows, psi_grads)
+    return loss, rows, grads
 
 
 def batch_gradients(
@@ -243,7 +253,8 @@ def batch_gradients(
     The loss is the sum of :func:`sample_loss` over the batch plus
     ``weight_decay * sum(|row|^2)`` over the touched rows.  A row touched by
     several samples has its gradients summed; weight decay contributes
-    ``2 * weight_decay * row`` once per touched row.
+    ``2 * weight_decay * row`` once per touched row.  This runs the same
+    stacked kernel as :func:`train`.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -257,11 +268,15 @@ def batch_gradients(
         raise ValueError("batch contains team ids outside the registry")
     if (s < 1).any() or (s > model.x_max).any():
         raise ValueError(f"batch contains season indices outside 1..{model.x_max}")
-    return _batch_arrays(model, a - 1, b - 1, s, d, weight_decay)
+    loss, rows, grads = _stacked_gradients(
+        model.theta, a - 1, b - 1 + m * (1 - d), s / model.x_max, weight_decay,
+        np.zeros(2 * m, dtype=bool), np.empty(2 * m, dtype=np.int64),
+    )
+    return loss, GradientUpdate.split(rows, grads, m)
 
 
 def _adam_step(
-    model: EmbeddingModel, opt: AdamState, update: GradientUpdate, learning_rate: float
+    theta: np.ndarray, opt: AdamState, rows: np.ndarray, grads: np.ndarray, learning_rate: float
 ) -> None:
     """One Riemannian Adam step on the touched rows, then their renormalization.
 
@@ -275,24 +290,18 @@ def _adam_step(
     opt.t += 1
     bc1 = 1.0 - AdamState.BETA1 ** opt.t
     bc2 = 1.0 - AdamState.BETA2 ** opt.t
-    for rows, grads, mat, mom, vel in (
-        (update.phi_rows, update.phi_grads, model.phi, opt.m_phi, opt.v_phi),
-        (update.psi_rows, update.psi_grads, model.psi, opt.m_psi, opt.v_psi),
-    ):
-        if rows.size == 0:
-            continue
-        x = mat.take(rows, axis=0)
-        g = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
-        mo = mom.take(rows, axis=0)
-        mo -= np.einsum("ij,ij->i", mo, x)[:, None] * x
-        mo = AdamState.BETA1 * mo + (1.0 - AdamState.BETA1) * g
-        sq = np.einsum("ij,ij->i", g, g)
-        ve = AdamState.BETA2 * vel.take(rows) + (1.0 - AdamState.BETA2) * sq
-        mom[rows] = mo
-        vel[rows] = ve
-        step = learning_rate * (mo / bc1) / (np.sqrt(ve / bc2) + AdamState.EPS)[:, None]
-        moved = x - step
-        mat[rows] = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+    x = theta.take(rows, axis=0)
+    g = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
+    mo = opt.first.take(rows, axis=0)
+    mo -= np.einsum("ij,ij->i", mo, x)[:, None] * x
+    mo = AdamState.BETA1 * mo + (1.0 - AdamState.BETA1) * g
+    sq = np.einsum("ij,ij->i", g, g)
+    ve = AdamState.BETA2 * opt.second.take(rows) + (1.0 - AdamState.BETA2) * sq
+    opt.first[rows] = mo
+    opt.second[rows] = ve
+    step = learning_rate * (mo / bc1) / (np.sqrt(ve / bc2) + AdamState.EPS)[:, None]
+    moved = x - step
+    theta[rows] = moved / np.linalg.norm(moved, axis=1, keepdims=True)
 
 
 def train(
@@ -303,10 +312,11 @@ def train(
 ) -> EmbeddingModel:
     """Train a model on ``ds``: seeded shuffling, mini-batches, sparse Adam.
 
-    Training starts from :func:`init_model`'s winner rows with every loser
-    row set equal to its team's winner row, so the untrained model rates
-    every pair a tie.  Each batch then takes one Riemannian Adam step (see
-    :func:`_adam_step`): tangent gradients and momentum, one second-moment
+    Training starts from :func:`init_model`'s winner rows (the same seeded
+    draw, without the loser draw) with every loser row set equal to its
+    team's winner row, so the untrained model rates every pair a tie.  Each
+    batch then takes one Riemannian Adam step (see :func:`_adam_step`) on
+    the stacked block: tangent gradients and momentum, one second-moment
     scalar per row, and renormalization of the touched rows.
 
     Every epoch reshuffles the quadruples with one generator advanced across
@@ -314,7 +324,8 @@ def train(
     optional ``progress`` sink receives ``(epoch, mean_loss)`` where
     ``mean_loss`` is the summed batch loss (weight decay included) divided
     by the number of quadruples.  ``on_batch`` runs after each completed
-    batch update and is meant for instrumentation.
+    batch update and is meant for instrumentation; only when it is given is
+    the batch's update split into its winner and loser rows.
     """
     if not ds.quads:
         raise ValueError("dataset is empty")
@@ -322,28 +333,37 @@ def train(
     if x_max < ds.x_max:
         raise ValueError(f"cfg.x_max={cfg.x_max} is below the dataset's newest season {ds.x_max}")
 
+    m = ds.registry.m
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    model = init_model(ds.registry.m, cfg.delta, init_ss, registry=ds.registry, x_max=x_max)
-    model.psi[:] = model.phi
-    opt = AdamState.zeros(model.m, cfg.delta)
+    phi = _unit_rows(np.random.default_rng(init_ss), m, cfg.delta)
+    model = EmbeddingModel(phi=phi, psi=phi, delta=cfg.delta, registry=ds.registry, x_max=x_max)
+    theta = model.theta
+    opt = AdamState.zeros(m, cfg.delta)
+    mask = np.zeros(2 * m, dtype=bool)
+    pos = np.empty(2 * m, dtype=np.int64)
 
     n = len(ds.quads)
     a = np.fromiter((q.a for q in ds.quads), dtype=np.int64, count=n) - 1
     b = np.fromiter((q.b for q in ds.quads), dtype=np.int64, count=n) - 1
     s = np.fromiter((q.s for q in ds.quads), dtype=np.float64, count=n)
     d = np.fromiter((q.d for q in ds.quads), dtype=np.int64, count=n)
+    opp = b + m * (1 - d)
+    w = s / x_max
 
     shuffle_rng = np.random.default_rng(shuffle_ss)
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)
+        ea, eopp, ew = a.take(perm), opp.take(perm), w.take(perm)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            loss, update = _batch_arrays(model, a[idx], b[idx], s[idx], d[idx], cfg.weight_decay)
-            _adam_step(model, opt, update, cfg.learning_rate)
+            stop = start + cfg.batch_size
+            loss, rows, grads = _stacked_gradients(
+                theta, ea[start:stop], eopp[start:stop], ew[start:stop], cfg.weight_decay, mask, pos
+            )
+            _adam_step(theta, opt, rows, grads, cfg.learning_rate)
             total += loss
             if on_batch is not None:
-                on_batch(model, update)
+                on_batch(model, GradientUpdate.split(rows, grads, m))
         if progress is not None:
             progress(epoch, total / n)
     return model

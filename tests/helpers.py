@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import dataclass
+
 import numpy as np
 
 from steve.match_data import Dataset, MatchQuad, TeamRegistry
+from steve.trainer import EmbeddingModel, GradientUpdate, TrainConfig, init_model
 
 
 def sigmoid(x):
@@ -159,3 +163,189 @@ def values_csv(names: list[str], seed: int = 0) -> str:
     for name in names:
         lines.append(f"{name},{rng.uniform(10, 1200):.2f}")
     return "\n".join(lines) + "\n"
+
+
+def random_league(n_teams: int, n_matches: int, seasons: int, seed: int, draw_share: float = 0.25) -> Dataset:
+    """Uniformly random pairings, seasons and draws; the shape of a benchmark league."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, n_teams + 1, n_matches)
+    b = (a - 1 + rng.integers(1, n_teams, n_matches)) % n_teams + 1
+    s = np.sort(rng.integers(1, seasons + 1, n_matches))
+    d = (rng.random(n_matches) < draw_share).astype(int)
+    quads = [MatchQuad(int(i), int(j), int(k), int(x)) for i, j, k, x in zip(a, b, s, d)]
+    return Dataset(quads=quads, x_max=seasons, registry=placeholder_registry(n_teams), raw=[])
+
+
+def broken_model_file(path, tmp_path, case):
+    """A copy of the model file at ``path`` with one defect, by case name."""
+    doc = json.loads(path.read_text())
+    if case == "team without phi":
+        del doc["teams"][1]["phi"]
+    elif case == "no x_max":
+        del doc["x_max"]
+    elif case == "x_max zero":
+        doc["x_max"] = 0
+    elif case == "delta not an int":
+        doc["delta"] = 4.0
+    elif case == "delta a bool":
+        doc["delta"] = True
+    elif case == "nan row":
+        doc["teams"][2]["phi"][0] = float("nan")
+    elif case == "infinite row":
+        doc["teams"][2]["psi"][1] = float("inf")
+    elif case == "non-unit row":
+        doc["teams"][2]["psi"] = [2 * v for v in doc["teams"][2]["psi"]]
+    elif case == "team without name":
+        del doc["teams"][0]["name"]
+    elif case == "non-numeric value":
+        doc["teams"][0]["psi"][0] = "x"
+    bad = tmp_path / "broken.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+BROKEN_CASES = [
+    ("team without phi", "phi"),
+    ("no x_max", "x_max"),
+    ("x_max zero", "x_max"),
+    ("delta not an int", "delta"),
+    ("delta a bool", "delta"),
+    ("nan row", "non-finite"),
+    ("infinite row", "non-finite"),
+    ("non-unit row", "norm off 1"),
+    ("team without name", "name"),
+    ("non-numeric value", "non-numeric"),
+]
+
+
+# ---------------------------------------------------------------------------
+# Reference trainer: the per-matrix batch loop that the stacked trainer
+# replaced, kept unchanged as a bit-exact oracle for ``steve.trainer.train``.
+
+
+@dataclass
+class _ReferenceAdamState:
+    m_phi: np.ndarray
+    v_phi: np.ndarray
+    m_psi: np.ndarray
+    v_psi: np.ndarray
+    t: int = 0
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    @classmethod
+    def zeros(cls, m: int, delta: int) -> "_ReferenceAdamState":
+        return cls(
+            m_phi=np.zeros((m, delta)),
+            v_phi=np.zeros(m),
+            m_psi=np.zeros((m, delta)),
+            v_psi=np.zeros(m),
+        )
+
+
+def reference_batch_arrays(
+    model: EmbeddingModel, a: np.ndarray, b: np.ndarray, s: np.ndarray, d: np.ndarray,
+    weight_decay: float,
+) -> tuple[float, GradientUpdate]:
+    """Vectorized loss + sparse gradients over pre-validated index arrays."""
+    phi, psi = model.phi, model.psi
+    w = s / model.x_max
+    draws = d == 1
+
+    other = psi[b].copy()
+    other[draws] = phi[b[draws]]
+    diff = phi[a] - other
+    data_loss = float(np.sum(w * np.einsum("ij,ij->i", diff, diff)))
+
+    # d(loss)/d(phi_a) per sample; the opposing row gets the negation.
+    g = (2.0 * w)[:, None] * diff
+    phi_target = np.concatenate([a, b[draws]])
+    phi_contrib = np.concatenate([g, -g[draws]])
+    psi_target = b[~draws]
+    psi_contrib = -g[~draws]
+
+    phi_rows, inv = np.unique(phi_target, return_inverse=True)
+    phi_grads = np.zeros((phi_rows.size, model.delta))
+    np.add.at(phi_grads, inv, phi_contrib)
+    if psi_target.size:
+        psi_rows, inv = np.unique(psi_target, return_inverse=True)
+        psi_grads = np.zeros((psi_rows.size, model.delta))
+        np.add.at(psi_grads, inv, psi_contrib)
+    else:
+        psi_rows = np.empty(0, dtype=np.int64)
+        psi_grads = np.empty((0, model.delta))
+
+    loss = data_loss
+    if weight_decay:
+        # Coupled L2 on exactly the touched rows, evaluated pre-update.
+        loss += weight_decay * (
+            float(np.sum(phi[phi_rows] ** 2)) + float(np.sum(psi[psi_rows] ** 2))
+        )
+        phi_grads += 2.0 * weight_decay * phi[phi_rows]
+        psi_grads += 2.0 * weight_decay * psi[psi_rows]
+
+    return loss, GradientUpdate(phi_rows, phi_grads, psi_rows, psi_grads)
+
+
+def _reference_adam_step(
+    model: EmbeddingModel, opt: _ReferenceAdamState, update: GradientUpdate, learning_rate: float
+) -> None:
+    """One Riemannian Adam step on the touched rows, then their renormalization."""
+    opt.t += 1
+    bc1 = 1.0 - _ReferenceAdamState.BETA1 ** opt.t
+    bc2 = 1.0 - _ReferenceAdamState.BETA2 ** opt.t
+    for rows, grads, mat, mom, vel in (
+        (update.phi_rows, update.phi_grads, model.phi, opt.m_phi, opt.v_phi),
+        (update.psi_rows, update.psi_grads, model.psi, opt.m_psi, opt.v_psi),
+    ):
+        if rows.size == 0:
+            continue
+        x = mat.take(rows, axis=0)
+        g = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
+        mo = mom.take(rows, axis=0)
+        mo -= np.einsum("ij,ij->i", mo, x)[:, None] * x
+        mo = _ReferenceAdamState.BETA1 * mo + (1.0 - _ReferenceAdamState.BETA1) * g
+        sq = np.einsum("ij,ij->i", g, g)
+        ve = _ReferenceAdamState.BETA2 * vel.take(rows) + (1.0 - _ReferenceAdamState.BETA2) * sq
+        mom[rows] = mo
+        vel[rows] = ve
+        step = learning_rate * (mo / bc1) / (np.sqrt(ve / bc2) + _ReferenceAdamState.EPS)[:, None]
+        moved = x - step
+        mat[rows] = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+
+
+def reference_train(ds: Dataset, cfg: TrainConfig, progress=None, on_batch=None) -> EmbeddingModel:
+    """The per-matrix trainer: same seeds, draws, shuffles and arithmetic as ``train``."""
+    if not ds.quads:
+        raise ValueError("dataset is empty")
+    x_max = ds.x_max if cfg.x_max is None else cfg.x_max
+    if x_max < ds.x_max:
+        raise ValueError(f"cfg.x_max={cfg.x_max} is below the dataset's newest season {ds.x_max}")
+
+    init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    model = init_model(ds.registry.m, cfg.delta, init_ss, registry=ds.registry, x_max=x_max)
+    model.psi[:] = model.phi
+    opt = _ReferenceAdamState.zeros(model.m, cfg.delta)
+
+    n = len(ds.quads)
+    a = np.fromiter((q.a for q in ds.quads), dtype=np.int64, count=n) - 1
+    b = np.fromiter((q.b for q in ds.quads), dtype=np.int64, count=n) - 1
+    s = np.fromiter((q.s for q in ds.quads), dtype=np.float64, count=n)
+    d = np.fromiter((q.d for q in ds.quads), dtype=np.int64, count=n)
+
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    for epoch in range(1, cfg.epochs + 1):
+        perm = shuffle_rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            loss, update = reference_batch_arrays(model, a[idx], b[idx], s[idx], d[idx], cfg.weight_decay)
+            _reference_adam_step(model, opt, update, cfg.learning_rate)
+            total += loss
+            if on_batch is not None:
+                on_batch(model, update)
+        if progress is not None:
+            progress(epoch, total / n)
+    return model

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import league_csv, values_csv
+from helpers import BROKEN_CASES, broken_model_file, league_csv, values_csv
 from steve.cli import main
 from steve.model_io import read_model_file
 
@@ -106,6 +106,18 @@ class TestSimilar:
         assert rc == 1
         err = capsys.readouterr().err
         assert "unknown team" in err and "Club" in err
+
+
+@pytest.mark.parametrize("case, message", BROKEN_CASES)
+def test_similar_on_broken_model_file_is_validation_error(model_file, tmp_path, capsys, case, message):
+    bad = broken_model_file(model_file, tmp_path, case)
+    name = team_names(model_file)[0]
+    assert main(["similar", str(bad), "--team", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("steve: error: ")
+    assert str(bad) in captured.err and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestRank:

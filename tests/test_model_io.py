@@ -4,7 +4,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from helpers import strength_league
+from helpers import BROKEN_CASES, broken_model_file, strength_league
 from steve.analytics import rank_teams
 from steve.model_io import MODEL_FORMAT_VERSION, load_model, read_model_file, save_model
 from steve.trainer import TrainConfig, init_model, train
@@ -108,6 +108,46 @@ class TestValidation:
         bad.write_text(json.dumps({"format_version": 1, "delta": 2, "x_max": 1, "teams": []}))
         with pytest.raises(ValueError, match="no teams"):
             load_model(bad)
+
+
+@pytest.mark.parametrize("case, message", BROKEN_CASES)
+def test_broken_file_raises_value_error_naming_path(trained, tmp_path, case, message):
+    _, _, path = trained
+    bad = broken_model_file(path, tmp_path, case)
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(bad)
+    assert str(bad) in str(err.value)
+
+
+def test_row_within_unit_norm_tolerance_loads(trained, tmp_path):
+    _, _, path = trained
+    doc = json.loads(path.read_text())
+    doc["teams"][0]["phi"] = [v * (1 + 5e-7) for v in doc["teams"][0]["phi"]]
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps(doc))
+    assert load_model(ok).phi[0, 0] == doc["teams"][0]["phi"][0]
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_earlier_file_and_leaves_no_temp(self, trained, tmp_path, monkeypatch):
+        model, _, path = trained
+        before = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(json, "dump", boom)
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_save_replaces_earlier_file_and_leaves_no_temp(self, trained, tmp_path):
+        _, _, path = trained
+        other = init_model(3, 2, 0)
+        save_model(other, path)
+        assert np.array_equal(load_model(path).phi, other.phi)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 def test_save_without_config(tmp_path):

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import hierarchy_dataset, placeholder_registry, strength_league
+from helpers import (
+    hierarchy_dataset,
+    placeholder_registry,
+    random_league,
+    reference_batch_arrays,
+    reference_train,
+    strength_league,
+)
 from steve.match_data import Dataset, MatchQuad, TeamRegistry
 from steve.trainer import (
     AdamState,
     EmbeddingModel,
-    GradientUpdate,
     TrainConfig,
     _adam_step,
     batch_gradients,
@@ -283,19 +289,115 @@ class TestTrain:
             train(ds, TrainConfig(delta=2, epochs=1, x_max=1))
 
     def test_adam_state_zeros(self):
+        # One stacked state: winner rows first, loser rows offset by m = 3.
         state = AdamState.zeros(3, 2)
         assert state.t == 0
-        assert not state.m_phi.any() and not state.v_psi.any()
-        assert state.m_phi.shape == state.m_psi.shape == (3, 2)
-        assert state.v_phi.shape == state.v_psi.shape == (3,)
+        assert not state.first.any() and not state.second.any()
+        assert state.first[:3].shape == state.first[3:].shape == (3, 2)
+        assert state.second[:3].shape == state.second[3:].shape == (3,)
 
     def test_training_starts_with_psi_equal_to_phi(self):
         # Teams 4 and 5 never play, so their rows keep the starting values.
         quads = [MatchQuad(1, 2, 1, 0), MatchQuad(2, 3, 1, 1), MatchQuad(3, 1, 1, 0)]
         ds = Dataset(quads=quads, x_max=1, registry=placeholder_registry(5), raw=[])
         model = train(ds, TrainConfig(delta=4, epochs=3, batch_size=2, learning_rate=0.01, seed=5))
+        start = init_model(5, 4, np.random.SeedSequence(5).spawn(2)[0]).phi
+        assert np.array_equal(model.phi[3:], start[3:])
         assert np.array_equal(model.psi[3:], model.phi[3:])
         assert head_to_head(model, 4, 5).outcome is Outcome.TIE
+
+    def test_phi_and_psi_are_views_of_one_block(self):
+        model = train(self.small_ds(), TrainConfig(delta=4, epochs=1, batch_size=8, seed=0))
+        assert model.theta.shape == (2 * model.m, 4)
+        assert np.array_equal(model.theta, np.concatenate([model.phi, model.psi]))
+        model.theta[0, 0] = 5.0
+        model.theta[model.m, 1] = 7.0
+        assert model.phi[0, 0] == 5.0 and model.psi[0, 1] == 7.0
+
+
+def oracle_configs():
+    """Name -> (dataset, config) pairs on which ``train`` must equal ``reference_train``."""
+    strengths = np.linspace(1.5, -1.5, 20)
+    small, _ = strength_league(8, 3, 2, seed=1)
+    configs = {
+        f"criterion3-seed{seed}": (
+            lambda seed=seed: strength_league(
+                20, 5, 16, seed=seed, steep=4.0, draw_amp=0.10, strengths=strengths
+            )[0],
+            TrainConfig(seed=seed),
+        )
+        for seed in range(5)
+    }
+    configs.update({
+        "no-weight-decay-batch7": (lambda: small, TrainConfig(
+            delta=4, epochs=5, batch_size=7, learning_rate=0.01, weight_decay=0.0, seed=2)),
+        "weight-decay-1e-2-delta1-batch1": (lambda: small, TrainConfig(
+            delta=1, epochs=3, batch_size=1, learning_rate=0.01, weight_decay=1e-2, seed=3)),
+        "delta32-explicit-x-max": (lambda: small, TrainConfig(
+            delta=32, epochs=4, batch_size=16, learning_rate=0.01, x_max=5, seed=4)),
+        "one-batch-larger-than-data": (lambda: small, TrainConfig(
+            delta=8, epochs=6, batch_size=10_000, learning_rate=0.01, seed=5)),
+        "desk-league": (lambda: random_league(378, 12_000, 9, seed=41), TrainConfig(seed=41)),
+        "wide-league": (lambda: random_league(3_780, 120_000, 9, seed=41), TrainConfig(epochs=1, seed=41)),
+    })
+    return configs
+
+
+@pytest.mark.parametrize("name", list(oracle_configs()))
+def test_train_matches_reference_trainer_bit_for_bit(name):
+    make_ds, cfg = oracle_configs()[name]
+    ds = make_ds()
+    expected, got = [], []
+    reference = reference_train(ds, cfg, progress=lambda e, l: expected.append(l))
+    model = train(ds, cfg, progress=lambda e, l: got.append(l))
+    assert np.array_equal(model.phi, reference.phi)
+    assert np.array_equal(model.psi, reference.psi)
+    assert got == expected and len(got) == cfg.epochs
+
+
+def test_batch_gradients_match_reference_kernel_bit_for_bit():
+    # Large batches and a large penalty: summing the penalty over all touched
+    # rows at once, instead of winner and loser rows apart, changes the loss
+    # in the last bit for about one batch in a hundred.
+    rng = np.random.default_rng(0)
+    for trial in range(600):
+        m, delta, x_max = int(rng.integers(2, 60)), int(rng.choice([1, 4, 8, 16])), 3
+        model = init_model(m, delta, trial, x_max=x_max)
+        model.psi[: m // 2] = model.phi[: m // 2]
+        n = int(rng.integers(1, 300))
+        a = rng.integers(1, m + 1, n)
+        b = (a - 1 + rng.integers(1, m, n)) % m + 1
+        s = rng.integers(1, x_max + 1, n)
+        d = rng.integers(0, 2, n)
+        wd = float(rng.choice([0.0, 1.0, 3.7]))
+        batch = [MatchQuad(int(i), int(j), int(k), int(x)) for i, j, k, x in zip(a, b, s, d)]
+        loss, update = batch_gradients(model, batch, weight_decay=wd)
+        ref_loss, ref = reference_batch_arrays(model, a - 1, b - 1, s.astype(np.float64), d, wd)
+        assert loss == ref_loss
+        for got, want in (
+            (update.phi_rows, ref.phi_rows), (update.phi_grads, ref.phi_grads),
+            (update.psi_rows, ref.psi_rows), (update.psi_grads, ref.psi_grads),
+        ):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_on_batch_updates_match_reference_trainer():
+    ds, _ = strength_league(8, 3, 2, seed=1)
+    cfg = TrainConfig(delta=4, epochs=2, batch_size=5, learning_rate=0.01, weight_decay=1e-2, seed=6)
+    expected, got = [], []
+
+    def keep(seen):
+        def on_batch(model, u):
+            seen.append((u.phi_rows, u.phi_grads, u.psi_rows, u.psi_grads,
+                         model.phi.copy(), model.psi.copy()))
+        return on_batch
+
+    reference_train(ds, cfg, on_batch=keep(expected))
+    train(ds, cfg, on_batch=keep(got))
+    assert len(got) == len(expected) == 2 * -(-len(ds.quads) // 5)
+    for ours, theirs in zip(got, expected):
+        for x, y in zip(ours, theirs):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestAdamStep:
@@ -304,7 +406,10 @@ class TestAdamStep:
         before = {"phi": model.phi.copy(), "psi": model.psi.copy()}
         _, update = batch_gradients(model, [MatchQuad(1, 2, 1, 0), MatchQuad(3, 4, 1, 1)])
         lr = 0.01
-        _adam_step(model, AdamState.zeros(4, 3), update, lr)
+        # Stacked rows: loser rows are offset by m = 4.
+        rows = np.concatenate([update.phi_rows, update.psi_rows + 4])
+        grads = np.concatenate([update.phi_grads, update.psi_grads])
+        _adam_step(model.theta, AdamState.zeros(4, 3), rows, grads, lr)
         for name, rows, grads in (
             ("phi", update.phi_rows, update.phi_grads),
             ("psi", update.psi_rows, update.psi_grads),
@@ -328,11 +433,10 @@ class TestAdamStep:
             model = init_model(3, 4, 1)
             opt = AdamState.zeros(3, 4)
             opt.t = 5
-            opt.m_phi[rows] = momentum + radial * start[rows]
-            opt.v_phi[rows] = 1.0
-            no_psi = (np.empty(0, dtype=np.int64), np.empty((0, 4)))
-            update = GradientUpdate(rows, grads + radial * start[rows], *no_psi)
-            _adam_step(model, opt, update, learning_rate=0.1)
+            # Rows 0 and 2 of the stacked block are winner rows.
+            opt.first[rows] = momentum + radial * start[rows]
+            opt.second[rows] = 1.0
+            _adam_step(model.theta, opt, rows, grads + radial * start[rows], learning_rate=0.1)
             moved.append(model.phi)
         np.testing.assert_allclose(moved[1], moved[0], atol=1e-12)
         assert not np.allclose(moved[0][rows], start[rows])
