@@ -79,9 +79,9 @@ def main():
     representations = {
         "steve-32": (vectors, False),
         "shuffled-32": (vectors[np.random.default_rng(99).permutation(len(vectors))], False),
-        "season-stats": (np.array([season_stats(raw, registry, t, newest) for t in teams]), True),
-        "cat-3": (np.array([cat_features(raw, registry, t, newest, 3) for t in teams]), True),
-        "sum-3": (np.array([sum_features(raw, registry, t, newest, 3) for t in teams]), True),
+        "season-stats": (season_stats(raw, registry, teams, newest), True),
+        "cat-3": (cat_features(raw, registry, teams, newest, 3), True),
+        "sum-3": (sum_features(raw, registry, teams, newest, 3), True),
     }
 
     print(f"regression: market value in million EUR, {N_TEAMS} clubs, 5-fold CV")

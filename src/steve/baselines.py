@@ -9,6 +9,8 @@ the most recent ``x`` seasons.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .match_data import Competition, RawMatch, TeamRegistry
@@ -38,68 +40,66 @@ def cat_feature_columns(x: int) -> tuple[str, ...]:
     return tuple(f"s{i}_{name}" for i in range(x) for name in SEASON_STATS_COLUMNS)
 
 
-def _tally_matches(
-    raw: list[RawMatch], team: int, seasons: set[int]
-) -> dict[int, np.ndarray]:
-    """Per-season 3x5 count blocks (comp x [w, d, l, gf, ga]) for one team."""
+def _check_teams(registry: TeamRegistry, teams: int | Sequence[int]) -> np.ndarray:
+    """Validate one id or a sequence of ids; return the 0-based row index(es)."""
+    ids = np.asarray(teams, dtype=object)
+    for team in ids.reshape(-1).tolist():
+        registry.check_id(team)
+    return ids.astype(np.int64) - 1
+
+
+def match_tally(raw: list[RawMatch], m: int, newest_season: int) -> np.ndarray:
+    """Counts of every team's matches, shape ``(m, newest_season + 1, 3, 5)``.
+
+    ``tally[team - 1, season, comp]`` holds ``[w, d, l, gf, ga]`` for the
+    competition block ``comp`` (in :data:`COMPETITION_ORDER`); seasons above
+    ``newest_season`` are left out and index 0 stays zero.  Both sides of
+    every match are added in one pass.  The counts are integers, so the
+    float sums are exact in any order.
+    """
     comp_row = {comp: i for i, comp in enumerate(COMPETITION_ORDER)}
-    tallies = {season: np.zeros((3, 5)) for season in seasons}
-    for match in raw:
-        if match.season_index not in tallies:
-            continue
-        if match.home == team:
-            gf, ga = match.home_goals, match.away_goals
-        elif match.away == team:
-            gf, ga = match.away_goals, match.home_goals
-        else:
-            continue
-        block = tallies[match.season_index][comp_row[match.competition]]
-        if gf > ga:
-            block[0] += 1
-        elif gf == ga:
-            block[1] += 1
-        else:
-            block[2] += 1
-        block[3] += gf
-        block[4] += ga
-    return tallies
-
-
-def _vector_from_tally(tally: np.ndarray) -> np.ndarray:
-    """Assemble the 18-entry vector from a 3x5 count block."""
-    counts = tally.reshape(15)
-    matches_per_comp = tally[:, :3].sum(axis=1)
-    goals_per_comp = tally[:, 3]
-    total_matches = matches_per_comp.sum()
-    national_matches = matches_per_comp[0]
-    intl_matches = matches_per_comp[1] + matches_per_comp[2]
-    total_goals = goals_per_comp.sum()
-    national_goals = goals_per_comp[0]
-    intl_goals = goals_per_comp[1] + goals_per_comp[2]
-    ratios = np.array(
-        [
-            total_goals / total_matches if total_matches else 0.0,
-            national_goals / national_matches if national_matches else 0.0,
-            intl_goals / intl_matches if intl_matches else 0.0,
-        ]
+    cols = np.fromiter(
+        ((r.home, r.away, r.home_goals, r.away_goals, r.season_index, comp_row[r.competition])
+         for r in raw),
+        dtype=np.dtype((np.int64, 6)),
+        count=len(raw),
     )
-    return np.concatenate([counts, ratios])
+    cols = cols[cols[:, 4] <= newest_season]
+    home, away, hg, ag, season, comp = cols.T
+    result = np.sign(ag - hg) + 1  # home side: 0 win, 1 draw, 2 defeat
+    tally = np.zeros((m, newest_season + 1, 3, 5))
+    for team, gf, ga, res in ((home, hg, ag, result), (away, ag, hg, 2 - result)):
+        cell = (team - 1, season, comp)
+        np.add.at(tally, (*cell, res), 1.0)
+        np.add.at(tally, (*cell, 3), gf)
+        np.add.at(tally, (*cell, 4), ga)
+    return tally
+
+
+def _vectors(tally: np.ndarray) -> np.ndarray:
+    """18-entry vectors from ``(..., 3, 5)`` count blocks, shape ``(..., 18)``."""
+    matches = tally[..., :3].sum(axis=-1)
+    goals = tally[..., 3]
+    num = np.stack([goals.sum(axis=-1), goals[..., 0], goals[..., 1] + goals[..., 2]], axis=-1)
+    den = np.stack([matches.sum(axis=-1), matches[..., 0], matches[..., 1] + matches[..., 2]], axis=-1)
+    ratios = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+    return np.concatenate([tally.reshape(*tally.shape[:-2], 15), ratios], axis=-1)
 
 
 def season_stats(
-    raw: list[RawMatch], registry: TeamRegistry, team: int, season: int
+    raw: list[RawMatch], registry: TeamRegistry, team: int | Sequence[int], season: int
 ) -> np.ndarray:
     """18-entry count vector for one team and season.
 
     Counts cover all of the team's matches (home or away) in the season;
     goals mean goals scored by this team.  Ratio entries are 0 whenever the
-    corresponding match count is 0.
+    corresponding match count is 0.  ``team`` may also be a sequence of
+    ids, giving one row per team.
     """
-    registry.check_id(team)
+    rows = _check_teams(registry, team)
     if season < 1:
         raise ValueError("season index must be >= 1")
-    tally = _tally_matches(raw, team, {season})[season]
-    return _vector_from_tally(tally)
+    return _vectors(match_tally(raw, registry.m, season)[rows, season])
 
 
 def _season_window(newest_season: int, x: int) -> list[int]:
@@ -112,20 +112,32 @@ def _season_window(newest_season: int, x: int) -> list[int]:
     return [newest_season - i for i in range(x)]
 
 
-def cat_features(
-    raw: list[RawMatch], registry: TeamRegistry, team: int, newest_season: int, x: int
-) -> np.ndarray:
-    """Concatenated season-stats of the last ``x`` seasons, newest first."""
-    registry.check_id(team)
+def _window_tallies(raw, registry, team, newest_season, x) -> np.ndarray:
+    """Count blocks of the last ``x`` seasons, newest first: ``(..., x, 3, 5)``."""
+    rows = _check_teams(registry, team)
     seasons = _season_window(newest_season, x)
-    tallies = _tally_matches(raw, team, set(seasons))
-    return np.concatenate([_vector_from_tally(tallies[s]) for s in seasons])
+    return match_tally(raw, registry.m, newest_season)[rows[..., None], seasons]
+
+
+def cat_features(
+    raw: list[RawMatch],
+    registry: TeamRegistry,
+    team: int | Sequence[int],
+    newest_season: int,
+    x: int,
+) -> np.ndarray:
+    """Concatenated season-stats of the last ``x`` seasons, newest first.
+
+    ``team`` may also be a sequence of ids, giving one row per team.
+    """
+    vectors = _vectors(_window_tallies(raw, registry, team, newest_season, x))
+    return vectors.reshape(*vectors.shape[:-2], x * len(SEASON_STATS_COLUMNS))
 
 
 def sum_features(
     raw: list[RawMatch],
     registry: TeamRegistry,
-    team: int,
+    team: int | Sequence[int],
     newest_season: int,
     x: int,
     recompute_ratios: bool = False,
@@ -134,12 +146,10 @@ def sum_features(
 
     By default the three ratio entries are summed along with the counts
     (literal reading).  With ``recompute_ratios=True`` they are instead
-    recomputed from the summed goal and match totals.
+    recomputed from the summed goal and match totals.  ``team`` may also be
+    a sequence of ids, giving one row per team.
     """
-    registry.check_id(team)
-    seasons = _season_window(newest_season, x)
-    tallies = _tally_matches(raw, team, set(seasons))
+    tallies = _window_tallies(raw, registry, team, newest_season, x)
     if recompute_ratios:
-        return _vector_from_tally(sum(tallies[s] for s in seasons))
-    vectors = [_vector_from_tally(tallies[s]) for s in seasons]
-    return np.sum(vectors, axis=0)
+        return _vectors(tallies.sum(axis=-3))
+    return _vectors(tallies).sum(axis=-2)

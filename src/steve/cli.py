@@ -145,25 +145,27 @@ def _parse_representation(rep: str):
     raise ValueError(f"unknown representation {rep!r} (expected one of {_REPRESENTATIONS})")
 
 
-def _build_features(kind, param, ds, args, quiet=True):
-    """Feature matrix over all registry teams, plus the standardization flag."""
-    registry, raw = ds.registry, ds.raw
-    teams = range(1, registry.m + 1)
+def _features(kind, param, ds, newest, model):
+    """``(header, matrix, standardize)`` of one representation over all teams.
+
+    ``steve`` rows are the winner and loser vectors of ``model``; the count
+    baselines are built from ``ds`` with ``newest`` as the newest season
+    and are standardized per fold.
+    """
     if kind == "steve":
-        cfg = TrainConfig(delta=param, seed=_stage_seed(args.seed, _STAGE_TRAIN))
-        progress = None if quiet else (
-            lambda epoch, loss: print(f"epoch {epoch:>3}/{cfg.epochs}  mean_loss {loss:.6f}")
-        )
-        model = train(ds, cfg, progress=progress)
-        return valuation.steve_features(model, list(teams)), False
-    newest = ds.x_max
+        header = [f"phi_{i}" for i in range(model.delta)] + [f"psi_{i}" for i in range(model.delta)]
+        return header, valuation.steve_features(model, list(range(1, model.m + 1))), False
+    teams = range(1, ds.registry.m + 1)
     if kind == "season-stats":
-        rows = [baselines.season_stats(raw, registry, t, newest) for t in teams]
+        header = baselines.SEASON_STATS_COLUMNS
+        matrix = baselines.season_stats(ds.raw, ds.registry, teams, newest)
     elif kind == "cat":
-        rows = [baselines.cat_features(raw, registry, t, newest, param) for t in teams]
+        header = baselines.cat_feature_columns(param)
+        matrix = baselines.cat_features(ds.raw, ds.registry, teams, newest, param)
     else:
-        rows = [baselines.sum_features(raw, registry, t, newest, param) for t in teams]
-    return np.asarray(rows), True
+        header = baselines.SEASON_STATS_COLUMNS
+        matrix = baselines.sum_features(ds.raw, ds.registry, teams, newest, param)
+    return list(header), matrix, True
 
 
 def cmd_evaluate(args) -> int:
@@ -177,7 +179,14 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"teams missing market values: {', '.join(missing)}")
     y = np.array([values[n] for n in names])
 
-    features, standardize = _build_features(kind, param, ds, args, quiet=args.quiet)
+    model = None
+    if kind == "steve":
+        cfg = TrainConfig(delta=param, seed=_stage_seed(args.seed, _STAGE_TRAIN))
+        progress = None if args.quiet else (
+            lambda epoch, loss: print(f"epoch {epoch:>3}/{cfg.epochs}  mean_loss {loss:.6f}")
+        )
+        model = train(ds, cfg, progress=progress)
+    _, features, standardize = _features(kind, param, ds, ds.x_max, model)
     task = Task(args.task)
     targets = y if task is Task.REGRESSION else valuation.quartile_labels(y)
     report = valuation.cross_validate(
@@ -197,6 +206,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_export_features(args) -> int:
     kind, param = _parse_representation(args.representation)
+    ds = model = newest = None
     if kind == "steve":
         if not args.model:
             raise ValueError("exporting a steve-* representation requires --model")
@@ -206,22 +216,11 @@ def cmd_export_features(args) -> int:
                 f"model has delta={model.delta}, but {args.representation} needs delta={param}"
             )
         names = model.registry.names
-        header = [f"phi_{i}" for i in range(model.delta)] + [f"psi_{i}" for i in range(model.delta)]
-        rows = valuation.steve_features(model, list(range(1, model.m + 1)))
     else:
         ds = _load_dataset(args.matches)
         names = ds.registry.names
         newest = args.season if args.season is not None else ds.x_max
-        teams = range(1, ds.registry.m + 1)
-        if kind == "season-stats":
-            header = list(baselines.SEASON_STATS_COLUMNS)
-            rows = [baselines.season_stats(ds.raw, ds.registry, t, newest) for t in teams]
-        elif kind == "cat":
-            header = list(baselines.cat_feature_columns(param))
-            rows = [baselines.cat_features(ds.raw, ds.registry, t, newest, param) for t in teams]
-        else:
-            header = list(baselines.SEASON_STATS_COLUMNS)
-            rows = [baselines.sum_features(ds.raw, ds.registry, t, newest, param) for t in teams]
+    header, rows, _ = _features(kind, param, ds, newest, model)
 
     with open(args.features_out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)

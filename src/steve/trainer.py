@@ -102,6 +102,17 @@ class EmbeddingModel:
         self.registry.check_id(team_id)
         return self.psi[team_id - 1]
 
+    def __eq__(self, other) -> bool:
+        """Same sizes, team names and every bit of ``theta``."""
+        if not isinstance(other, EmbeddingModel):
+            return NotImplemented
+        return (
+            self.delta == other.delta
+            and self.x_max == other.x_max
+            and self.registry.names == other.registry.names
+            and np.array_equal(self.theta, other.theta)
+        )
+
 
 @dataclass
 class AdamState:

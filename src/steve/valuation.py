@@ -9,7 +9,7 @@ and deterministic so reports are reproducible.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -438,13 +438,7 @@ def cross_validate(
             X_tr = standardize_apply(ft, X_tr)
             X_val = standardize_apply(ft, X_val)
 
-        cfg = MLPConfig(
-            learning_rate=base_cfg.learning_rate,
-            l2=base_cfg.l2,
-            epochs=base_cfg.epochs,
-            batch_size=base_cfg.batch_size,
-            seed=int(fold_seeds[k].generate_state(1)[0]),
-        )
+        cfg = replace(base_cfg, seed=int(fold_seeds[k].generate_state(1)[0]))
         if task is Task.REGRESSION:
             tt = standardize_fit(y[train_idx].astype(np.float64))
             net = mlp_train(X_tr, standardize_apply(tt, y[train_idx]), task, cfg)

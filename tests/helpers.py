@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from steve.match_data import Dataset, MatchQuad, TeamRegistry
+from steve.analytics import HeadToHead, Outcome, RankingEntry
+from steve.baselines import COMPETITION_ORDER
+from steve.match_data import Dataset, MatchQuad, RawMatch, TeamRegistry
 from steve.trainer import EmbeddingModel, GradientUpdate, TrainConfig, init_model
 
 
@@ -349,3 +353,178 @@ def reference_train(ds: Dataset, cfg: TrainConfig, progress=None, on_batch=None)
         if progress is not None:
             progress(epoch, total / n)
     return model
+
+
+# ---------------------------------------------------------------------------
+# Reference analytics: the one-pair-at-a-time loops that the array kernel in
+# ``steve.analytics`` replaced, kept unchanged (``diff @ diff`` per pair) as
+# bit-exact oracles for ``rank_teams``, ``most_similar`` and ``head_to_head``.
+
+
+def _reference_sqdist(u: np.ndarray, v: np.ndarray) -> float:
+    diff = u - v
+    return float(diff @ diff)
+
+
+def reference_winner_distance(model: EmbeddingModel, a: int, b: int) -> float:
+    """Squared euclidean distance between the winner representations."""
+    model.registry.check_id(a)
+    model.registry.check_id(b)
+    return _reference_sqdist(model.phi[a - 1], model.phi[b - 1])
+
+
+def reference_most_similar(model: EmbeddingModel, team: int, k: int) -> list[tuple[int, float]]:
+    """The ``k`` teams closest to ``team`` by winner distance, ascending.
+
+    The query team itself is excluded; exact distance ties are broken by
+    ascending team name.
+    """
+    model.registry.check_id(team)
+    if not 1 <= k <= model.m - 1:
+        raise ValueError(f"k must be in 1..{model.m - 1}, got {k}")
+    scored = [
+        (reference_winner_distance(model, team, other), model.registry.name_of(other), other)
+        for other in range(1, model.m + 1)
+        if other != team
+    ]
+    scored.sort(key=lambda t: (t[0], t[1]))
+    return [(other, dist) for dist, _, other in scored[:k]]
+
+
+def reference_head_to_head(model: EmbeddingModel, a: int, b: int) -> HeadToHead:
+    """Simulate one match by comparing cross winner/loser distances."""
+    model.registry.check_id(a)
+    model.registry.check_id(b)
+    if a == b:
+        raise ValueError("a and b must be distinct teams")
+    alpha = _reference_sqdist(model.phi[a - 1], model.psi[b - 1])
+    beta = _reference_sqdist(model.phi[b - 1], model.psi[a - 1])
+    if alpha < beta:
+        outcome = Outcome.A_WINS
+    elif alpha > beta:
+        outcome = Outcome.B_WINS
+    else:
+        outcome = Outcome.TIE
+    return HeadToHead(alpha_score=alpha, beta_score=beta, outcome=outcome)
+
+
+def reference_rank_teams(model: EmbeddingModel, teams: Sequence[int]) -> list[RankingEntry]:
+    """Single round-robin over ``teams``, ranked by victories.
+
+    Every unordered pair plays once; the winner gains one victory and an
+    exact tie awards half a victory to both, so totals always sum to
+    ``n * (n - 1) / 2``.  Output order is descending victories, ties broken
+    by ascending team name; ranks run 1..n.
+    """
+    if len(teams) < 2:
+        raise ValueError("need at least 2 teams to rank")
+    seen = set()
+    for t in teams:
+        model.registry.check_id(t)
+        if t in seen:
+            raise ValueError(f"duplicate team in ranking list: {model.registry.name_of(t)!r}")
+        seen.add(t)
+
+    victories = {t: 0.0 for t in teams}
+    for a, b in combinations(teams, 2):
+        result = reference_head_to_head(model, a, b)
+        if result.outcome is Outcome.A_WINS:
+            victories[a] += 1.0
+        elif result.outcome is Outcome.B_WINS:
+            victories[b] += 1.0
+        else:
+            victories[a] += 0.5
+            victories[b] += 0.5
+
+    order = sorted(teams, key=lambda t: (-victories[t], model.registry.name_of(t)))
+    return [RankingEntry(team=t, victories=victories[t], rank=i) for i, t in enumerate(order, 1)]
+
+
+# ---------------------------------------------------------------------------
+# Reference baselines: the per-team scan of every match that the one-pass
+# tally in ``steve.baselines`` replaced, kept unchanged as its oracle.
+
+
+def reference_tally_matches(
+    raw: list[RawMatch], team: int, seasons: set[int]
+) -> dict[int, np.ndarray]:
+    """Per-season 3x5 count blocks (comp x [w, d, l, gf, ga]) for one team."""
+    comp_row = {comp: i for i, comp in enumerate(COMPETITION_ORDER)}
+    tallies = {season: np.zeros((3, 5)) for season in seasons}
+    for match in raw:
+        if match.season_index not in tallies:
+            continue
+        if match.home == team:
+            gf, ga = match.home_goals, match.away_goals
+        elif match.away == team:
+            gf, ga = match.away_goals, match.home_goals
+        else:
+            continue
+        block = tallies[match.season_index][comp_row[match.competition]]
+        if gf > ga:
+            block[0] += 1
+        elif gf == ga:
+            block[1] += 1
+        else:
+            block[2] += 1
+        block[3] += gf
+        block[4] += ga
+    return tallies
+
+
+def _reference_vector_from_tally(tally: np.ndarray) -> np.ndarray:
+    """Assemble the 18-entry vector from a 3x5 count block."""
+    counts = tally.reshape(15)
+    matches_per_comp = tally[:, :3].sum(axis=1)
+    goals_per_comp = tally[:, 3]
+    total_matches = matches_per_comp.sum()
+    national_matches = matches_per_comp[0]
+    intl_matches = matches_per_comp[1] + matches_per_comp[2]
+    total_goals = goals_per_comp.sum()
+    national_goals = goals_per_comp[0]
+    intl_goals = goals_per_comp[1] + goals_per_comp[2]
+    ratios = np.array(
+        [
+            total_goals / total_matches if total_matches else 0.0,
+            national_goals / national_matches if national_matches else 0.0,
+            intl_goals / intl_matches if intl_matches else 0.0,
+        ]
+    )
+    return np.concatenate([counts, ratios])
+
+
+def reference_season_stats(raw, registry, team: int, season: int) -> np.ndarray:
+    registry.check_id(team)
+    if season < 1:
+        raise ValueError("season index must be >= 1")
+    tally = reference_tally_matches(raw, team, {season})[season]
+    return _reference_vector_from_tally(tally)
+
+
+def _reference_season_window(newest_season: int, x: int) -> list[int]:
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    if newest_season - x + 1 < 1:
+        raise ValueError(
+            f"window of {x} seasons ending at {newest_season} reaches below season 1"
+        )
+    return [newest_season - i for i in range(x)]
+
+
+def reference_cat_features(raw, registry, team: int, newest_season: int, x: int) -> np.ndarray:
+    registry.check_id(team)
+    seasons = _reference_season_window(newest_season, x)
+    tallies = reference_tally_matches(raw, team, set(seasons))
+    return np.concatenate([_reference_vector_from_tally(tallies[s]) for s in seasons])
+
+
+def reference_sum_features(
+    raw, registry, team: int, newest_season: int, x: int, recompute_ratios: bool = False
+) -> np.ndarray:
+    registry.check_id(team)
+    seasons = _reference_season_window(newest_season, x)
+    tallies = reference_tally_matches(raw, team, set(seasons))
+    if recompute_ratios:
+        return _reference_vector_from_tally(sum(tallies[s] for s in seasons))
+    vectors = [_reference_vector_from_tally(tallies[s]) for s in seasons]
+    return np.sum(vectors, axis=0)

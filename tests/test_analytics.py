@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    random_league,
+    reference_head_to_head,
+    reference_most_similar,
+    reference_rank_teams,
+    reference_winner_distance,
+)
+from steve import analytics
 from steve.analytics import (
     Outcome,
     format_aligned,
@@ -12,7 +22,7 @@ from steve.analytics import (
     winner_distance,
 )
 from steve.match_data import TeamRegistry
-from steve.trainer import EmbeddingModel, init_model
+from steve.trainer import EmbeddingModel, TrainConfig, init_model, train
 
 
 def manual_model(phi_rows, psi_rows=None, names=None):
@@ -209,3 +219,121 @@ class TestRendering:
         lines = text.splitlines()
         assert lines[0].startswith("rank")
         assert len(lines) == 2 + len(rank)
+
+
+# ---------------------------------------------------------------------------
+# The array kernel against the one-pair-at-a-time loops it replaced
+# (``helpers.reference_*``), compared with ``==`` on every float.
+
+MODEL_KINDS = ("random", "psi equals phi", "duplicated rows", "coarse")
+
+
+@st.composite
+def kernel_models(draw, min_teams=2, max_teams=12):
+    """A model of one of :data:`MODEL_KINDS`, with names out of id order.
+
+    "psi equals phi" sets ``psi = phi`` on some rows (pairs of such teams tie
+    exactly), "duplicated rows" copies whole teams onto others (equal
+    distances and equal victories), and "coarse" rounds rows onto a grid of
+    quarter steps before normalizing (many exact ties of every kind).
+    """
+    m = draw(st.integers(min_teams, max_teams))
+    delta = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    names = draw(st.lists(st.text("abAB", min_size=1, max_size=4), min_size=m, max_size=m, unique=True))
+    model = init_model(m, delta, draw(st.integers(0, 2**32 - 1)), registry=TeamRegistry(names))
+    rows = st.lists(st.integers(0, m - 1), max_size=m)
+    if kind == "psi equals phi":
+        picked = draw(rows)
+        model.psi[picked] = model.phi[picked]
+    elif kind == "duplicated rows":
+        for src, dst in zip(draw(rows), draw(rows)):
+            model.phi[dst], model.psi[dst] = model.phi[src], model.psi[src]
+    elif kind == "coarse":
+        grid = np.round(model.theta * 4) / 4
+        grid[np.all(grid == 0, axis=1), 0] = 1.0
+        model.theta[:] = grid / np.linalg.norm(grid, axis=1, keepdims=True)
+    return model
+
+
+def ranking_tuples(entries):
+    return [(e.team, e.victories, e.rank) for e in entries]
+
+
+def check_kernel_against_reference(model, teams):
+    """Rankings, similarity lists and head-to-head scores equal the loops'."""
+    assert ranking_tuples(rank_teams(model, teams)) == ranking_tuples(reference_rank_teams(model, teams))
+
+    rows = np.asarray(teams) - 1
+    phi, psi = model.phi[rows], model.psi[rows]
+    n, step = len(teams), analytics._block_rows(len(teams), model.delta)
+    blocks = [analytics._cross_block(phi, psi, lo, min(lo + step, n)) for lo in range(0, n, step)]
+    alpha = np.concatenate([a for a, _ in blocks])
+    beta = np.concatenate([b for _, b in blocks])
+    for i, a in enumerate(teams):
+        for j, b in enumerate(teams):
+            if i == j:
+                continue
+            result, expected = head_to_head(model, a, b), reference_head_to_head(model, a, b)
+            assert (result.alpha_score, result.beta_score) == (alpha[i, j], beta[i, j])
+            assert result == expected
+
+    for team in teams:
+        full = most_similar(model, team, model.m - 1)
+        assert full == reference_most_similar(model, team, model.m - 1)
+        assert most_similar(model, team, 1) == full[:1]
+        for other, dist in full:
+            assert dist == winner_distance(model, team, other) == reference_winner_distance(model, team, other)
+
+
+#: Team-list lengths around the row block: (block rows, n).
+BLOCK_CASES = [(4, 2), (4, 3), (4, 4), (4, 5), (4, 9), (1, 3)]
+
+
+class TestKernelMatchesReferenceLoop:
+    @pytest.mark.parametrize("block, n", BLOCK_CASES)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_block_edges(self, block, n, data):
+        model = data.draw(kernel_models(min_teams=n, max_teams=n + 3))
+        teams = data.draw(st.permutations(range(1, model.m + 1)))[:n]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytics, "_BLOCK_ELEMENTS", block * n * model.delta)
+            assert analytics._block_rows(n, model.delta) == block
+            check_kernel_against_reference(model, teams)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=kernel_models())
+    def test_default_block(self, model):
+        check_kernel_against_reference(model, list(range(1, model.m + 1)))
+
+    def test_desk_shaped_trained_model(self):
+        ds = random_league(378, 12_000, 9, seed=41)
+        model = train(ds, TrainConfig())
+        teams = list(range(1, model.m + 1))
+        assert analytics._block_rows(len(teams), model.delta) < len(teams)
+        assert ranking_tuples(rank_teams(model, teams)) == ranking_tuples(reference_rank_teams(model, teams))
+        for team in (1, 50, 378):
+            assert most_similar(model, team, model.m - 1) == reference_most_similar(model, team, model.m - 1)
+        rows = np.asarray(teams) - 1
+        alpha, beta = analytics._cross_block(model.phi[rows], model.psi[rows], 0, model.m)
+        for a, b in ((1, 2), (2, 1), (17, 300), (378, 5)):
+            result = head_to_head(model, a, b)
+            assert (result.alpha_score, result.beta_score) == (alpha[a - 1, b - 1], beta[a - 1, b - 1])
+            assert result == reference_head_to_head(model, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=kernel_models(), data=st.data())
+    def test_nan_rows_tie_as_in_the_loop(self, model, data):
+        picked = data.draw(st.lists(st.integers(0, 2 * model.m - 1), min_size=1, max_size=3))
+        model.theta[picked, 0] = np.nan
+        teams = list(range(1, model.m + 1))
+        entries = rank_teams(model, teams)
+        assert ranking_tuples(entries) == ranking_tuples(reference_rank_teams(model, teams))
+        assert sum(e.victories for e in entries) == model.m * (model.m - 1) / 2
+
+    def test_block_temporaries_stay_under_the_cap(self):
+        for n, delta in ((378, 16), (500, 16), (3780, 16), (2, 1), (20_000, 64)):
+            rows = analytics._block_rows(n, delta)
+            assert rows >= 1
+            assert rows == 1 or rows * n * delta <= analytics._BLOCK_ELEMENTS

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    reference_cat_features,
+    reference_season_stats,
+    reference_sum_features,
+)
 from steve.baselines import (
     SEASON_STATS_COLUMNS,
     cat_feature_columns,
     cat_features,
+    match_tally,
     season_stats,
     sum_features,
 )
@@ -169,3 +177,73 @@ class TestSumFeatures:
         assert literal[15] == pytest.approx(4.0)      # 3 + 1 summed
         assert recomputed[15] == pytest.approx(2.0)   # 4 goals over 2 matches
         np.testing.assert_allclose(literal[:15], recomputed[:15])
+
+
+# ---------------------------------------------------------------------------
+# The one-pass tally against the per-team scan it replaced
+# (``helpers.reference_*``), compared with ``np.array_equal``.
+
+
+def random_raw(rng, n_teams, n_matches, seasons):
+    comps = (NAT, CL, EL)
+    raw = []
+    for _ in range(n_matches):
+        home, away = rng.choice(n_teams, size=2, replace=False) + 1
+        raw.append(match(int(home), int(away), int(rng.integers(0, 6)), int(rng.integers(0, 6)),
+                         int(rng.integers(1, seasons + 1)), comps[rng.integers(0, 3)]))
+    return raw
+
+
+@st.composite
+def leagues(draw):
+    n_teams = draw(st.integers(2, 6))
+    seasons = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = random_raw(rng, n_teams, draw(st.integers(0, 40)), seasons)
+    registry = TeamRegistry(f"t{i}" for i in range(1, n_teams + 1))
+    return raw, registry, seasons
+
+
+def check_against_reference(raw, registry, newest, x):
+    """Every feature of every team, one call per team and one for all teams."""
+    teams = range(1, registry.m + 1)
+    cases = [
+        (season_stats, reference_season_stats, (newest,), {}),
+        (cat_features, reference_cat_features, (newest, x), {}),
+        (sum_features, reference_sum_features, (newest, x), {}),
+        (sum_features, reference_sum_features, (newest, x), {"recompute_ratios": True}),
+    ]
+    for fast, slow, args, kwargs in cases:
+        expected = np.array([slow(raw, registry, t, *args, **kwargs) for t in teams])
+        for t in teams:
+            assert np.array_equal(fast(raw, registry, t, *args, **kwargs), expected[t - 1])
+        assert np.array_equal(fast(raw, registry, teams, *args, **kwargs), expected)
+
+
+class TestTallyMatchesReferenceScan:
+    @settings(max_examples=80, deadline=None)
+    @given(league=leagues(), data=st.data())
+    def test_random_leagues(self, league, data):
+        raw, registry, seasons = league
+        newest = data.draw(st.integers(1, seasons + 1), label="newest")  # may pass the data
+        x = data.draw(st.integers(1, newest), label="x")
+        check_against_reference(raw, registry, newest, x)
+
+    @pytest.mark.parametrize("newest, x", [(9, 3), (9, 9), (5, 2)])
+    def test_league_of_sixty_teams(self, newest, x):
+        raw = random_raw(np.random.default_rng(41), 60, 3000, 9)
+        check_against_reference(raw, TeamRegistry(f"t{i}" for i in range(1, 61)), newest, x)
+
+    def test_tally_shape_and_totals(self, registry):
+        raw = [match(1, 2, 3, 1, 1), match(3, 1, 2, 2, 2, comp=CL), match(2, 4, 0, 1, 3, comp=EL)]
+        tally = match_tally(raw, registry.m, 2)  # season 3 is past the newest
+        assert tally.shape == (4, 3, 3, 5)
+        assert tally[:, 0].sum() == 0
+        assert tally[..., :3].sum() == 2 * 2  # two matches, one result per side
+        assert tally[..., 3].sum() == tally[..., 4].sum() == 3 + 1 + 2 + 2
+
+    def test_team_list_rejects_bad_ids(self, registry):
+        with pytest.raises(ValueError):
+            cat_features([], registry, [1, 9], 2, 1)
+        with pytest.raises(ValueError):
+            season_stats([], registry, [1, True], 1)

@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from helpers import BROKEN_CASES, broken_model_file, league_csv, values_csv
-from steve.cli import main
+from helpers import (
+    BROKEN_CASES,
+    broken_model_file,
+    league_csv,
+    reference_cat_features,
+    reference_season_stats,
+    reference_sum_features,
+    values_csv,
+)
+from steve import match_data, valuation
+from steve.baselines import SEASON_STATS_COLUMNS, cat_feature_columns
+from steve.cli import _stage_seed, main
 from steve.model_io import read_model_file
 
 
@@ -265,6 +275,57 @@ class TestExportFeatures:
         np.testing.assert_array_equal(
             [float(v) for v in first[1:9]], doc["teams"][0]["phi"]
         )
+
+
+class TestBaselineOutputsMatchReferenceScan:
+    """``export-features`` bytes and ``evaluate`` JSON as the per-team scan gives them."""
+
+    CASES = [
+        ("season-stats", SEASON_STATS_COLUMNS, reference_season_stats),
+        ("cat-2", cat_feature_columns(2), lambda *team_season: reference_cat_features(*team_season, 2)),
+        ("sum-3", SEASON_STATS_COLUMNS, lambda *team_season: reference_sum_features(*team_season, 3)),
+    ]
+
+    @pytest.fixture
+    def league(self, tmp_path):
+        matches = tmp_path / "m4.csv"
+        matches.write_text(league_csv(n_teams=6, seasons=4, seed=3, rounds=1), encoding="utf-8")
+        with open(matches, encoding="utf-8", newline="") as f:
+            registry, raw = match_data.ingest_csv(f)
+        values = tmp_path / "v4.csv"
+        values.write_text(values_csv(registry.names, seed=2), encoding="utf-8")
+        return matches, values, registry, raw
+
+    def reference_matrix(self, rule, raw, registry, newest):
+        return np.array([rule(raw, registry, t, newest) for t in range(1, registry.m + 1)])
+
+    @pytest.mark.parametrize("rep, columns, rule", CASES)
+    @pytest.mark.parametrize("season", [None, 3, 6])
+    def test_export_bytes(self, league, tmp_path, rep, columns, rule, season):
+        matches, _, registry, raw = league
+        out = tmp_path / "f.csv"
+        flags = [] if season is None else ["--season", str(season)]
+        assert main(["export-features", str(matches), "-o", str(out),
+                     "--representation", rep, "--quiet", *flags]) == 0
+        matrix = self.reference_matrix(rule, raw, registry, season or 4)
+        lines = [",".join(["team", *columns])]
+        lines += [",".join([name] + [repr(float(v)) for v in row]) for name, row in zip(registry.names, matrix)]
+        assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+    @pytest.mark.parametrize("rep, columns, rule", CASES)
+    def test_evaluate_json(self, league, capsys, rep, columns, rule):
+        matches, values, registry, raw = league
+        seed = 11
+        assert main(["evaluate", str(matches), str(values), "--representation", rep,
+                     "--output", "json", "--quiet", "--seed", str(seed)]) == 0
+        with open(values, encoding="utf-8", newline="") as f:
+            table = valuation.load_values(f)
+        y = np.array([table[n] for n in registry.names])
+        report = valuation.cross_validate(
+            self.reference_matrix(rule, raw, registry, 4), y, valuation.Task.REGRESSION,
+            seed=_stage_seed(seed, 1), standardize_features=True, metadata={"representation": rep},
+        )
+        assert capsys.readouterr().out == json.dumps(report.to_dict()) + "\n"
 
 
 class TestRepresentationParsing:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import BROKEN_CASES, broken_model_file, strength_league
+from steve.match_data import TeamRegistry
 from steve.analytics import rank_teams
 from steve.model_io import MODEL_FORMAT_VERSION, load_model, read_model_file, save_model
 from steve.trainer import TrainConfig, init_model, train
@@ -36,6 +37,21 @@ class TestRoundTrip:
         before = [(e.team, e.victories, e.rank) for e in rank_teams(model, [1, 2, 3, 4])]
         after = [(e.team, e.victories, e.rank) for e in rank_teams(loaded, [1, 2, 3, 4])]
         assert before == after
+
+    def test_model_equal_after_round_trip(self, trained):
+        model, _, path = trained
+        assert load_model(path) == model
+
+    def test_models_of_other_seeds_differ(self):
+        assert init_model(3, 2, 0) != init_model(3, 2, 1)
+        assert not init_model(3, 2, 0) == init_model(3, 2, 1)
+
+    def test_equality_returns_a_bool(self):
+        same = init_model(3, 2, 0) == init_model(3, 2, 0)
+        assert same is True
+        assert (init_model(3, 2, 0) == "model") is False
+        other_names = init_model(3, 2, 0, registry=TeamRegistry(["x", "y", "z"]))
+        assert (init_model(3, 2, 0) == other_names) is False
 
     def test_double_round_trip_stable(self, trained, tmp_path):
         _, _, path = trained
