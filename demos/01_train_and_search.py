@@ -51,8 +51,8 @@ def synth_league_csv(seed=0, seasons=3, rounds=2):
 
 
 def main():
-    registry, raw = ingest_csv(io.StringIO(synth_league_csv()))
-    dataset = to_quads(raw, registry)
+    registry, matches = ingest_csv(io.StringIO(synth_league_csv()))
+    dataset = to_quads(matches, registry)
     print("dataset:", json.dumps(dataset_summary(dataset)))
 
     cfg = TrainConfig(delta=8, batch_size=32, learning_rate=0.002, epochs=30, seed=1)

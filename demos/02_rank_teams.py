@@ -46,7 +46,7 @@ def ladder_league(seed=0, seasons=4, rounds=8):
                         quads.append(MatchQuad(i, j, s, 0))
                     else:
                         quads.append(MatchQuad(j, i, s, 0))
-    return Dataset(quads=quads, x_max=seasons, registry=registry, raw=[])
+    return Dataset.from_quads(quads, x_max=seasons, registry=registry)
 
 
 def main():

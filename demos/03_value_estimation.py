@@ -67,8 +67,8 @@ def synth_league(seed=0, rounds=2):
 
 def main():
     csv_text, value_table = synth_league()
-    registry, raw = ingest_csv(io.StringIO(csv_text))
-    dataset = to_quads(raw, registry)
+    registry, matches = ingest_csv(io.StringIO(csv_text))
+    dataset = to_quads(matches, registry)
     teams = list(range(1, registry.m + 1))
     values = np.array([value_table[registry.name_of(t)] for t in teams])
     labels = quartile_labels(values)
@@ -79,9 +79,9 @@ def main():
     representations = {
         "steve-32": (vectors, False),
         "shuffled-32": (vectors[np.random.default_rng(99).permutation(len(vectors))], False),
-        "season-stats": (season_stats(raw, registry, teams, newest), True),
-        "cat-3": (cat_features(raw, registry, teams, newest, 3), True),
-        "sum-3": (sum_features(raw, registry, teams, newest, 3), True),
+        "season-stats": (season_stats(matches, registry, teams, newest), True),
+        "cat-3": (cat_features(matches, registry, teams, newest, 3), True),
+        "sum-3": (sum_features(matches, registry, teams, newest, 3), True),
     }
 
     print(f"regression: market value in million EUR, {N_TEAMS} clubs, 5-fold CV")

@@ -10,7 +10,7 @@ from .match_data import (
     Competition,
     Dataset,
     MatchQuad,
-    RawMatch,
+    Matches,
     TeamRegistry,
     dataset_summary,
     ingest_csv,
@@ -72,9 +72,9 @@ __all__ = [
     "MLPConfig",
     "MODEL_FORMAT_VERSION",
     "MatchQuad",
+    "Matches",
     "Outcome",
     "RankingEntry",
-    "RawMatch",
     "SEASON_STATS_COLUMNS",
     "Standardizer",
     "Task",

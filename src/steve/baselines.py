@@ -13,14 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .match_data import Competition, RawMatch, TeamRegistry
+from .match_data import Competition, Matches, TeamRegistry
 
-#: Competition blocks in vector order.
-COMPETITION_ORDER = (
-    Competition.NATIONAL_LEAGUE,
-    Competition.CHAMPIONS_LEAGUE,
-    Competition.EUROPA_LEAGUE,
-)
+#: Competition blocks in vector order; a match's competition code indexes it.
+COMPETITION_ORDER = tuple(Competition)
 
 _BLOCK_PREFIXES = ("national", "champions_league", "europa_league")
 _BLOCK_STATS = ("wins", "draws", "defeats", "goals_for", "goals_against")
@@ -40,15 +36,7 @@ def cat_feature_columns(x: int) -> tuple[str, ...]:
     return tuple(f"s{i}_{name}" for i in range(x) for name in SEASON_STATS_COLUMNS)
 
 
-def _check_teams(registry: TeamRegistry, teams: int | Sequence[int]) -> np.ndarray:
-    """Validate one id or a sequence of ids; return the 0-based row index(es)."""
-    ids = np.asarray(teams, dtype=object)
-    for team in ids.reshape(-1).tolist():
-        registry.check_id(team)
-    return ids.astype(np.int64) - 1
-
-
-def match_tally(raw: list[RawMatch], m: int, newest_season: int) -> np.ndarray:
+def match_tally(matches: Matches, m: int, newest_season: int) -> np.ndarray:
     """Counts of every team's matches, shape ``(m, newest_season + 1, 3, 5)``.
 
     ``tally[team - 1, season, comp]`` holds ``[w, d, l, gf, ga]`` for the
@@ -57,15 +45,12 @@ def match_tally(raw: list[RawMatch], m: int, newest_season: int) -> np.ndarray:
     every match are added in one pass.  The counts are integers, so the
     float sums are exact in any order.
     """
-    comp_row = {comp: i for i, comp in enumerate(COMPETITION_ORDER)}
-    cols = np.fromiter(
-        ((r.home, r.away, r.home_goals, r.away_goals, r.season_index, comp_row[r.competition])
-         for r in raw),
-        dtype=np.dtype((np.int64, 6)),
-        count=len(raw),
+    keep = matches.season <= newest_season
+    home, away, hg, ag, season, comp = (
+        column[keep]
+        for column in (matches.home, matches.away, matches.home_goals, matches.away_goals,
+                       matches.season, matches.competition)
     )
-    cols = cols[cols[:, 4] <= newest_season]
-    home, away, hg, ag, season, comp = cols.T
     result = np.sign(ag - hg) + 1  # home side: 0 win, 1 draw, 2 defeat
     tally = np.zeros((m, newest_season + 1, 3, 5))
     for team, gf, ga, res in ((home, hg, ag, result), (away, ag, hg, 2 - result)):
@@ -87,7 +72,7 @@ def _vectors(tally: np.ndarray) -> np.ndarray:
 
 
 def season_stats(
-    raw: list[RawMatch], registry: TeamRegistry, team: int | Sequence[int], season: int
+    matches: Matches, registry: TeamRegistry, team: int | Sequence[int], season: int
 ) -> np.ndarray:
     """18-entry count vector for one team and season.
 
@@ -96,10 +81,10 @@ def season_stats(
     corresponding match count is 0.  ``team`` may also be a sequence of
     ids, giving one row per team.
     """
-    rows = _check_teams(registry, team)
+    rows = registry.rows(team)
     if season < 1:
         raise ValueError("season index must be >= 1")
-    return _vectors(match_tally(raw, registry.m, season)[rows, season])
+    return _vectors(match_tally(matches, registry.m, season)[rows, season])
 
 
 def _season_window(newest_season: int, x: int) -> list[int]:
@@ -112,15 +97,15 @@ def _season_window(newest_season: int, x: int) -> list[int]:
     return [newest_season - i for i in range(x)]
 
 
-def _window_tallies(raw, registry, team, newest_season, x) -> np.ndarray:
+def _window_tallies(matches, registry, team, newest_season, x) -> np.ndarray:
     """Count blocks of the last ``x`` seasons, newest first: ``(..., x, 3, 5)``."""
-    rows = _check_teams(registry, team)
+    rows = registry.rows(team)
     seasons = _season_window(newest_season, x)
-    return match_tally(raw, registry.m, newest_season)[rows[..., None], seasons]
+    return match_tally(matches, registry.m, newest_season)[rows[..., None], seasons]
 
 
 def cat_features(
-    raw: list[RawMatch],
+    matches: Matches,
     registry: TeamRegistry,
     team: int | Sequence[int],
     newest_season: int,
@@ -130,12 +115,12 @@ def cat_features(
 
     ``team`` may also be a sequence of ids, giving one row per team.
     """
-    vectors = _vectors(_window_tallies(raw, registry, team, newest_season, x))
+    vectors = _vectors(_window_tallies(matches, registry, team, newest_season, x))
     return vectors.reshape(*vectors.shape[:-2], x * len(SEASON_STATS_COLUMNS))
 
 
 def sum_features(
-    raw: list[RawMatch],
+    matches: Matches,
     registry: TeamRegistry,
     team: int | Sequence[int],
     newest_season: int,
@@ -149,7 +134,7 @@ def sum_features(
     recomputed from the summed goal and match totals.  ``team`` may also be
     a sequence of ids, giving one row per team.
     """
-    tallies = _window_tallies(raw, registry, team, newest_season, x)
+    tallies = _window_tallies(matches, registry, team, newest_season, x)
     if recompute_ratios:
         return _vectors(tallies.sum(axis=-3))
     return _vectors(tallies).sum(axis=-2)

@@ -49,8 +49,8 @@ def _open_text(path: str):
 
 def _load_dataset(path: str) -> match_data.Dataset:
     with _open_text(path) as f:
-        registry, raw = match_data.ingest_csv(f)
-    return match_data.to_quads(raw, registry)
+        registry, matches = match_data.ingest_csv(f)
+    return match_data.to_quads(matches, registry)
 
 
 def _resolve_team(registry: match_data.TeamRegistry, name: str) -> int:
@@ -158,13 +158,13 @@ def _features(kind, param, ds, newest, model):
     teams = range(1, ds.registry.m + 1)
     if kind == "season-stats":
         header = baselines.SEASON_STATS_COLUMNS
-        matrix = baselines.season_stats(ds.raw, ds.registry, teams, newest)
+        matrix = baselines.season_stats(ds.matches, ds.registry, teams, newest)
     elif kind == "cat":
         header = baselines.cat_feature_columns(param)
-        matrix = baselines.cat_features(ds.raw, ds.registry, teams, newest, param)
+        matrix = baselines.cat_features(ds.matches, ds.registry, teams, newest, param)
     else:
         header = baselines.SEASON_STATS_COLUMNS
-        matrix = baselines.sum_features(ds.raw, ds.registry, teams, newest, param)
+        matrix = baselines.sum_features(ds.matches, ds.registry, teams, newest, param)
     return list(header), matrix, True
 
 

@@ -1,22 +1,31 @@
-"""Match-result ingestion: team registry, raw results and training quadruples.
+"""Match-result ingestion: team registry, raw result columns and training quadruples.
 
 The training data format is a quadruple per match, ``(a, b, s, d)``: the two
 team ids, the season index and a draw flag.  Decided matches are stored
 winner-first (``a`` won iff ``d == 0``); draws keep home-team-first order.
-Raw results (goals, competition) are retained alongside the quadruples
+Raw results and quadruples are both held as int64 columns, one entry per
+match in file order.  The raw results (goals, competition) are kept
 because the count-based baseline features need them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from collections import defaultdict
+from itertools import count, islice
+from operator import eq, itemgetter
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 
 class Competition(Enum):
-    """The three competition groups distinguished by the baseline features."""
+    """The three competition groups distinguished by the baseline features.
+
+    A match's competition code is its group's position in this enum.
+    """
 
     NATIONAL_LEAGUE = "NationalLeague"
     CHAMPIONS_LEAGUE = "ChampionsLeague"
@@ -25,6 +34,11 @@ class Competition(Enum):
 
 #: Required CSV columns, in canonical order.
 CSV_FIELDS = ("season_label", "competition", "home", "away", "home_goals", "away_goals")
+
+#: CSV records parsed and checked together by :func:`ingest_csv`.
+_CHUNK_ROWS = 1 << 12
+_COMPETITION_CODE = {c.value: code for code, c in enumerate(Competition)}
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class TeamRegistry:
@@ -68,6 +82,17 @@ class TeamRegistry:
         if not 1 <= team_id <= len(self._names):
             raise ValueError(f"team id {team_id} out of range 1..{len(self._names)}")
 
+    def rows(self, teams: int | Sequence[int]) -> np.ndarray:
+        """0-based row index of one id, or of each id in a sequence.
+
+        Every id is checked as by :meth:`check_id`, in order, so the error
+        names the first bad one.
+        """
+        ids = np.asarray(teams, dtype=object)
+        for team in ids.reshape(-1).tolist():
+            self.check_id(team)
+        return ids.astype(np.int64) - 1
+
     @property
     def names(self) -> list[str]:
         return list(self._names)
@@ -84,71 +109,183 @@ class TeamRegistry:
         return len(self._names)
 
 
-@dataclass(frozen=True)
-class RawMatch:
-    """One match result, including the goal counts the quadruples drop."""
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """Raw match results as int64 columns, one entry per match in file order.
 
-    home: int
-    away: int
-    home_goals: int
-    away_goals: int
-    season_label: str
-    season_index: int
-    competition: Competition
+    ``home`` and ``away`` are team ids.  ``season`` is the 1-based season
+    index, whose label is ``season_labels[season - 1]``.  ``competition`` is
+    a :class:`Competition` code.
+    """
 
-    def __post_init__(self):
-        if self.home == self.away:
-            raise ValueError("home and away team must differ")
-        if self.home_goals < 0 or self.away_goals < 0:
-            raise ValueError("goal counts must be non-negative")
-        if self.season_index < 1:
-            raise ValueError("season_index must be >= 1")
+    home: np.ndarray
+    away: np.ndarray
+    home_goals: np.ndarray
+    away_goals: np.ndarray
+    season: np.ndarray
+    competition: np.ndarray
+    season_labels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.home)
 
 
-@dataclass(frozen=True)
-class MatchQuad:
-    """Canonical training record ``(a, b, s, d)``; ``a`` won iff ``d == 0``."""
+class MatchQuad(NamedTuple):
+    """One training record ``(a, b, s, d)``; ``a`` won iff ``d == 0``.
+
+    :meth:`Dataset.from_quads` turns a list of them into a dataset.
+    """
 
     a: int
     b: int
     s: int
     d: int
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("a and b must differ")
-        if self.d not in (0, 1):
-            raise ValueError("d must be 0 or 1")
-        if self.s < 1:
-            raise ValueError("s must be >= 1")
+
+def _raise_first(checks) -> None:
+    """Raise for the first entry failing any check, with its first failing check.
+
+    ``checks`` holds ``(failed, message)`` pairs: a boolean mask over the
+    entries and a function of the failing entry's index.
+    """
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        i = int(failed.argmax())
+        raise ValueError(next(message(i) for mask, message in checks if mask[i]))
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Training quadruples plus the raw matches and registry behind them."""
+    """Training quadruples as int64 columns ``a, b, s, d``, with their registry.
 
-    quads: list[MatchQuad]
+    ``matches`` holds the raw results the quadruples came from, row for
+    row; it is ``None`` for a dataset built from quadruples alone.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
+    d: np.ndarray
     x_max: int
     registry: TeamRegistry
-    raw: list[RawMatch] = field(default_factory=list)
+    matches: Matches | None = None
 
     def __post_init__(self):
+        a, b, s, d = self.a, self.b, self.s, self.d = tuple(
+            np.asarray(c, dtype=np.int64) for c in (self.a, self.b, self.s, self.d)
+        )
+        if a.ndim != 1 or not a.shape == b.shape == s.shape == d.shape:
+            raise ValueError("quad columns a, b, s, d must be 1-D and of equal length")
         m = self.registry.m
-        for q in self.quads:
-            if not (1 <= q.a <= m and 1 <= q.b <= m):
-                raise ValueError(f"quad references unknown team id: {q}")
-            if q.s > self.x_max:
-                raise ValueError(f"quad season {q.s} exceeds x_max={self.x_max}")
+
+        def quad(i):
+            return MatchQuad(int(a[i]), int(b[i]), int(s[i]), int(d[i]))
+
+        _raise_first([
+            (a == b, lambda i: "a and b must differ"),
+            ((d != 0) & (d != 1), lambda i: "d must be 0 or 1"),
+            (s < 1, lambda i: "s must be >= 1"),
+        ])
+        _raise_first([
+            ((a < 1) | (a > m) | (b < 1) | (b > m),
+             lambda i: f"quad references unknown team id: {quad(i)}"),
+            (s > self.x_max, lambda i: f"quad season {s[i]} exceeds x_max={self.x_max}"),
+        ])
+
+    @classmethod
+    def from_quads(
+        cls, quads: Sequence[tuple[int, int, int, int]], x_max: int, registry: TeamRegistry
+    ) -> "Dataset":
+        """A dataset from ``(a, b, s, d)`` tuples, for example :class:`MatchQuad` values."""
+        a, b, s, d = np.array(quads, dtype=np.int64).reshape(-1, 4).T
+        return cls(a=a, b=b, s=s, d=d, x_max=x_max, registry=registry)
+
+    def __len__(self) -> int:
+        return len(self.a)
 
 
-def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, list[RawMatch]]:
+def _blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _checked_fields(rows: list[list[str]], first_no: int, col: list[int]) -> tuple[list, ...]:
+    """Fields of the records ``rows``, checked and converted one record at a time.
+
+    ``first_no`` is the record number of ``rows[0]``; the first bad record
+    raises with its number.  Returns the columns label, competition code,
+    home, away, home goals and away goals, blank lines left out.
+    """
+    out = ([], [], [], [], [], [])
+    i_label, i_comp, i_home, i_away, i_hg, i_ag = col
+    for row_no, row in enumerate(rows, start=first_no):
+        if _blank(row):
+            continue
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"row {row_no}: expected {len(CSV_FIELDS)} fields, got {len(row)}")
+        label = row[i_label].strip()
+        comp_tag = row[i_comp].strip()
+        home = row[i_home].strip()
+        away = row[i_away].strip()
+        if not label:
+            raise ValueError(f"row {row_no}: empty season_label")
+        if comp_tag not in _COMPETITION_CODE:
+            raise ValueError(
+                f"row {row_no}: unknown competition tag {comp_tag!r} "
+                f"(expected one of {sorted(_COMPETITION_CODE)})"
+            )
+        if not home or not away:
+            raise ValueError(f"row {row_no}: empty team name")
+        if home == away:
+            raise ValueError(f"row {row_no}: home and away team are both {home!r}")
+        try:
+            hg = int(row[i_hg])
+            ag = int(row[i_ag])
+        except ValueError:
+            raise ValueError(f"row {row_no}: goals must be integers") from None
+        if hg < 0 or ag < 0:
+            raise ValueError(f"row {row_no}: goals must be non-negative")
+        if hg > _INT64_MAX or ag > _INT64_MAX:
+            raise ValueError(f"row {row_no}: goals must fit a 64-bit integer")
+        for column, value in zip(out, (label, _COMPETITION_CODE[comp_tag], home, away, hg, ag)):
+            column.append(value)
+    return out
+
+
+def _fields(rows: list[list[str]], col: list[int]) -> tuple[list, ...] | None:
+    """What :func:`_checked_fields` returns, a column at a time.
+
+    Returns ``None`` as soon as any record fails one of the checks, without
+    telling which; the caller then re-checks record by record.
+    """
+    if set(map(len, rows)) != {len(CSV_FIELDS)}:
+        rows = [row for row in rows if not _blank(row)]
+        if any(len(row) != len(CSV_FIELDS) for row in rows):
+            return None
+    label, comp, home, away = (list(map(str.strip, map(itemgetter(i), rows))) for i in col[:4])
+    comp = list(map(_COMPETITION_CODE.get, comp))
+    if not all(label) or None in comp or not all(home) or not all(away) or any(map(eq, home, away)):
+        return None
+    try:
+        hg, ag = (list(map(int, map(itemgetter(i), rows))) for i in col[4:])
+    except ValueError:
+        return None
+    goals = (*hg, *ag)
+    if min(goals, default=0) < 0 or max(goals, default=0) > _INT64_MAX:
+        return None
+    return label, comp, home, away, hg, ag
+
+
+def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
     """Parse match rows from ``stream`` (an iterable of CSV lines).
 
     The header row is mandatory and must name exactly the columns in
-    :data:`CSV_FIELDS` (any order).  Season indices are assigned by sorting
-    the distinct season labels lexicographically ascending, so labels must
-    be zero-padded (e.g. ``"2018/2019"``) for lexical order to match
-    chronology.  Malformed rows abort the parse with their row number.
+    :data:`CSV_FIELDS` (any order).  Team ids follow first appearance, home
+    before away, row by row.  Season indices are assigned by sorting the
+    distinct season labels lexicographically ascending, so labels must be
+    zero-padded (e.g. ``"2018/2019"``) for lexical order to match
+    chronology.  A malformed file aborts the parse at its first bad record,
+    named by its record number (the header is record 1; a quoted field may
+    span lines).  Goal counts must fit a 64-bit integer.
     """
     reader = csv.reader(stream)
     try:
@@ -160,78 +297,62 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, list[RawMatch]]:
         raise ValueError(
             f"row 1: header must name columns {', '.join(CSV_FIELDS)}; got {header}"
         )
-    col = {name: header.index(name) for name in CSV_FIELDS}
+    col = [header.index(name) for name in CSV_FIELDS]
 
-    competitions = {c.value: c for c in Competition}
-    registry = TeamRegistry()
-    staged = []  # (row_no, home_id, away_id, hg, ag, label, competition)
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # ignore blank lines
-        if len(row) != len(CSV_FIELDS):
-            raise ValueError(f"row {row_no}: expected {len(CSV_FIELDS)} fields, got {len(row)}")
-        label = row[col["season_label"]].strip()
-        comp_tag = row[col["competition"]].strip()
-        home = row[col["home"]].strip()
-        away = row[col["away"]].strip()
-        if not label:
-            raise ValueError(f"row {row_no}: empty season_label")
-        if comp_tag not in competitions:
-            raise ValueError(
-                f"row {row_no}: unknown competition tag {comp_tag!r} "
-                f"(expected one of {sorted(competitions)})"
-            )
-        if not home or not away:
-            raise ValueError(f"row {row_no}: empty team name")
-        if home == away:
-            raise ValueError(f"row {row_no}: home and away team are both {home!r}")
+    # A key seen for the first time gets the next number: 1, 2, ...
+    team_ids: dict[str, int] = defaultdict(count(1).__next__)
+    label_codes: dict[str, int] = defaultdict(count(1).__next__)
+    blocks = []
+    row_no = 2
+    while True:
+        rows, unreadable = [], None
         try:
-            hg = int(row[col["home_goals"]])
-            ag = int(row[col["away_goals"]])
-        except ValueError:
-            raise ValueError(f"row {row_no}: goals must be integers") from None
-        if hg < 0 or ag < 0:
-            raise ValueError(f"row {row_no}: goals must be non-negative")
-        staged.append((registry.add(home), registry.add(away), hg, ag, label, competitions[comp_tag]))
+            rows.extend(islice(reader, _CHUNK_ROWS))
+        except (csv.Error, OSError, ValueError) as e:
+            # A record that cannot be read or decoded is reported after the
+            # records before it are checked, as a row-by-row parse would.
+            unreadable = e
+        label, comp, home, away, hg, ag = _fields(rows, col) or _checked_fields(rows, row_no, col)
+        row_no += len(rows)
+        names = [None] * (2 * len(home))
+        names[::2], names[1::2] = home, away
+        ids = list(map(team_ids.__getitem__, names))
+        codes = list(map(label_codes.__getitem__, label))
+        blocks.append(np.array([ids[::2], ids[1::2], hg, ag, codes, comp], dtype=np.int64))
+        if unreadable is not None:
+            raise unreadable
+        if len(rows) < _CHUNK_ROWS:
+            break
 
-    if not staged:
+    home, away, hg, ag, label_code, comp = np.concatenate(blocks, axis=1)
+    if not home.size:
         raise ValueError("empty input: no match rows")
-
-    season_index = {label: i for i, label in enumerate(sorted({s[4] for s in staged}), start=1)}
-    raw = [
-        RawMatch(
-            home=home,
-            away=away,
-            home_goals=hg,
-            away_goals=ag,
-            season_label=label,
-            season_index=season_index[label],
-            competition=comp,
-        )
-        for home, away, hg, ag, label, comp in staged
-    ]
-    return registry, raw
+    labels = sorted(label_codes)
+    season_of_code = np.zeros(len(labels) + 1, dtype=np.int64)
+    season_of_code[[label_codes[label] for label in labels]] = np.arange(1, len(labels) + 1)
+    matches = Matches(home, away, hg, ag, season_of_code[label_code], comp, tuple(labels))
+    return TeamRegistry(team_ids), matches
 
 
-def to_quads(raw: list[RawMatch], registry: TeamRegistry) -> Dataset:
+def to_quads(matches: Matches, registry: TeamRegistry) -> Dataset:
     """Turn raw results into the winner-first quadruple dataset.
 
-    Decided matches emit ``(winner, loser, s, 0)``; draws emit
-    ``(home, away, s, 1)``.  The raw list is kept on the dataset for the
-    baseline feature extractors.
+    Decided matches give ``(winner, loser, s, 0)``; draws give
+    ``(home, away, s, 1)``.  The raw results are kept on the dataset for
+    the baseline feature extractors.
     """
-    if not raw:
+    if not len(matches):
         raise ValueError("raw match list is empty")
-    quads = []
-    for match in raw:
-        if match.home_goals > match.away_goals:
-            quads.append(MatchQuad(match.home, match.away, match.season_index, 0))
-        elif match.away_goals > match.home_goals:
-            quads.append(MatchQuad(match.away, match.home, match.season_index, 0))
-        else:
-            quads.append(MatchQuad(match.home, match.away, match.season_index, 1))
-    x_max = max(m.season_index for m in raw)
-    return Dataset(quads=quads, x_max=x_max, registry=registry, raw=raw)
+    away_won = matches.away_goals > matches.home_goals
+    return Dataset(
+        a=np.where(away_won, matches.away, matches.home),
+        b=np.where(away_won, matches.home, matches.away),
+        s=matches.season,
+        d=(matches.home_goals == matches.away_goals).astype(np.int64),
+        x_max=int(matches.season.max()),
+        registry=registry,
+        matches=matches,
+    )
 
 
 def dataset_summary(ds: Dataset) -> dict:
@@ -239,22 +360,19 @@ def dataset_summary(ds: Dataset) -> dict:
 
     The result is a plain dict ready for JSON serialization.  Seasons
     ``1..x_max`` all appear in ``per_season``, with count 0 where the
-    dataset holds no matches (possible for sliced datasets).
+    dataset holds no matches (possible for sliced datasets), and label
+    ``None`` where no raw results give one.
     """
-    matches = len(ds.quads)
-    draws = sum(q.d for q in ds.quads)
-    labels: dict[int, str] = {}
-    for match in ds.raw:
-        labels.setdefault(match.season_index, match.season_label)
-    counts = {s: 0 for s in range(1, ds.x_max + 1)}
-    for q in ds.quads:
-        counts[q.s] += 1
+    matches = len(ds)
+    labels = () if ds.matches is None else ds.matches.season_labels
+    counts = np.bincount(ds.s, minlength=ds.x_max + 1)[1 : ds.x_max + 1].tolist()
     return {
         "matches": matches,
         "teams": ds.registry.m,
-        "draw_fraction": draws / matches if matches else 0.0,
+        "draw_fraction": int(ds.d.sum()) / matches if matches else 0.0,
         "per_season": [
-            {"season_index": s, "season_label": labels.get(s), "matches": counts[s]}
-            for s in range(1, ds.x_max + 1)
+            {"season_index": s, "season_label": labels[s - 1] if s <= len(labels) else None,
+             "matches": n}
+            for s, n in enumerate(counts, start=1)
         ],
     }

@@ -207,10 +207,7 @@ def sample_loss(model: EmbeddingModel, q: MatchQuad) -> float:
 
     ``(s / x_max) * (d * |phi_a - phi_b|^2 + (1 - d) * |phi_a - psi_b|^2)``
     """
-    model.registry.check_id(q.a)
-    model.registry.check_id(q.b)
-    if not 1 <= q.s <= model.x_max:
-        raise ValueError(f"season index {q.s} out of range 1..{model.x_max}")
+    Dataset.from_quads([q], model.x_max, model.registry)  # checks the quadruple
     other = model.phi[q.b - 1] if q.d == 1 else model.psi[q.b - 1]
     diff = model.phi[q.a - 1] - other
     return (q.s / model.x_max) * float(diff @ diff)
@@ -259,7 +256,7 @@ def _stacked_gradients(
 def batch_gradients(
     model: EmbeddingModel, batch: Sequence[MatchQuad], weight_decay: float = 0.0
 ) -> tuple[float, GradientUpdate]:
-    """Batch loss and accumulated analytic gradients.
+    """Batch loss and accumulated analytic gradients of ``(a, b, s, d)`` quadruples.
 
     The loss is the sum of :func:`sample_loss` over the batch plus
     ``weight_decay * sum(|row|^2)`` over the touched rows.  A row touched by
@@ -267,20 +264,12 @@ def batch_gradients(
     ``2 * weight_decay * row`` once per touched row.  This runs the same
     stacked kernel as :func:`train`.
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be non-empty")
-    n = len(batch)
-    a = np.fromiter((q.a for q in batch), dtype=np.int64, count=n)
-    b = np.fromiter((q.b for q in batch), dtype=np.int64, count=n)
-    s = np.fromiter((q.s for q in batch), dtype=np.float64, count=n)
-    d = np.fromiter((q.d for q in batch), dtype=np.int64, count=n)
+    quads = Dataset.from_quads(batch, model.x_max, model.registry)
     m = model.m
-    if (a < 1).any() or (a > m).any() or (b < 1).any() or (b > m).any():
-        raise ValueError("batch contains team ids outside the registry")
-    if (s < 1).any() or (s > model.x_max).any():
-        raise ValueError(f"batch contains season indices outside 1..{model.x_max}")
     loss, rows, grads = _stacked_gradients(
-        model.theta, a - 1, b - 1 + m * (1 - d), s / model.x_max, weight_decay,
+        model.theta, quads.a - 1, quads.b - 1 + m * (1 - quads.d), quads.s / model.x_max, weight_decay,
         np.zeros(2 * m, dtype=bool), np.empty(2 * m, dtype=np.int64),
     )
     return loss, GradientUpdate.split(rows, grads, m)
@@ -338,7 +327,7 @@ def train(
     batch update and is meant for instrumentation; only when it is given is
     the batch's update split into its winner and loser rows.
     """
-    if not ds.quads:
+    if not len(ds):
         raise ValueError("dataset is empty")
     x_max = ds.x_max if cfg.x_max is None else cfg.x_max
     if x_max < ds.x_max:
@@ -353,13 +342,10 @@ def train(
     mask = np.zeros(2 * m, dtype=bool)
     pos = np.empty(2 * m, dtype=np.int64)
 
-    n = len(ds.quads)
-    a = np.fromiter((q.a for q in ds.quads), dtype=np.int64, count=n) - 1
-    b = np.fromiter((q.b for q in ds.quads), dtype=np.int64, count=n) - 1
-    s = np.fromiter((q.s for q in ds.quads), dtype=np.float64, count=n)
-    d = np.fromiter((q.d for q in ds.quads), dtype=np.int64, count=n)
-    opp = b + m * (1 - d)
-    w = s / x_max
+    n = len(ds)
+    a = ds.a - 1
+    opp = ds.b - 1 + m * (1 - ds.d)
+    w = ds.s / x_max
 
     shuffle_rng = np.random.default_rng(shuffle_ss)
     for epoch in range(1, cfg.epochs + 1):

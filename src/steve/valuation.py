@@ -62,11 +62,8 @@ def load_values(stream: Iterable[str]) -> dict[str, float]:
 
 def steve_features(model: EmbeddingModel, teams: Sequence[int]) -> np.ndarray:
     """Per-team feature rows: winner and loser representation concatenated."""
-    rows = []
-    for team in teams:
-        model.registry.check_id(team)
-        rows.append(np.concatenate([model.phi[team - 1], model.psi[team - 1]]))
-    return np.asarray(rows)
+    rows = model.registry.rows(teams)
+    return np.hstack([model.phi[rows], model.psi[rows]])
 
 
 def quartile_labels(values: Sequence[float]) -> np.ndarray:

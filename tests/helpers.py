@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from steve.analytics import HeadToHead, Outcome, RankingEntry
 from steve.baselines import COMPETITION_ORDER
-from steve.match_data import Dataset, MatchQuad, RawMatch, TeamRegistry
+from steve.match_data import CSV_FIELDS, Competition, Dataset, MatchQuad, Matches, TeamRegistry
 from steve.trainer import EmbeddingModel, GradientUpdate, TrainConfig, init_model
 
 
@@ -79,7 +80,7 @@ def strength_league(
                         win_i = rng.random() < sigmoid(steep * gap)
                         w, l = (i, j) if win_i else (j, i)
                         quads.append(MatchQuad(w, l, s, 0))
-    ds = Dataset(quads=quads, x_max=seasons, registry=placeholder_registry(n_teams), raw=[])
+    ds = Dataset.from_quads(quads, x_max=seasons, registry=placeholder_registry(n_teams))
     return ds, strengths
 
 
@@ -101,7 +102,7 @@ def hierarchy_dataset(n_teams: int = 4, n_rounds: int = 20) -> Dataset:
         for i in range(1, n_teams + 1)
         for j in range(i + 1, n_teams + 1)
     ]
-    return Dataset(quads=quads, x_max=1, registry=placeholder_registry(n_teams), raw=[])
+    return Dataset.from_quads(quads, x_max=1, registry=placeholder_registry(n_teams))
 
 
 def draw_pair_dataset(seed: int, n_others: int = 8, seasons: int = 3, rounds: int = 3) -> Dataset:
@@ -122,7 +123,7 @@ def draw_pair_dataset(seed: int, n_others: int = 8, seasons: int = 3, rounds: in
                     quads.append(MatchQuad(o, q, s, 0))
         for a, b in circulant_wins(others, n_others // 2 - 1):
             quads.append(MatchQuad(a, b, s, 0))
-    return Dataset(quads=quads, x_max=seasons, registry=placeholder_registry(2 + n_others), raw=[])
+    return Dataset.from_quads(quads, x_max=seasons, registry=placeholder_registry(2 + n_others))
 
 
 def common_victims_dataset(n_others: int = 8, seasons: int = 3, rounds: int = 2) -> Dataset:
@@ -137,7 +138,7 @@ def common_victims_dataset(n_others: int = 8, seasons: int = 3, rounds: int = 2)
                 quads.append(MatchQuad(q, o, s, 0))
         for a, b in circulant_wins(others, n_others // 2 - 1):
             quads.append(MatchQuad(a, b, s, 0))
-    return Dataset(quads=quads, x_max=seasons, registry=placeholder_registry(2 + n_others), raw=[])
+    return Dataset.from_quads(quads, x_max=seasons, registry=placeholder_registry(2 + n_others))
 
 
 def league_csv(n_teams: int = 8, seasons: int = 2, seed: int = 0, rounds: int = 2) -> str:
@@ -176,8 +177,7 @@ def random_league(n_teams: int, n_matches: int, seasons: int, seed: int, draw_sh
     b = (a - 1 + rng.integers(1, n_teams, n_matches)) % n_teams + 1
     s = np.sort(rng.integers(1, seasons + 1, n_matches))
     d = (rng.random(n_matches) < draw_share).astype(int)
-    quads = [MatchQuad(int(i), int(j), int(k), int(x)) for i, j, k, x in zip(a, b, s, d)]
-    return Dataset(quads=quads, x_max=seasons, registry=placeholder_registry(n_teams), raw=[])
+    return Dataset(a=a, b=b, s=s, d=d, x_max=seasons, registry=placeholder_registry(n_teams))
 
 
 def broken_model_file(path, tmp_path, case):
@@ -322,7 +322,7 @@ def _reference_adam_step(
 
 def reference_train(ds: Dataset, cfg: TrainConfig, progress=None, on_batch=None) -> EmbeddingModel:
     """The per-matrix trainer: same seeds, draws, shuffles and arithmetic as ``train``."""
-    if not ds.quads:
+    if not len(ds):
         raise ValueError("dataset is empty")
     x_max = ds.x_max if cfg.x_max is None else cfg.x_max
     if x_max < ds.x_max:
@@ -333,11 +333,11 @@ def reference_train(ds: Dataset, cfg: TrainConfig, progress=None, on_batch=None)
     model.psi[:] = model.phi
     opt = _ReferenceAdamState.zeros(model.m, cfg.delta)
 
-    n = len(ds.quads)
-    a = np.fromiter((q.a for q in ds.quads), dtype=np.int64, count=n) - 1
-    b = np.fromiter((q.b for q in ds.quads), dtype=np.int64, count=n) - 1
-    s = np.fromiter((q.s for q in ds.quads), dtype=np.float64, count=n)
-    d = np.fromiter((q.d for q in ds.quads), dtype=np.int64, count=n)
+    n = len(ds)
+    a = ds.a - 1
+    b = ds.b - 1
+    s = ds.s.astype(np.float64)
+    d = ds.d
 
     shuffle_rng = np.random.default_rng(shuffle_ss)
     for epoch in range(1, cfg.epochs + 1):
@@ -441,6 +441,205 @@ def reference_rank_teams(model: EmbeddingModel, teams: Sequence[int]) -> list[Ra
 
 
 # ---------------------------------------------------------------------------
+# Reference ingest: the per-match dataclasses and the row-by-row parser that
+# the columnar ``steve.match_data`` replaced, kept unchanged (the classes
+# renamed where the library keeps the name) as oracles for ``ingest_csv``,
+# ``to_quads`` and ``dataset_summary``.  ``RawMatch`` lists also feed the
+# reference baselines below.
+
+
+@dataclass(frozen=True)
+class RawMatch:
+    """One match result, including the goal counts the quadruples drop."""
+
+    home: int
+    away: int
+    home_goals: int
+    away_goals: int
+    season_label: str
+    season_index: int
+    competition: Competition
+
+    def __post_init__(self):
+        if self.home == self.away:
+            raise ValueError("home and away team must differ")
+        if self.home_goals < 0 or self.away_goals < 0:
+            raise ValueError("goal counts must be non-negative")
+        if self.season_index < 1:
+            raise ValueError("season_index must be >= 1")
+
+
+@dataclass(frozen=True)
+class ReferenceQuad:
+    """Canonical training record ``(a, b, s, d)``; ``a`` won iff ``d == 0``."""
+
+    a: int
+    b: int
+    s: int
+    d: int
+
+    def __post_init__(self):
+        if self.a == self.b:
+            raise ValueError("a and b must differ")
+        if self.d not in (0, 1):
+            raise ValueError("d must be 0 or 1")
+        if self.s < 1:
+            raise ValueError("s must be >= 1")
+
+
+@dataclass
+class ReferenceDataset:
+    """Training quadruples plus the raw matches and registry behind them."""
+
+    quads: list[ReferenceQuad]
+    x_max: int
+    registry: TeamRegistry
+    raw: list[RawMatch] = field(default_factory=list)
+
+    def __post_init__(self):
+        m = self.registry.m
+        for q in self.quads:
+            if not (1 <= q.a <= m and 1 <= q.b <= m):
+                raise ValueError(f"quad references unknown team id: {q}")
+            if q.s > self.x_max:
+                raise ValueError(f"quad season {q.s} exceeds x_max={self.x_max}")
+
+
+def reference_ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, list[RawMatch]]:
+    """Parse match rows from ``stream`` (an iterable of CSV lines).
+
+    The header row is mandatory and must name exactly the columns in
+    :data:`CSV_FIELDS` (any order).  Season indices are assigned by sorting
+    the distinct season labels lexicographically ascending, so labels must
+    be zero-padded (e.g. ``"2018/2019"``) for lexical order to match
+    chronology.  Malformed rows abort the parse with their row number.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty input: missing header row") from None
+    header = [h.strip() for h in header]
+    if sorted(header) != sorted(CSV_FIELDS):
+        raise ValueError(
+            f"row 1: header must name columns {', '.join(CSV_FIELDS)}; got {header}"
+        )
+    col = {name: header.index(name) for name in CSV_FIELDS}
+
+    competitions = {c.value: c for c in Competition}
+    registry = TeamRegistry()
+    staged = []  # (row_no, home_id, away_id, hg, ag, label, competition)
+    for row_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # ignore blank lines
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"row {row_no}: expected {len(CSV_FIELDS)} fields, got {len(row)}")
+        label = row[col["season_label"]].strip()
+        comp_tag = row[col["competition"]].strip()
+        home = row[col["home"]].strip()
+        away = row[col["away"]].strip()
+        if not label:
+            raise ValueError(f"row {row_no}: empty season_label")
+        if comp_tag not in competitions:
+            raise ValueError(
+                f"row {row_no}: unknown competition tag {comp_tag!r} "
+                f"(expected one of {sorted(competitions)})"
+            )
+        if not home or not away:
+            raise ValueError(f"row {row_no}: empty team name")
+        if home == away:
+            raise ValueError(f"row {row_no}: home and away team are both {home!r}")
+        try:
+            hg = int(row[col["home_goals"]])
+            ag = int(row[col["away_goals"]])
+        except ValueError:
+            raise ValueError(f"row {row_no}: goals must be integers") from None
+        if hg < 0 or ag < 0:
+            raise ValueError(f"row {row_no}: goals must be non-negative")
+        staged.append((registry.add(home), registry.add(away), hg, ag, label, competitions[comp_tag]))
+
+    if not staged:
+        raise ValueError("empty input: no match rows")
+
+    season_index = {label: i for i, label in enumerate(sorted({s[4] for s in staged}), start=1)}
+    raw = [
+        RawMatch(
+            home=home,
+            away=away,
+            home_goals=hg,
+            away_goals=ag,
+            season_label=label,
+            season_index=season_index[label],
+            competition=comp,
+        )
+        for home, away, hg, ag, label, comp in staged
+    ]
+    return registry, raw
+
+
+def reference_to_quads(raw: list[RawMatch], registry: TeamRegistry) -> ReferenceDataset:
+    """Turn raw results into the winner-first quadruple dataset.
+
+    Decided matches emit ``(winner, loser, s, 0)``; draws emit
+    ``(home, away, s, 1)``.  The raw list is kept on the dataset for the
+    baseline feature extractors.
+    """
+    if not raw:
+        raise ValueError("raw match list is empty")
+    quads = []
+    for match in raw:
+        if match.home_goals > match.away_goals:
+            quads.append(ReferenceQuad(match.home, match.away, match.season_index, 0))
+        elif match.away_goals > match.home_goals:
+            quads.append(ReferenceQuad(match.away, match.home, match.season_index, 0))
+        else:
+            quads.append(ReferenceQuad(match.home, match.away, match.season_index, 1))
+    x_max = max(m.season_index for m in raw)
+    return ReferenceDataset(quads=quads, x_max=x_max, registry=registry, raw=raw)
+
+
+def reference_dataset_summary(ds: ReferenceDataset) -> dict:
+    """Summarize a dataset: match/team counts, draw fraction, per-season counts.
+
+    The result is a plain dict ready for JSON serialization.  Seasons
+    ``1..x_max`` all appear in ``per_season``, with count 0 where the
+    dataset holds no matches (possible for sliced datasets).
+    """
+    matches = len(ds.quads)
+    draws = sum(q.d for q in ds.quads)
+    labels: dict[int, str] = {}
+    for match in ds.raw:
+        labels.setdefault(match.season_index, match.season_label)
+    counts = {s: 0 for s in range(1, ds.x_max + 1)}
+    for q in ds.quads:
+        counts[q.s] += 1
+    return {
+        "matches": matches,
+        "teams": ds.registry.m,
+        "draw_fraction": draws / matches if matches else 0.0,
+        "per_season": [
+            {"season_index": s, "season_label": labels.get(s), "matches": counts[s]}
+            for s in range(1, ds.x_max + 1)
+        ],
+    }
+
+
+def as_matches(raw: list[RawMatch]) -> Matches:
+    """The columns of a ``RawMatch`` list; a season without a match has label ``None``."""
+    labels: dict[int, str] = {}
+    for match in raw:
+        labels.setdefault(match.season_index, match.season_label)
+    code = {comp: i for i, comp in enumerate(COMPETITION_ORDER)}
+    columns = [
+        np.array([getattr(match, name) for match in raw], dtype=np.int64)
+        for name in ("home", "away", "home_goals", "away_goals", "season_index")
+    ]
+    competition = np.array([code[match.competition] for match in raw], dtype=np.int64)
+    season_labels = tuple(labels.get(s) for s in range(1, max(labels, default=0) + 1))
+    return Matches(*columns, competition, season_labels)
+
+
+# ---------------------------------------------------------------------------
 # Reference baselines: the per-team scan of every match that the one-pass
 # tally in ``steve.baselines`` replaced, kept unchanged as its oracle.
 
@@ -528,3 +727,17 @@ def reference_sum_features(
         return _reference_vector_from_tally(sum(tallies[s] for s in seasons))
     vectors = [_reference_vector_from_tally(tallies[s]) for s in seasons]
     return np.sum(vectors, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference steve features: the per-team loop that one fancy index in
+# ``steve.valuation.steve_features`` replaced, kept unchanged as its oracle.
+
+
+def reference_steve_features(model: EmbeddingModel, teams: Sequence[int]) -> np.ndarray:
+    """Per-team feature rows: winner and loser representation concatenated."""
+    rows = []
+    for team in teams:
+        model.registry.check_id(team)
+        rows.append(np.concatenate([model.phi[team - 1], model.psi[team - 1]]))
+    return np.asarray(rows)

@@ -267,7 +267,7 @@ def value_league(n_teams, seasons, rounds, seed, steep=5.0, draw_amp=0.5, draw_w
                         win_i = rng.random() < sigmoid(steep * gap)
                         w, l = (i, j) if win_i else (j, i)
                         quads.append(MatchQuad(w, l, s, 0))
-    ds = Dataset(quads=quads, x_max=seasons, registry=placeholder_registry(n_teams), raw=[])
+    ds = Dataset.from_quads(quads, x_max=seasons, registry=placeholder_registry(n_teams))
     values = (150.0 + 60.0 * strengths) * (1 + 0.1 * rng.standard_normal(n_teams))
     return ds, np.maximum(values, 1.0)
 
@@ -360,7 +360,7 @@ def test_criterion_10_desk_scale_performance():
         MatchQuad(int(a), int(b), int(s), int(d))
         for (a, b), s, d in zip(pairs, seasons, draws)
     ]
-    ds = Dataset(quads=quads, x_max=n_seasons, registry=placeholder_registry(n_teams), raw=[])
+    ds = Dataset.from_quads(quads, x_max=n_seasons, registry=placeholder_registry(n_teams))
 
     start = time.perf_counter()
     model = train(ds, TrainConfig())

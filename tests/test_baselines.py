@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RawMatch,
+    as_matches,
     reference_cat_features,
     reference_season_stats,
     reference_sum_features,
@@ -16,7 +18,7 @@ from steve.baselines import (
     season_stats,
     sum_features,
 )
-from steve.match_data import Competition, RawMatch, TeamRegistry
+from steve.match_data import Competition, TeamRegistry
 
 NAT = Competition.NATIONAL_LEAGUE
 CL = Competition.CHAMPIONS_LEAGUE
@@ -52,7 +54,7 @@ class TestSeasonStats:
 
     def test_no_matches_all_zero(self, registry):
         raw = [match(2, 3, 1, 0, 1)]
-        np.testing.assert_array_equal(season_stats(raw, registry, 1, 1), np.zeros(18))
+        np.testing.assert_array_equal(season_stats(as_matches(raw), registry, 1, 1), np.zeros(18))
 
     def test_hand_counted_example(self, registry):
         # team 1: two national matches (3-1 win, 2-2 draw), one CL match (0-1 loss)
@@ -61,7 +63,7 @@ class TestSeasonStats:
             match(3, 1, 2, 2, 1),
             match(1, 4, 0, 1, 1, comp=CL),
         ]
-        vec = season_stats(raw, registry, 1, 1)
+        vec = season_stats(as_matches(raw), registry, 1, 1)
         np.testing.assert_allclose(vec[0:5], [1, 1, 0, 5, 3])  # national block
         np.testing.assert_allclose(vec[5:10], [0, 0, 1, 0, 1])  # champions league block
         np.testing.assert_allclose(vec[10:15], np.zeros(5))  # europa league block
@@ -73,8 +75,8 @@ class TestSeasonStats:
             match(3, 1, 2, 2, 1),
             match(1, 4, 0, 1, 1, comp=CL),
         ]
-        single = season_stats(raw, registry, 1, 1)
-        double = season_stats(raw + raw, registry, 1, 1)
+        single = season_stats(as_matches(raw), registry, 1, 1)
+        double = season_stats(as_matches(raw + raw), registry, 1, 1)
         np.testing.assert_allclose(double[:15], 2 * single[:15])
         np.testing.assert_allclose(double[15:], single[15:])
 
@@ -86,7 +88,7 @@ class TestSeasonStats:
             comp = [NAT, CL, EL][rng.integers(0, 3)]
             raw.append(match(int(home), int(away), int(rng.integers(0, 4)), int(rng.integers(0, 4)), 1, comp))
         for team in range(1, 5):
-            vec = season_stats(raw, registry, team, 1)
+            vec = season_stats(as_matches(raw), registry, team, 1)
             for block, comp in zip(range(3), (NAT, CL, EL)):
                 played = sum(
                     1
@@ -102,40 +104,40 @@ class TestSeasonStats:
             match(1, 4, 0, 1, 1, comp=CL),
         ]
         np.testing.assert_array_equal(
-            season_stats(raw, registry, 1, 1),
-            season_stats(list(reversed(raw)), registry, 1, 1),
+            season_stats(as_matches(raw), registry, 1, 1),
+            season_stats(as_matches(list(reversed(raw))), registry, 1, 1),
         )
 
     def test_invalid_team_or_season(self, registry):
         with pytest.raises(ValueError):
-            season_stats([], registry, 9, 1)
+            season_stats(as_matches([]), registry, 9, 1)
         with pytest.raises(ValueError):
-            season_stats([], registry, 1, 0)
+            season_stats(as_matches([]), registry, 1, 0)
 
 
 class TestCatFeatures:
     def test_x1_equals_season_stats(self, registry):
         raw = [match(1, 2, 2, 0, 3), match(2, 1, 1, 1, 2)]
         np.testing.assert_array_equal(
-            cat_features(raw, registry, 1, 3, 1), season_stats(raw, registry, 1, 3)
+            cat_features(as_matches(raw), registry, 1, 3, 1), season_stats(as_matches(raw), registry, 1, 3)
         )
 
     def test_x3_is_54_wide_newest_first(self, registry):
         raw = [match(1, 2, 2, 0, 3), match(2, 1, 1, 1, 2), match(1, 3, 0, 1, 1)]
-        vec = cat_features(raw, registry, 1, 3, 3)
+        vec = cat_features(as_matches(raw), registry, 1, 3, 3)
         assert vec.shape == (54,)
-        np.testing.assert_array_equal(vec[:18], season_stats(raw, registry, 1, 3))
-        np.testing.assert_array_equal(vec[18:36], season_stats(raw, registry, 1, 2))
-        np.testing.assert_array_equal(vec[36:], season_stats(raw, registry, 1, 1))
+        np.testing.assert_array_equal(vec[:18], season_stats(as_matches(raw), registry, 1, 3))
+        np.testing.assert_array_equal(vec[18:36], season_stats(as_matches(raw), registry, 1, 2))
+        np.testing.assert_array_equal(vec[36:], season_stats(as_matches(raw), registry, 1, 1))
 
     def test_absent_season_is_zero_block(self, registry):
         raw = [match(1, 2, 2, 0, 2)]  # nothing in season 1
-        vec = cat_features(raw, registry, 1, 2, 2)
+        vec = cat_features(as_matches(raw), registry, 1, 2, 2)
         np.testing.assert_array_equal(vec[18:], np.zeros(18))
 
     def test_window_below_season_one_rejected(self, registry):
         with pytest.raises(ValueError):
-            cat_features([], registry, 1, 2, 3)
+            cat_features(as_matches([]), registry, 1, 2, 3)
 
     def test_column_names(self):
         cols = cat_feature_columns(2)
@@ -148,14 +150,14 @@ class TestSumFeatures:
     def test_x1_equals_season_stats(self, registry):
         raw = [match(1, 2, 2, 0, 2)]
         np.testing.assert_array_equal(
-            sum_features(raw, registry, 1, 2, 1), season_stats(raw, registry, 1, 2)
+            sum_features(as_matches(raw), registry, 1, 2, 1), season_stats(as_matches(raw), registry, 1, 2)
         )
 
     def test_identical_seasons_double(self, registry):
         raw_one = [match(1, 2, 3, 1, 1), match(1, 3, 1, 1, 1, comp=CL)]
         raw_two = [match(1, 2, 3, 1, 2), match(1, 3, 1, 1, 2, comp=CL)]
-        total = sum_features(raw_one + raw_two, registry, 1, 2, 2)
-        np.testing.assert_allclose(total, 2 * season_stats(raw_one, registry, 1, 1))
+        total = sum_features(as_matches(raw_one + raw_two), registry, 1, 2, 2)
+        np.testing.assert_allclose(total, 2 * season_stats(as_matches(raw_one), registry, 1, 1))
 
     def test_hand_summed_two_seasons(self, registry):
         raw = [
@@ -163,8 +165,8 @@ class TestSumFeatures:
             match(3, 1, 2, 0, 2),             # season 2: loss 0-2
             match(1, 4, 2, 2, 2, comp=EL),    # season 2: EL draw 2-2
         ]
-        literal = sum_features(raw, registry, 1, 2, 2)
-        by_hand = season_stats(raw, registry, 1, 1) + season_stats(raw, registry, 1, 2)
+        literal = sum_features(as_matches(raw), registry, 1, 2, 2)
+        by_hand = season_stats(as_matches(raw), registry, 1, 1) + season_stats(as_matches(raw), registry, 1, 2)
         np.testing.assert_allclose(literal, by_hand)
 
     def test_recompute_ratios_switch(self, registry):
@@ -172,8 +174,8 @@ class TestSumFeatures:
             match(1, 2, 3, 1, 1),   # 3 goals in 1 match -> ratio 3
             match(1, 3, 1, 0, 2),   # 1 goal in 1 match -> ratio 1
         ]
-        literal = sum_features(raw, registry, 1, 2, 2)
-        recomputed = sum_features(raw, registry, 1, 2, 2, recompute_ratios=True)
+        literal = sum_features(as_matches(raw), registry, 1, 2, 2)
+        recomputed = sum_features(as_matches(raw), registry, 1, 2, 2, recompute_ratios=True)
         assert literal[15] == pytest.approx(4.0)      # 3 + 1 summed
         assert recomputed[15] == pytest.approx(2.0)   # 4 goals over 2 matches
         np.testing.assert_allclose(literal[:15], recomputed[:15])
@@ -213,11 +215,12 @@ def check_against_reference(raw, registry, newest, x):
         (sum_features, reference_sum_features, (newest, x), {}),
         (sum_features, reference_sum_features, (newest, x), {"recompute_ratios": True}),
     ]
+    matches = as_matches(raw)
     for fast, slow, args, kwargs in cases:
         expected = np.array([slow(raw, registry, t, *args, **kwargs) for t in teams])
         for t in teams:
-            assert np.array_equal(fast(raw, registry, t, *args, **kwargs), expected[t - 1])
-        assert np.array_equal(fast(raw, registry, teams, *args, **kwargs), expected)
+            assert np.array_equal(fast(matches, registry, t, *args, **kwargs), expected[t - 1])
+        assert np.array_equal(fast(matches, registry, teams, *args, **kwargs), expected)
 
 
 class TestTallyMatchesReferenceScan:
@@ -236,7 +239,7 @@ class TestTallyMatchesReferenceScan:
 
     def test_tally_shape_and_totals(self, registry):
         raw = [match(1, 2, 3, 1, 1), match(3, 1, 2, 2, 2, comp=CL), match(2, 4, 0, 1, 3, comp=EL)]
-        tally = match_tally(raw, registry.m, 2)  # season 3 is past the newest
+        tally = match_tally(as_matches(raw), registry.m, 2)  # season 3 is past the newest
         assert tally.shape == (4, 3, 3, 5)
         assert tally[:, 0].sum() == 0
         assert tally[..., :3].sum() == 2 * 2  # two matches, one result per side
@@ -244,6 +247,6 @@ class TestTallyMatchesReferenceScan:
 
     def test_team_list_rejects_bad_ids(self, registry):
         with pytest.raises(ValueError):
-            cat_features([], registry, [1, 9], 2, 1)
+            cat_features(as_matches([]), registry, [1, 9], 2, 1)
         with pytest.raises(ValueError):
-            season_stats([], registry, [1, True], 1)
+            season_stats(as_matches([]), registry, [1, True], 1)

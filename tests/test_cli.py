@@ -8,11 +8,12 @@ from helpers import (
     broken_model_file,
     league_csv,
     reference_cat_features,
+    reference_ingest_csv,
     reference_season_stats,
     reference_sum_features,
     values_csv,
 )
-from steve import match_data, valuation
+from steve import valuation
 from steve.baselines import SEASON_STATS_COLUMNS, cat_feature_columns
 from steve.cli import _stage_seed, main
 from steve.model_io import read_model_file
@@ -180,6 +181,26 @@ class TestSummary:
         assert [s["season_index"] for s in doc["per_season"]] == [1, 2]
 
 
+@pytest.mark.parametrize("command", ["summary", "evaluate", "export-features"])
+def test_goal_count_beyond_int64_is_validation_error(tmp_path, capsys, command):
+    lines = league_csv(n_teams=6, seasons=2, seed=0, rounds=1).splitlines()
+    lines.insert(5, "2010/2011,NationalLeague,Club A,Club B,99999999999999999999,0")
+    matches = tmp_path / "m.csv"
+    matches.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values = tmp_path / "v.csv"
+    values.write_text(values_csv([f"Club {c}" for c in "ABCDEF"]), encoding="utf-8")
+    argv = {
+        "summary": ["summary", str(matches)],
+        "evaluate": ["evaluate", str(matches), str(values), "--representation", "cat-1"],
+        "export-features": ["export-features", str(matches), "-o", str(tmp_path / "f.csv"),
+                            "--representation", "season-stats"],
+    }[command]
+    assert main(argv + ["--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "steve: error: row 6: goals must fit a 64-bit integer\n"
+    assert captured.out == ""
+
+
 class TestEvaluate:
     @pytest.fixture
     def values_file(self, tmp_path, matches_file, model_file):
@@ -291,7 +312,7 @@ class TestBaselineOutputsMatchReferenceScan:
         matches = tmp_path / "m4.csv"
         matches.write_text(league_csv(n_teams=6, seasons=4, seed=3, rounds=1), encoding="utf-8")
         with open(matches, encoding="utf-8", newline="") as f:
-            registry, raw = match_data.ingest_csv(f)
+            registry, raw = reference_ingest_csv(f)
         values = tmp_path / "v4.csv"
         values.write_text(values_csv(registry.names, seed=2), encoding="utf-8")
         return matches, values, registry, raw

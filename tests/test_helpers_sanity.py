@@ -36,15 +36,15 @@ class TestSpearman:
 class TestStrengthLeague:
     def test_match_counts_and_draw_fraction(self):
         ds, strengths = strength_league(10, 2, 2, seed=0, draw_amp=0.10)
-        assert len(ds.quads) == 2 * 2 * (10 * 9 // 2)
+        assert len(ds) == 2 * 2 * (10 * 9 // 2)
         assert len(strengths) == 10
-        draw_fraction = sum(q.d for q in ds.quads) / len(ds.quads)
+        draw_fraction = ds.d.sum() / len(ds)
         assert 0.03 < draw_fraction < 0.2
 
     def test_stronger_team_wins_more_often(self):
         ds, strengths = strength_league(6, 3, 4, seed=2, steep=6.0, draw_amp=0.0)
         best = int(np.argmax(strengths)) + 1
         worst = int(np.argmin(strengths)) + 1
-        wins = sum(1 for q in ds.quads if q.d == 0 and q.a == best)
-        losses = sum(1 for q in ds.quads if q.d == 0 and q.a == worst)
+        wins = np.sum((ds.d == 0) & (ds.a == best))
+        losses = np.sum((ds.d == 0) & (ds.a == worst))
         assert wins > losses

@@ -1,13 +1,26 @@
+import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    RawMatch,
+    as_matches,
+    reference_dataset_summary,
+    reference_ingest_csv,
+    reference_to_quads,
+)
+from steve import match_data
+from steve.baselines import COMPETITION_ORDER
 from steve.match_data import (
+    CSV_FIELDS,
     Competition,
     Dataset,
     MatchQuad,
-    RawMatch,
     TeamRegistry,
     dataset_summary,
     ingest_csv,
@@ -23,39 +36,45 @@ def parse(text: str):
 
 class TestIngest:
     def test_direct_field_mapping(self):
-        registry, raw = parse(HEADER + "\n2018/2019,NationalLeague,Liverpool,Arsenal,5,1\n")
-        match = raw[0]
-        assert registry.name_of(match.home) == "Liverpool"
-        assert registry.name_of(match.away) == "Arsenal"
-        assert (match.home_goals, match.away_goals) == (5, 1)
-        assert match.season_label == "2018/2019"
-        assert match.competition is Competition.NATIONAL_LEAGUE
+        registry, matches = parse(HEADER + "\n2018/2019,NationalLeague,Liverpool,Arsenal,5,1\n")
+        assert registry.name_of(int(matches.home[0])) == "Liverpool"
+        assert registry.name_of(int(matches.away[0])) == "Arsenal"
+        assert (matches.home_goals[0], matches.away_goals[0]) == (5, 1)
+        assert matches.season_labels[matches.season[0] - 1] == "2018/2019"
+        assert COMPETITION_ORDER[matches.competition[0]] is Competition.NATIONAL_LEAGUE
 
     def test_registry_uniqueness(self):
-        registry, raw = parse(
+        registry, matches = parse(
             HEADER
             + "\n2018/2019,NationalLeague,Liverpool,Arsenal,5,1"
             + "\n2018/2019,NationalLeague,Chelsea,Liverpool,0,0\n"
         )
         assert registry.m == 3
-        assert raw[0].home == raw[1].away == registry.id_of("Liverpool")
+        assert matches.home[0] == matches.away[1] == registry.id_of("Liverpool")
 
     def test_chronological_indexing(self):
-        _, raw = parse(
+        _, matches = parse(
             HEADER
             + "\n2018/2019,NationalLeague,A,B,1,0"
             + "\n2010/2011,NationalLeague,A,B,0,1\n"
         )
-        assert raw[0].season_index == 2
-        assert raw[1].season_index == 1
+        assert matches.season[0] == 2
+        assert matches.season[1] == 1
 
     def test_header_column_order_free(self):
-        registry, raw = parse(
+        registry, matches = parse(
             "home,away,season_label,competition,home_goals,away_goals\n"
             "X,Y,2019/2020,EuropaLeague,2,3\n"
         )
-        assert registry.name_of(raw[0].home) == "X"
-        assert raw[0].competition is Competition.EUROPA_LEAGUE
+        assert registry.name_of(int(matches.home[0])) == "X"
+        assert COMPETITION_ORDER[matches.competition[0]] is Competition.EUROPA_LEAGUE
+
+    def test_columns_are_int64_and_len_counts_rows(self):
+        _, matches = parse(HEADER + "\n2018/2019,NationalLeague,A,B,1,0\n\n2018/2019,EuropaLeague,B,C,2,2\n")
+        assert len(matches) == 2
+        for column in (matches.home, matches.away, matches.home_goals, matches.away_goals,
+                       matches.season, matches.competition):
+            assert column.dtype == np.int64 and column.shape == (2,)
 
     @pytest.mark.parametrize(
         "row,fragment",
@@ -71,6 +90,16 @@ class TestIngest:
         with pytest.raises(ValueError, match=fragment):
             parse(HEADER + "\n" + row + "\n")
 
+    @pytest.mark.parametrize("goals", ["9223372036854775808", "99999999999999999999"])
+    def test_goals_beyond_int64_rejected(self, goals):
+        text = HEADER + "\n2018/2019,NationalLeague,A,B,1,0\n2018/2019,NationalLeague,A,B,0," + goals + "\n"
+        with pytest.raises(ValueError, match=r"^row 3: goals must fit a 64-bit integer$"):
+            parse(text)
+
+    def test_largest_int64_goal_count_accepted(self):
+        _, matches = parse(HEADER + "\n2018/2019,NationalLeague,A,B,9223372036854775807,0\n")
+        assert matches.home_goals[0] == 2**63 - 1
+
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty input"):
             parse("")
@@ -84,57 +113,51 @@ class TestIngest:
 
 class TestToQuads:
     def test_winner_first(self):
-        _, raw = parse(HEADER + "\n2018/2019,NationalLeague,X,Y,0,2\n")
+        _, matches = parse(HEADER + "\n2018/2019,NationalLeague,X,Y,0,2\n")
         registry, _ = parse(HEADER + "\n2018/2019,NationalLeague,X,Y,0,2\n")
-        ds = to_quads(raw, registry)
-        quad = ds.quads[0]
-        assert registry.name_of(quad.a) == "Y"
-        assert registry.name_of(quad.b) == "X"
-        assert quad.d == 0
+        ds = to_quads(matches, registry)
+        assert registry.name_of(int(ds.a[0])) == "Y"
+        assert registry.name_of(int(ds.b[0])) == "X"
+        assert ds.d[0] == 0
 
     def test_draw_keeps_home_first(self):
-        registry, raw = parse(HEADER + "\n2018/2019,NationalLeague,X,Y,1,1\n")
-        quad = to_quads(raw, registry).quads[0]
-        assert registry.name_of(quad.a) == "X"
-        assert quad.d == 1
+        registry, matches = parse(HEADER + "\n2018/2019,NationalLeague,X,Y,1,1\n")
+        ds = to_quads(matches, registry)
+        assert registry.name_of(int(ds.a[0])) == "X"
+        assert ds.d[0] == 1
 
     def test_cardinality_preserved(self):
-        registry, raw = parse(
+        registry, matches = parse(
             HEADER
             + "\n2018/2019,NationalLeague,A,B,2,0"
             + "\n2018/2019,NationalLeague,B,C,1,1"
             + "\n2018/2019,NationalLeague,C,A,0,3\n"
         )
-        ds = to_quads(raw, registry)
-        assert len(ds.quads) == 3
-        assert sum(q.d for q in ds.quads) == 1
+        ds = to_quads(matches, registry)
+        assert len(ds) == 3
+        assert ds.d.sum() == 1
 
     def test_empty_raw_rejected(self):
         with pytest.raises(ValueError):
-            to_quads([], TeamRegistry(["A", "B"]))
+            to_quads(as_matches([]), TeamRegistry(["A", "B"]))
 
 
 class TestSummary:
     def test_direct_counting(self):
-        registry, raw = parse(
+        registry, matches = parse(
             HEADER
             + "\n2018/2019,NationalLeague,A,B,2,0"
             + "\n2018/2019,NationalLeague,C,D,1,1"
             + "\n2018/2019,NationalLeague,A,C,0,1\n"
         )
-        summary = dataset_summary(to_quads(raw, registry))
+        summary = dataset_summary(to_quads(matches, registry))
         assert summary["matches"] == 3
         assert summary["teams"] == 4
         assert summary["draw_fraction"] == pytest.approx(1 / 3)
 
     def test_empty_season_slice_counts_zero(self):
         registry = TeamRegistry(["A", "B"])
-        ds = Dataset(
-            quads=[MatchQuad(1, 2, 1, 0), MatchQuad(2, 1, 3, 0)],
-            x_max=3,
-            registry=registry,
-            raw=[],
-        )
+        ds = Dataset.from_quads([MatchQuad(1, 2, 1, 0), MatchQuad(2, 1, 3, 0)], x_max=3, registry=registry)
         per_season = {e["season_index"]: e["matches"] for e in dataset_summary(ds)["per_season"]}
         assert per_season == {1: 1, 2: 0, 3: 1}
 
@@ -163,20 +186,20 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip_pair_multiset(self, seed):
         registry, raw = self._random_raw(seed)
-        ds = to_quads(raw, registry)
-        assert len(ds.quads) == len(raw)
+        ds = to_quads(as_matches(raw), registry)
+        assert len(ds) == len(raw)
         raw_pairs = sorted((m.season_index, *sorted((m.home, m.away))) for m in raw)
-        quad_pairs = sorted((q.s, *sorted((q.a, q.b))) for q in ds.quads)
+        quad_pairs = sorted((s, *sorted((a, b))) for a, b, s in zip(ds.a.tolist(), ds.b.tolist(), ds.s.tolist()))
         assert raw_pairs == quad_pairs
 
     @pytest.mark.parametrize("seed", range(5))
     def test_winner_goals_exceed_losers(self, seed):
         registry, raw = self._random_raw(seed)
-        ds = to_quads(raw, registry)
-        for match, quad in zip(raw, ds.quads):
-            if quad.d == 0:
+        ds = to_quads(as_matches(raw), registry)
+        for match, a, b, d in zip(raw, ds.a, ds.b, ds.d):
+            if d == 0:
                 goals = {match.home: match.home_goals, match.away: match.away_goals}
-                assert goals[quad.a] > goals[quad.b]
+                assert goals[a] > goals[b]
 
     def test_registry_ids_contiguous(self):
         registry, _ = self._random_raw(0)
@@ -190,16 +213,190 @@ class TestInvariants:
             registry.name_of(2)
 
     def test_quad_validation(self):
-        with pytest.raises(ValueError):
-            MatchQuad(1, 1, 1, 0)
-        with pytest.raises(ValueError):
-            MatchQuad(1, 2, 1, 2)
-        with pytest.raises(ValueError):
-            MatchQuad(1, 2, 0, 0)
+        registry = TeamRegistry(["A", "B"])
+        with pytest.raises(ValueError, match="^a and b must differ$"):
+            Dataset.from_quads([MatchQuad(1, 1, 1, 0)], x_max=1, registry=registry)
+        with pytest.raises(ValueError, match="^d must be 0 or 1$"):
+            Dataset.from_quads([MatchQuad(1, 2, 1, 2)], x_max=1, registry=registry)
+        with pytest.raises(ValueError, match="^s must be >= 1$"):
+            Dataset.from_quads([MatchQuad(1, 2, 0, 0)], x_max=1, registry=registry)
 
     def test_dataset_validation(self):
         registry = TeamRegistry(["A", "B"])
         with pytest.raises(ValueError, match="unknown team"):
-            Dataset(quads=[MatchQuad(1, 3, 1, 0)], x_max=1, registry=registry, raw=[])
+            Dataset.from_quads([MatchQuad(1, 3, 1, 0)], x_max=1, registry=registry)
         with pytest.raises(ValueError, match="x_max"):
-            Dataset(quads=[MatchQuad(1, 2, 2, 0)], x_max=1, registry=registry, raw=[])
+            Dataset.from_quads([MatchQuad(1, 2, 2, 0)], x_max=1, registry=registry)
+
+    def test_dataset_reports_first_bad_quad_as_the_per_quad_checks_did(self):
+        registry = TeamRegistry(["A", "B", "C"])
+        quads = [MatchQuad(1, 2, 1, 0), MatchQuad(2, 4, 2, 0), MatchQuad(3, 3, 1, 0), MatchQuad(1, 5, 9, 0)]
+        # Every quad's own checks come before the dataset's checks.
+        with pytest.raises(ValueError, match="^a and b must differ$"):
+            Dataset.from_quads(quads, x_max=1, registry=registry)
+        with pytest.raises(ValueError, match=r"^quad references unknown team id: MatchQuad\(a=2, b=4, s=2, d=0\)$"):
+            Dataset.from_quads(quads[:2] + quads[3:], x_max=1, registry=registry)
+        with pytest.raises(ValueError, match="^quad season 2 exceeds x_max=1$"):
+            Dataset.from_quads([quads[0], MatchQuad(2, 3, 2, 0), quads[3]], x_max=1, registry=registry)
+
+
+# ---------------------------------------------------------------------------
+# The columnar ingest against the row-by-row parser it replaced
+# (``helpers.reference_*``): same registry, columns, quads, summary and
+# error text, at any chunk size.
+
+NAMES = ["Ajax", " Ajax ", "PSV", "Club, A", "Club\nB", 'Say "Hi"', "Émile", "Twente  ", "\tVitesse"]
+LABELS = ["2018/2019", " 2019/2020", "2020/2021 ", "2017,18", "2016\n17"]
+TAGS = [c.value for c in Competition] + [" NationalLeague", "EuropaLeague "]
+ODD_GOALS = [" 2", "+3", "1_0", "٣", "07", "4 ", "0"]
+GOALS = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(ODD_GOALS))
+
+#: One way to spoil a row per check of the parser, in the order it checks.
+BAD_ROWS = {
+    "field count": lambda row, extra: [*row.values(), "1"] if extra else list(row.values())[:-1],
+    "empty season_label": lambda row, extra: {**row, "season_label": " " if extra else ""},
+    "competition tag": lambda row, extra: {**row, "competition": "FriendlyCup" if extra else "nationalleague"},
+    "empty team name": lambda row, extra: {**row, "away" if extra else "home": "  "},
+    "home == away": lambda row, extra: {**row, "away": " " + row["home"].strip() + " "},
+    "integer goals": lambda row, extra: {**row, "home_goals" if extra else "away_goals": "1.5" if extra else "x"},
+    "negative goals": lambda row, extra: {**row, "away_goals" if extra else "home_goals": "-1"},
+}
+
+
+@st.composite
+def rows(draw):
+    home = draw(st.sampled_from(NAMES))
+    away = draw(st.sampled_from([n for n in NAMES if n.strip() != home.strip()]))
+    return {
+        "season_label": draw(st.sampled_from(LABELS)),
+        "competition": draw(st.sampled_from(TAGS)),
+        "home": home,
+        "away": away,
+        "home_goals": draw(GOALS),
+        "away_goals": draw(GOALS),
+    }
+
+
+@st.composite
+def csv_texts(draw, bad_kind=None):
+    """Header in any order, rows with quoted and padded fields, blank lines."""
+    header = draw(st.permutations(CSV_FIELDS))
+    records = draw(st.lists(rows(), max_size=40))
+    if bad_kind is not None:
+        at = draw(st.integers(0, len(records)))
+        records.insert(at, BAD_ROWS[bad_kind](draw(rows()), draw(st.booleans())))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    pad = draw(st.sampled_from(["", " "]))
+    writer.writerow([pad + name for name in header])
+    for record in records:
+        if draw(st.integers(0, 5)) == 0:
+            out.write(draw(st.sampled_from(["\n", "  \n", "\t\n"])))  # a blank line
+        writer.writerow(record if isinstance(record, list) else [record[name] for name in header])
+    return out.getvalue()
+
+
+def outcome(parse_fn, text):
+    try:
+        return None, parse_fn(io.StringIO(text))
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}", None
+
+
+def assert_same_as_reference(text, chunk):
+    """Either the same error text, or equal registry, columns, quads and summary."""
+    ref_error, ref = outcome(reference_ingest_csv, text)
+    with mock.patch.object(match_data, "_CHUNK_ROWS", chunk):
+        error, got = outcome(ingest_csv, text)
+    assert error == ref_error
+    if ref_error is not None:
+        return ref_error
+    (ref_registry, raw), (registry, matches) = ref, got
+    assert registry.names == ref_registry.names
+    assert len(matches) == len(raw)
+    for column, field in (("home", "home"), ("away", "away"), ("home_goals", "home_goals"),
+                          ("away_goals", "away_goals"), ("season", "season_index")):
+        assert getattr(matches, column).tolist() == [getattr(r, field) for r in raw]
+    assert [COMPETITION_ORDER[c] for c in matches.competition] == [r.competition for r in raw]
+    assert [matches.season_labels[s - 1] for s in matches.season] == [r.season_label for r in raw]
+    assert matches.season_labels == tuple(sorted({r.season_label for r in raw}))
+
+    ref_ds, ds = reference_to_quads(raw, ref_registry), to_quads(matches, registry)
+    assert ds.x_max == ref_ds.x_max and ds.registry is registry and ds.matches is matches
+    for column in "absd":
+        assert getattr(ds, column).tolist() == [getattr(q, column) for q in ref_ds.quads]
+    assert dataset_summary(ds) == reference_dataset_summary(ref_ds)
+    return None
+
+
+CHUNKS = st.integers(1, 9)
+
+
+class TestIngestMatchesReferenceParser:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=csv_texts(), chunk=CHUNKS)
+    def test_valid_files(self, text, chunk):
+        assert_same_as_reference(text, chunk)
+
+    @pytest.mark.parametrize("kind", list(BAD_ROWS))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), chunk=CHUNKS)
+    def test_first_bad_row_gives_the_same_error(self, kind, data, chunk):
+        text = data.draw(csv_texts(bad_kind=kind), label="text")
+        assert assert_same_as_reference(text, chunk) is not None
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 2**12])
+    @pytest.mark.parametrize("kind", list(BAD_ROWS))
+    def test_bad_row_placed_around_chunk_boundaries(self, kind, chunk):
+        good = ["2018/2019", "NationalLeague", "Ajax", "PSV", "1", "0"]
+        bad = BAD_ROWS[kind](dict(zip(CSV_FIELDS, good)), False)
+        bad = bad if isinstance(bad, list) else [bad[name] for name in CSV_FIELDS]
+        for at in range(7):
+            records = [good] * at + [bad] + [good] * 3
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(CSV_FIELDS)
+            for i, record in enumerate(records):
+                if i == at - 1:
+                    writer.writerow(["multi\nline", *good[1:]])  # record number != line number
+                    out.write("\n")
+                writer.writerow(record)
+            error = assert_same_as_reference(out.getvalue(), chunk)
+            assert error is not None and error.startswith(f"ValueError: row {at + 2 + 2 * (at > 0)}:")
+
+    def test_more_rows_than_one_chunk(self):
+        rng = np.random.default_rng(3)
+        names = [f"Club {i:03d}" for i in range(300)]
+        lines = [",".join(CSV_FIELDS)]
+        for _ in range(3 * match_data._CHUNK_ROWS + 17):
+            i, j = rng.choice(300, size=2, replace=False)
+            comp = TAGS[rng.integers(0, 3)]
+            lines.append(f"{2010 + rng.integers(0, 9)}/x,{comp},{names[i]},{names[j]},"
+                         f"{rng.integers(0, 6)},{rng.integers(0, 6)}")
+        text = "\n".join(lines) + "\n"
+        assert assert_same_as_reference(text, match_data._CHUNK_ROWS) is None
+        at = 2 * match_data._CHUNK_ROWS + 5  # the bad record's number
+        bad = lines[: at - 1] + ["2010/x,NationalLeague,A,A,1,1"] + lines[at - 1 :]
+        error = assert_same_as_reference("\n".join(bad) + "\n", match_data._CHUNK_ROWS)
+        assert error == f"ValueError: row {at}: home and away team are both 'A'"
+
+    @pytest.mark.parametrize("failing_at", [1, 3, 5])
+    def test_unreadable_input_after_rows_read_first(self, failing_at):
+        # A read error surfaces where the row-by-row parser met it: after
+        # the rows before it were checked, before the rows after it.
+        lines = [HEADER, "s,NationalLeague,A,B,1,0", "s,NationalLeague,A,B,1,0",
+                 "s,NationalLeague,A,A,1,0", "s,NationalLeague,A,B,1,0", "s,NationalLeague,A,B,1,0"]
+
+        def stream():
+            for i, line in enumerate(lines):
+                if i == failing_at:
+                    raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+                yield line + "\n"
+
+        errors = []
+        for parse_fn in (reference_ingest_csv, ingest_csv):
+            with pytest.raises(ValueError) as info:
+                parse_fn(stream())
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert (errors[1][0] is UnicodeDecodeError) == (failing_at <= 3)

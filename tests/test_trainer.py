@@ -115,6 +115,12 @@ class TestSampleLoss:
         with pytest.raises(ValueError):
             sample_loss(model, MatchQuad(1, 2, 2, 0))
 
+    @pytest.mark.parametrize("quad", [MatchQuad(1, 1, 1, 0), MatchQuad(1, 2, 1, 2), MatchQuad(1, 2, 0, 0)])
+    def test_malformed_quad_rejected(self, quad):
+        model = manual_model([[1, 0], [0, 1]], [[1, 0], [0, 1]], x_max=1)
+        with pytest.raises(ValueError):
+            sample_loss(model, quad)
+
 
 def brute_batch_loss(model, batch, weight_decay):
     """Independent reference: plain-python sum of sample losses plus penalty."""
@@ -279,7 +285,7 @@ class TestTrain:
                 assert head_to_head(model, i, j).outcome is Outcome.A_WINS
 
     def test_empty_dataset_rejected(self):
-        ds = Dataset(quads=[], x_max=1, registry=TeamRegistry(["A", "B"]), raw=[])
+        ds = Dataset.from_quads([], x_max=1, registry=TeamRegistry(["A", "B"]))
         with pytest.raises(ValueError):
             train(ds, TrainConfig(delta=2, epochs=1))
 
@@ -299,7 +305,7 @@ class TestTrain:
     def test_training_starts_with_psi_equal_to_phi(self):
         # Teams 4 and 5 never play, so their rows keep the starting values.
         quads = [MatchQuad(1, 2, 1, 0), MatchQuad(2, 3, 1, 1), MatchQuad(3, 1, 1, 0)]
-        ds = Dataset(quads=quads, x_max=1, registry=placeholder_registry(5), raw=[])
+        ds = Dataset.from_quads(quads, x_max=1, registry=placeholder_registry(5))
         model = train(ds, TrainConfig(delta=4, epochs=3, batch_size=2, learning_rate=0.01, seed=5))
         start = init_model(5, 4, np.random.SeedSequence(5).spawn(2)[0]).phi
         assert np.array_equal(model.phi[3:], start[3:])
@@ -394,7 +400,7 @@ def test_on_batch_updates_match_reference_trainer():
 
     reference_train(ds, cfg, on_batch=keep(expected))
     train(ds, cfg, on_batch=keep(got))
-    assert len(got) == len(expected) == 2 * -(-len(ds.quads) // 5)
+    assert len(got) == len(expected) == 2 * -(-len(ds) // 5)
     for ours, theirs in zip(got, expected):
         for x, y in zip(ours, theirs):
             assert x.dtype == y.dtype and np.array_equal(x, y)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_steve_features
 from steve.trainer import init_model
 from steve.valuation import (
     MLP,
@@ -78,6 +79,34 @@ class TestSteveFeatures:
     def test_unknown_team(self):
         with pytest.raises(ValueError):
             steve_features(init_model(3, 2, 0), [1, 7])
+
+
+class TestSteveFeaturesMatchReferenceLoop:
+    """One fancy index against the per-team loop it replaced (``helpers``)."""
+
+    def test_desk_shaped_model(self):
+        model = init_model(378, 16, 41, x_max=9)  # 378 teams, steve-32 rows
+        teams = list(range(1, model.m + 1))
+        assert np.array_equal(steve_features(model, teams), reference_steve_features(model, teams))
+
+    def test_repeated_and_unordered_ids(self):
+        model = init_model(12, 4, 3)
+        teams = [7, 2, 7, 12, 1, 2, 2]
+        got = steve_features(model, teams)
+        assert got.shape == (7, 8)
+        assert np.array_equal(got, reference_steve_features(model, teams))
+
+    @pytest.mark.parametrize(
+        "teams", [[1, 0, 99], [4, 13, 0], [2, True], [3, 1.0], [1, np.int64(2)], [2, "3"]]
+    )
+    def test_first_bad_id_gives_the_same_error(self, teams):
+        model = init_model(12, 4, 3)
+        errors = []
+        for features in (reference_steve_features, steve_features):
+            with pytest.raises(ValueError) as info:
+                features(model, teams)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestQuartileLabels:
