@@ -77,7 +77,11 @@ class TeamRegistry:
         return self._names[team_id - 1]
 
     def check_id(self, team_id: int) -> None:
-        if not isinstance(team_id, int) or isinstance(team_id, bool):
+        """Raise ``ValueError`` unless ``team_id`` is an in-range integer.
+
+        Python and numpy integers pass; ``bool``, ``np.bool_`` and floats do not.
+        """
+        if not isinstance(team_id, (int, np.integer)) or isinstance(team_id, bool):
             raise ValueError(f"team id must be an integer, got {team_id!r}")
         if not 1 <= team_id <= len(self._names):
             raise ValueError(f"team id {team_id} out of range 1..{len(self._names)}")

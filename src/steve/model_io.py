@@ -26,31 +26,73 @@ MODEL_FORMAT_VERSION = 1
 UNIT_NORM_TOL = 1e-6
 
 
+#: Teams per chunk of text handed to ``writelines`` by :func:`save_model`.
+_SLAB_TEAMS = 256
+
+#: How ``json`` spells the floats that ``float.__repr__`` writes as ``nan``/``inf``.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(block: np.ndarray) -> list[str]:
+    """Each value of ``block`` (row-major) as ``json`` writes a float."""
+    texts = list(map(float.__repr__, block.ravel().tolist()))
+    if not np.isfinite(block).all():
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _team_slabs(model: EmbeddingModel):
+    """The ``teams`` records as ``json.dump(indent=1)`` writes them, a slab of teams at a time.
+
+    Each record starts with its separator: a newline for the first team,
+    a comma and a newline for every later one.
+    """
+    names, delta = model.registry.names, model.delta
+    vector_sep = ",\n    "
+    for start in range(0, len(names), _SLAB_TEAMS):
+        stop = start + _SLAB_TEAMS
+        phi = _float_texts(model.phi[start:stop])
+        psi = _float_texts(model.psi[start:stop])
+        slab = []
+        for i, name in enumerate(names[start:stop]):
+            cols = slice(i * delta, (i + 1) * delta)
+            lead = ",\n" if start + i else "\n"
+            slab.append(
+                f'{lead}  {{\n   "name": {json.dumps(name)},\n'
+                f'   "phi": [\n    {vector_sep.join(phi[cols])}\n   ],\n'
+                f'   "psi": [\n    {vector_sep.join(psi[cols])}\n   ]\n  }}'
+            )
+        yield slab
+
+
 def save_model(
     model: EmbeddingModel, path: str | Path, train_config: TrainConfig | None = None
 ) -> None:
-    """Write ``model`` as versioned JSON; see :func:`load_model`."""
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "delta": model.delta,
-        "x_max": model.x_max,
-        "train_config": asdict(train_config) if train_config is not None else None,
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "teams": [
-            {
-                "name": name,
-                "phi": model.phi[i].tolist(),
-                "psi": model.psi[i].tolist(),
-            }
-            for i, name in enumerate(model.registry.names)
-        ],
-    }
+    """Write ``model`` as versioned JSON; see :func:`load_model`.
+
+    The file holds the bytes ``json.dump(doc, f, indent=1)`` and a final
+    newline would write, but the team records are formatted a slab at a
+    time instead of by ``json``'s pure-Python encoder.
+    """
+    header = json.dumps(
+        {
+            "format_version": MODEL_FORMAT_VERSION,
+            "delta": model.delta,
+            "x_max": model.x_max,
+            "train_config": asdict(train_config) if train_config is not None else None,
+            "created_at": datetime.now(timezone.utc).isoformat(),
+        },
+        indent=1,
+    )
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+            # The header without its closing "\n}", then the teams list.
+            f.write(header[:-2] + ',\n "teams": [')
+            for slab in _team_slabs(model):
+                f.writelines(slab)
+            f.write("\n ]\n}\n" if model.m else "]\n}\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -215,16 +215,20 @@ def sample_loss(model: EmbeddingModel, q: MatchQuad) -> float:
 
 def _stacked_gradients(
     theta: np.ndarray, a: np.ndarray, opp: np.ndarray, w: np.ndarray, weight_decay: float,
-    mask: np.ndarray, pos: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batch loss, touched rows of ``theta`` (sorted) and their summed gradients.
+    mask: np.ndarray, pos: np.ndarray, with_loss: bool = True,
+) -> tuple[float | None, np.ndarray, np.ndarray, np.ndarray]:
+    """Batch loss, touched rows of ``theta`` (sorted), those rows and their summed gradients.
 
     Match ``i`` pulls row ``a[i]`` toward row ``opp[i]`` with weight
-    ``w[i]``.  ``mask`` (all False, length 2m) and ``pos`` (length 2m) are
-    scratch buffers reused across batches; ``mask`` is left all False.
+    ``w[i]``.  The loss is ``None`` unless ``with_loss``; the gradients do
+    not depend on it.  The gathered rows ``theta[rows]`` are a copy, which
+    :func:`_adam_step` may overwrite.  ``mask`` (all False, length 2m) and
+    ``pos`` (length 2m) are scratch buffers reused across batches; ``mask``
+    is left all False.
     """
-    diff = theta.take(a, axis=0) - theta.take(opp, axis=0)
-    loss = float(np.sum(w * np.einsum("ij,ij->i", diff, diff)))
+    diff = theta.take(a, axis=0)
+    diff -= theta.take(opp, axis=0)
+    loss = float(np.sum(w * np.einsum("ij,ij->i", diff, diff))) if with_loss else None
 
     # d(loss)/d(theta_a) per sample; the opposing row gets the negation.
     g = (2.0 * w)[:, None] * diff
@@ -241,16 +245,17 @@ def _stacked_gradients(
         flat.ravel(), weights=np.concatenate([g, -g]).ravel(), minlength=rows.size * delta
     ).reshape(rows.size, delta)
 
+    x = theta.take(rows, axis=0)
     if weight_decay:
         # Coupled L2 on exactly the touched rows, evaluated pre-update, with
         # the winner and loser sums added separately.
-        x = theta.take(rows, axis=0)
-        sq = x**2
-        split = np.searchsorted(rows, theta.shape[0] // 2)
-        loss += weight_decay * (float(np.sum(sq[:split])) + float(np.sum(sq[split:])))
+        if with_loss:
+            sq = x**2
+            split = np.searchsorted(rows, theta.shape[0] // 2)
+            loss += weight_decay * (float(np.sum(sq[:split])) + float(np.sum(sq[split:])))
         grads += 2.0 * weight_decay * x
 
-    return loss, rows, grads
+    return loss, rows, x, grads
 
 
 def batch_gradients(
@@ -268,7 +273,7 @@ def batch_gradients(
         raise ValueError("batch must be non-empty")
     quads = Dataset.from_quads(batch, model.x_max, model.registry)
     m = model.m
-    loss, rows, grads = _stacked_gradients(
+    loss, rows, _, grads = _stacked_gradients(
         model.theta, quads.a - 1, quads.b - 1 + m * (1 - quads.d), quads.s / model.x_max, weight_decay,
         np.zeros(2 * m, dtype=bool), np.empty(2 * m, dtype=np.int64),
     )
@@ -276,13 +281,15 @@ def batch_gradients(
 
 
 def _adam_step(
-    theta: np.ndarray, opt: AdamState, rows: np.ndarray, grads: np.ndarray, learning_rate: float
+    theta: np.ndarray, opt: AdamState, rows: np.ndarray, x: np.ndarray, grads: np.ndarray,
+    learning_rate: float,
 ) -> None:
     """One Riemannian Adam step on the touched rows, then their renormalization.
 
-    Each row lives on the unit sphere, so only the gradient's tangent part
-    can move it: the radial part is removed before it reaches the moments,
-    and the stored momentum is re-projected onto the row's current tangent
+    ``x`` holds a copy of ``theta[rows]``, which the step overwrites.  Each
+    row lives on the unit sphere, so only the gradient's tangent part can
+    move it: the radial part is removed before it reaches the moments, and
+    the stored momentum is re-projected onto the row's current tangent
     plane.  The step is scaled by one second-moment scalar per row, so a
     row moves along its descent direction instead of a coordinate-wise
     rescaling of it.
@@ -290,18 +297,27 @@ def _adam_step(
     opt.t += 1
     bc1 = 1.0 - AdamState.BETA1 ** opt.t
     bc2 = 1.0 - AdamState.BETA2 ** opt.t
-    x = theta.take(rows, axis=0)
     g = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
     mo = opt.first.take(rows, axis=0)
     mo -= np.einsum("ij,ij->i", mo, x)[:, None] * x
-    mo = AdamState.BETA1 * mo + (1.0 - AdamState.BETA1) * g
-    sq = np.einsum("ij,ij->i", g, g)
-    ve = AdamState.BETA2 * opt.second.take(rows) + (1.0 - AdamState.BETA2) * sq
+    mo *= AdamState.BETA1
+    mo += (1.0 - AdamState.BETA1) * g
+    ve = opt.second.take(rows)
+    ve *= AdamState.BETA2
+    ve += (1.0 - AdamState.BETA2) * np.einsum("ij,ij->i", g, g)
     opt.first[rows] = mo
     opt.second[rows] = ve
-    step = learning_rate * (mo / bc1) / (np.sqrt(ve / bc2) + AdamState.EPS)[:, None]
-    moved = x - step
-    theta[rows] = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+    # step = learning_rate * (mo / bc1) / (sqrt(ve / bc2) + eps), built in place.
+    mo /= bc1
+    mo *= learning_rate
+    ve /= bc2
+    np.sqrt(ve, out=ve)
+    ve += AdamState.EPS
+    mo /= ve[:, None]
+    x -= mo
+    # np.linalg.norm(x, axis=1, keepdims=True), spelled out: the same bits, fewer calls.
+    x /= np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    theta[rows] = x
 
 
 def train(
@@ -323,9 +339,11 @@ def train(
     epochs, so identical inputs and seed give a bit-identical model.  The
     optional ``progress`` sink receives ``(epoch, mean_loss)`` where
     ``mean_loss`` is the summed batch loss (weight decay included) divided
-    by the number of quadruples.  ``on_batch`` runs after each completed
-    batch update and is meant for instrumentation; only when it is given is
-    the batch's update split into its winner and loser rows.
+    by the number of quadruples.  The loss is computed only when
+    ``progress`` is given; the trained model is the same bits either way.
+    ``on_batch`` runs after each completed batch update and is meant for
+    instrumentation; only when it is given is the batch's update split into
+    its winner and loser rows.
     """
     if not len(ds):
         raise ValueError("dataset is empty")
@@ -347,6 +365,7 @@ def train(
     opp = ds.b - 1 + m * (1 - ds.d)
     w = ds.s / x_max
 
+    with_loss = progress is not None
     shuffle_rng = np.random.default_rng(shuffle_ss)
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)
@@ -354,11 +373,13 @@ def train(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            loss, rows, grads = _stacked_gradients(
-                theta, ea[start:stop], eopp[start:stop], ew[start:stop], cfg.weight_decay, mask, pos
+            loss, rows, x, grads = _stacked_gradients(
+                theta, ea[start:stop], eopp[start:stop], ew[start:stop], cfg.weight_decay, mask, pos,
+                with_loss,
             )
-            _adam_step(theta, opt, rows, grads, cfg.learning_rate)
-            total += loss
+            _adam_step(theta, opt, rows, x, grads, cfg.learning_rate)
+            if with_loss:
+                total += loss
             if on_batch is not None:
                 on_batch(model, GradientUpdate.split(rows, grads, m))
         if progress is not None:

@@ -37,8 +37,8 @@ def parse(text: str):
 class TestIngest:
     def test_direct_field_mapping(self):
         registry, matches = parse(HEADER + "\n2018/2019,NationalLeague,Liverpool,Arsenal,5,1\n")
-        assert registry.name_of(int(matches.home[0])) == "Liverpool"
-        assert registry.name_of(int(matches.away[0])) == "Arsenal"
+        assert registry.name_of(matches.home[0]) == "Liverpool"
+        assert registry.name_of(matches.away[0]) == "Arsenal"
         assert (matches.home_goals[0], matches.away_goals[0]) == (5, 1)
         assert matches.season_labels[matches.season[0] - 1] == "2018/2019"
         assert COMPETITION_ORDER[matches.competition[0]] is Competition.NATIONAL_LEAGUE
@@ -66,7 +66,7 @@ class TestIngest:
             "home,away,season_label,competition,home_goals,away_goals\n"
             "X,Y,2019/2020,EuropaLeague,2,3\n"
         )
-        assert registry.name_of(int(matches.home[0])) == "X"
+        assert registry.name_of(matches.home[0]) == "X"
         assert COMPETITION_ORDER[matches.competition[0]] is Competition.EUROPA_LEAGUE
 
     def test_columns_are_int64_and_len_counts_rows(self):
@@ -116,14 +116,14 @@ class TestToQuads:
         _, matches = parse(HEADER + "\n2018/2019,NationalLeague,X,Y,0,2\n")
         registry, _ = parse(HEADER + "\n2018/2019,NationalLeague,X,Y,0,2\n")
         ds = to_quads(matches, registry)
-        assert registry.name_of(int(ds.a[0])) == "Y"
-        assert registry.name_of(int(ds.b[0])) == "X"
+        assert registry.name_of(ds.a[0]) == "Y"
+        assert registry.name_of(ds.b[0]) == "X"
         assert ds.d[0] == 0
 
     def test_draw_keeps_home_first(self):
         registry, matches = parse(HEADER + "\n2018/2019,NationalLeague,X,Y,1,1\n")
         ds = to_quads(matches, registry)
-        assert registry.name_of(int(ds.a[0])) == "X"
+        assert registry.name_of(ds.a[0]) == "X"
         assert ds.d[0] == 1
 
     def test_cardinality_preserved(self):
@@ -211,6 +211,22 @@ class TestInvariants:
             registry.id_of("B")
         with pytest.raises(ValueError):
             registry.name_of(2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+    def test_registry_accepts_numpy_integer_ids(self, dtype):
+        registry = TeamRegistry(["A", "B"])
+        assert registry.name_of(dtype(2)) == "B"
+        assert registry.rows([dtype(2), 1]).tolist() == [1, 0]
+        with pytest.raises(ValueError, match=r"^team id 3 out of range 1\.\.2$"):
+            registry.name_of(dtype(3))
+
+    @pytest.mark.parametrize("team_id", [True, np.True_, np.False_, 1.0, np.float64(1.0), np.float32(2.0)])
+    def test_registry_rejects_bool_and_float_ids(self, team_id):
+        registry = TeamRegistry(["A", "B"])
+        with pytest.raises(ValueError, match="^team id must be an integer, got "):
+            registry.check_id(team_id)
+        with pytest.raises(ValueError, match="^team id must be an integer, got "):
+            registry.rows([1, team_id])
 
     def test_quad_validation(self):
         registry = TeamRegistry(["A", "B"])

@@ -1,14 +1,20 @@
+import io
 import json
-from datetime import datetime
+from dataclasses import asdict
+from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import BROKEN_CASES, broken_model_file, strength_league
+from steve import model_io
 from steve.match_data import TeamRegistry
 from steve.analytics import rank_teams
 from steve.model_io import MODEL_FORMAT_VERSION, load_model, read_model_file, save_model
-from steve.trainer import TrainConfig, init_model, train
+from steve.trainer import EmbeddingModel, TrainConfig, init_model, train
 
 
 @pytest.fixture
@@ -149,10 +155,16 @@ class TestAtomicSave:
         model, _, path = trained
         before = path.read_bytes()
 
-        def boom(*args, **kwargs):
+        write_slabs = model_io._team_slabs
+
+        def boom(model):
+            # Fail inside the writer once the header and the first slab of
+            # team records have gone to the temporary file.
+            yield next(write_slabs(model))
+            assert any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(json, "dump", boom)
+        monkeypatch.setattr(model_io, "_team_slabs", boom)
         with pytest.raises(RuntimeError, match="disk full"):
             save_model(model, path)
         assert path.read_bytes() == before
@@ -172,3 +184,122 @@ def test_save_without_config(tmp_path):
     save_model(model, path)
     assert read_model_file(path)["train_config"] is None
     assert np.array_equal(load_model(path).phi, model.phi)
+
+
+# ---------------------------------------------------------------------------
+# The streamed writer against ``json.dump(doc, indent=1)``, the encoder it
+# replaced, with ``created_at`` pinned.
+
+STAMP = datetime(2021, 3, 4, 5, 6, 7, 890123, tzinfo=timezone.utc)
+ODD_FLOATS = [-0.0, 5e-324, 1e-300, 1 - 2**-53, 1e16, float("nan"), float("inf"), float("-inf")]
+
+
+class _PinnedClock:
+    @staticmethod
+    def now(tz):
+        return STAMP.astimezone(tz)
+
+
+def json_dump_bytes(model, train_config):
+    doc = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "delta": model.delta,
+        "x_max": model.x_max,
+        "train_config": asdict(train_config) if train_config is not None else None,
+        "created_at": STAMP.isoformat(),
+        "teams": [
+            {"name": name, "phi": model.phi[i].tolist(), "psi": model.psi[i].tolist()}
+            for i, name in enumerate(model.registry.names)
+        ],
+    }
+    out = io.StringIO()
+    json.dump(doc, out, indent=1)
+    out.write("\n")
+    return out.getvalue().encode("utf-8")
+
+
+def saved_bytes(model, path, train_config=None):
+    with mock.patch.object(model_io, "datetime", _PinnedClock):
+        save_model(model, path, train_config=train_config)
+    return path.read_bytes()
+
+
+team_names = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00é€😀 ,'), st.characters()), min_size=1, max_size=8
+)
+configs = st.one_of(
+    st.none(),
+    st.builds(
+        TrainConfig,
+        delta=st.integers(1, 64),
+        learning_rate=st.floats(1e-9, 1.0),
+        weight_decay=st.sampled_from([0.0, 1e-6, 5e-324, 1 - 2**-53]),
+        seed=st.integers(0, 2**40),
+        x_max=st.one_of(st.none(), st.integers(1, 30)),
+    ),
+)
+
+
+class TestWriterMatchesJsonDump:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        m=st.one_of(st.integers(2, 12), st.sampled_from([255, 256, 257])),
+        delta=st.integers(1, 64),
+        special=st.lists(team_names, max_size=6, unique=True),
+        odd=st.lists(
+            st.tuples(st.integers(0, 2**31), st.one_of(st.sampled_from(ODD_FLOATS), st.floats())),
+            max_size=12,
+        ),
+        config=configs,
+        x_max=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+    )
+    def test_bytes_equal_json_dump(self, tmp_path, m, delta, special, odd, config, x_max, seed):
+        names = special[:m] + [f"team {i}" for i in range(m - len(special[:m]))]
+        if len(set(names)) < m:  # a special name may repeat a placeholder
+            names = [f"{name}#{i}" for i, name in enumerate(names)]
+        model = init_model(m, delta, seed, registry=TeamRegistry(names), x_max=x_max)
+        flat = model.theta.reshape(-1)
+        for where, value in odd:
+            flat[where % flat.size] = value
+        assert saved_bytes(model, tmp_path / "m.json", config) == json_dump_bytes(model, config)
+
+    @pytest.mark.parametrize("m", [2, 255, 256, 257, 513])
+    def test_every_odd_float_at_slab_edges(self, tmp_path, m):
+        model = init_model(m, 8, m)
+        for row in (0, m - 1, m, 2 * m - 1, min(255, m - 1), min(256, m - 1)):
+            model.theta[row] = ODD_FLOATS
+        config = TrainConfig(delta=8, x_max=4)
+        assert saved_bytes(model, tmp_path / "m.json", config) == json_dump_bytes(model, config)
+
+    def test_model_without_teams(self, tmp_path):
+        empty = np.zeros((0, 3))
+        model = EmbeddingModel(phi=empty, psi=empty, delta=3, registry=TeamRegistry(), x_max=1)
+        assert saved_bytes(model, tmp_path / "m.json") == json_dump_bytes(model, None)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    m=st.sampled_from([2, 3, 255, 257]),
+    delta=st.integers(1, 64),
+    odd=st.lists(
+        st.tuples(st.integers(0, 2**31), st.sampled_from([-0.0, 5e-324, 1e-300, 1e-160, 1 - 2**-53, 1e16])),
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**32),
+)
+def test_save_load_keeps_every_bit_of_unit_rows(tmp_path, m, delta, odd, seed):
+    theta = np.random.default_rng(seed).standard_normal((2 * m, delta))
+    if delta > 1:  # column 0 stays normal, so no row has zero norm
+        tail = theta[:, 1:].reshape(-1)
+        for where, value in odd:
+            tail[where % tail.size] = value
+        theta[:, 1:] = tail.reshape(2 * m, delta - 1)
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    model = EmbeddingModel(phi=theta[:m], psi=theta[m:], delta=delta, registry=TeamRegistry(
+        f"t{i}" for i in range(m)), x_max=2)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+    assert loaded == model

@@ -96,8 +96,14 @@ class TestSteveFeaturesMatchReferenceLoop:
         assert got.shape == (7, 8)
         assert np.array_equal(got, reference_steve_features(model, teams))
 
+    def test_numpy_integer_ids(self):
+        model = init_model(12, 4, 3)
+        teams = [np.int64(7), np.int32(2), 12, np.uint8(1)]
+        assert np.array_equal(steve_features(model, teams), reference_steve_features(model, teams))
+        assert np.array_equal(steve_features(model, np.array([7, 2, 12, 1])), steve_features(model, [7, 2, 12, 1]))
+
     @pytest.mark.parametrize(
-        "teams", [[1, 0, 99], [4, 13, 0], [2, True], [3, 1.0], [1, np.int64(2)], [2, "3"]]
+        "teams", [[1, 0, 99], [4, 13, 0], [2, True], [3, 1.0], [1, np.int64(2), np.True_], [2, "3"]]
     )
     def test_first_bad_id_gives_the_same_error(self, teams):
         model = init_model(12, 4, 3)
