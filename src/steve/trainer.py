@@ -44,16 +44,20 @@ class TrainConfig:
     x_max: int | None = None
 
     def __post_init__(self):
+        for name in ("delta", "batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.x_max is not None and self.x_max < 1:
@@ -343,7 +347,8 @@ def train(
     ``progress`` is given; the trained model is the same bits either way.
     ``on_batch`` runs after each completed batch update and is meant for
     instrumentation; only when it is given is the batch's update split into
-    its winner and loser rows.
+    its winner and loser rows.  A model with a non-finite entry (a step too
+    large for float64) is refused with an error naming the first such team.
     """
     if not len(ds):
         raise ValueError("dataset is empty")
@@ -384,4 +389,11 @@ def train(
                 on_batch(model, GradientUpdate.split(rows, grads, m))
         if progress is not None:
             progress(epoch, total / n)
+    finite = np.isfinite(theta).all(axis=1)
+    if not finite.all():
+        team = int(np.flatnonzero(~(finite[:m] & finite[m:]))[0]) + 1
+        raise ValueError(
+            f"training diverged: team {ds.registry.name_of(team)!r} has a non-finite vector "
+            f"(learning_rate={cfg.learning_rate}, weight_decay={cfg.weight_decay})"
+        )
     return model

@@ -9,6 +9,7 @@ and deterministic so reports are reproducible.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -66,6 +67,14 @@ def steve_features(model: EmbeddingModel, teams: Sequence[int]) -> np.ndarray:
     return np.hstack([model.phi[rows], model.psi[rows]])
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Reject a NaN or infinity, naming the first row (axis 0) that holds one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.reshape(len(values), -1).all(axis=1))[0])
+        raise ValueError(f"{name} must be finite; row {row} is not")
+
+
 def quartile_labels(values: Sequence[float]) -> np.ndarray:
     """Assign classes 0..3 by the quartile each value lies in.
 
@@ -76,6 +85,7 @@ def quartile_labels(values: Sequence[float]) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 4:
         raise ValueError("need at least 4 values for quartile labels")
+    _check_finite("values", v)
     quartiles = np.quantile(v, (0.25, 0.5, 0.75))
     return np.searchsorted(quartiles, v, side="left").astype(np.int64)
 
@@ -132,14 +142,16 @@ class MLPConfig:
     EPS = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 @dataclass
@@ -155,13 +167,22 @@ class MLP:
         return self.weights[0].shape[0]
 
 
+def _zero_params(dims: list[int]) -> list[np.ndarray]:
+    """Zeroed ``W1, b1, W2, b2, W3, b3``, views of consecutive spans of one flat block (their ``base``)."""
+    shapes = [shape for fan_in, fan_out in zip(dims, dims[1:]) for shape in ((fan_in, fan_out), (fan_out,))]
+    sizes = [math.prod(shape) for shape in shapes]
+    spans = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+    return [span.reshape(shape) for span, shape in zip(spans, shapes)]
+
+
 def _init_params(dims: list[int], seed) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Uniform fan-in scaled weights and zero biases, all views of one flat block."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    params = _zero_params(dims)
+    weights, biases = params[::2], params[1::2]
+    for W in weights:
+        bound = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
     return weights, biases
 
 
@@ -180,6 +201,47 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _loss_and_grads(
+    net: MLP, X: np.ndarray, y: np.ndarray, l2: float, grads: list[np.ndarray], with_loss: bool
+) -> float | None:
+    """Write the batch gradients into ``grads`` (order W1, b1, W2, b2, W3, b3).
+
+    Returns the loss, or ``None`` unless ``with_loss``; the gradients do not
+    depend on it.  See :func:`mlp_loss_and_grads` for the loss.
+    """
+    weights, biases = net.weights, net.biases
+    dW1, db1, dW2, db2, dW3, db3 = grads
+    n = X.shape[0]
+    z1, h1, z2, h2, z3 = _forward(weights, biases, X)
+
+    if net.task is Task.REGRESSION:
+        resid = z3[:, 0] - y
+        loss = 0.5 * float(np.mean(resid**2)) if with_loss else None
+        dz3 = (resid / n)[:, None]
+    else:
+        log_probs = _log_softmax(z3)
+        loss = -float(np.mean(log_probs[np.arange(n), y])) if with_loss else None
+        dz3 = np.exp(log_probs)
+        dz3[np.arange(n), y] -= 1.0
+        dz3 /= n
+
+    if with_loss:
+        loss += l2 / (2 * n) * sum(float(np.sum(W**2)) for W in weights)
+
+    np.matmul(h2.T, dz3, out=dW3)
+    dW3 += (l2 / n) * weights[2]
+    dz3.sum(axis=0, out=db3)
+    dz2 = (dz3 @ weights[2].T) * (z2 > 0)
+    np.matmul(h1.T, dz2, out=dW2)
+    dW2 += (l2 / n) * weights[1]
+    dz2.sum(axis=0, out=db2)
+    dz1 = (dz2 @ weights[1].T) * (z1 > 0)
+    np.matmul(X.T, dz1, out=dW1)
+    dW1 += (l2 / n) * weights[0]
+    dz1.sum(axis=0, out=db1)
+    return loss
+
+
 def mlp_loss_and_grads(
     net: MLP, X: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, list[np.ndarray]]:
@@ -188,64 +250,57 @@ def mlp_loss_and_grads(
     Regression: half mean squared error.  Classification: mean cross
     entropy of a 4-way softmax.  Both add ``l2 / (2 n) * sum|W|^2`` over the
     weight matrices, so the gradients here match finite differences of the
-    returned loss exactly.
+    returned loss exactly.  This runs the same kernel as :func:`mlp_train`.
     """
-    weights, biases = net.weights, net.biases
+    grads = _zero_params([net.input_dim, *(W.shape[1] for W in net.weights)])
+    loss = _loss_and_grads(net, X, y, l2, grads, with_loss=True)
+    return loss, grads
+
+
+def _check_samples(X: np.ndarray, y: np.ndarray, task: Task) -> None:
+    """Shape and value checks shared by :func:`mlp_train` and :func:`cross_validate`."""
+    if X.ndim != 2:
+        raise ValueError("features must be a 2-d array")
     n = X.shape[0]
-    z1, h1, z2, h2, z3 = _forward(weights, biases, X)
-
-    if net.task is Task.REGRESSION:
-        resid = z3[:, 0] - y
-        loss = 0.5 * float(np.mean(resid**2))
-        dz3 = (resid / n)[:, None]
-    else:
-        log_probs = _log_softmax(z3)
-        loss = -float(np.mean(log_probs[np.arange(n), y]))
-        dz3 = np.exp(log_probs)
-        dz3[np.arange(n), y] -= 1.0
-        dz3 /= n
-
-    loss += l2 / (2 * n) * sum(float(np.sum(W**2)) for W in weights)
-
-    dW3 = h2.T @ dz3 + (l2 / n) * weights[2]
-    db3 = dz3.sum(axis=0)
-    dz2 = (dz3 @ weights[2].T) * (z2 > 0)
-    dW2 = h1.T @ dz2 + (l2 / n) * weights[1]
-    db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ weights[1].T) * (z1 > 0)
-    dW1 = X.T @ dz1 + (l2 / n) * weights[0]
-    db1 = dz1.sum(axis=0)
-    return loss, [dW1, db1, dW2, db2, dW3, db3]
+    if X.shape[1] == 0:
+        raise ValueError("features must have at least one column")
+    if y.shape != (n,):
+        raise ValueError(f"targets must have shape ({n},), got {y.shape}")
+    _check_finite("features", X)
+    if task is Task.REGRESSION:
+        _check_finite("targets", y)
+    elif y.dtype.kind not in "iu" or ((y < 0) | (y >= N_CLASSES)).any():
+        raise ValueError(f"classification targets must be integers in 0..{N_CLASSES - 1}")
 
 
 def mlp_train(
     features: np.ndarray, targets: np.ndarray, task: Task, cfg: MLPConfig
 ) -> MLP:
-    """Train the fixed 50/20 network with mini-batch Adam."""
+    """Train the fixed 50/20 network with mini-batch Adam.
+
+    Each batch takes one in-place Adam step over the flat parameter block,
+    without computing the loss.
+    """
     X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("features must be a 2-d array")
+    y = np.asarray(targets, dtype=np.float64 if task is Task.REGRESSION else None)
+    _check_samples(X, y, task)
     n = X.shape[0]
-    if task is Task.REGRESSION:
-        y = np.asarray(targets, dtype=np.float64)
-    else:
-        y = np.asarray(targets)
-        if y.dtype.kind not in "iu" or ((y < 0) | (y >= N_CLASSES)).any():
-            raise ValueError(f"classification targets must be integers in 0..{N_CLASSES - 1}")
-        y = y.astype(np.int64)
-    if y.shape != (n,):
-        raise ValueError(f"targets must have shape ({n},), got {y.shape}")
     if n == 0:
         raise ValueError("cannot train on empty data")
+    if task is Task.CLASSIFICATION:
+        y = y.astype(np.int64)
 
     out_dim = 1 if task is Task.REGRESSION else N_CLASSES
+    dims = [X.shape[1], *MLPConfig.HIDDEN, out_dim]
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    weights, biases = _init_params([X.shape[1], *MLPConfig.HIDDEN, out_dim], init_ss)
+    weights, biases = _init_params(dims, init_ss)
     net = MLP(weights=weights, biases=biases, task=task)
 
-    params = [weights[0], biases[0], weights[1], biases[1], weights[2], biases[2]]
-    mom = [np.zeros_like(p) for p in params]
-    vel = [np.zeros_like(p) for p in params]
+    theta = weights[0].base
+    grads = _zero_params(dims)
+    grad = grads[0].base
+    mom, vel = np.zeros_like(theta), np.zeros_like(theta)
+    step, denom = np.empty_like(theta), np.empty_like(theta)
     t = 0
     batch = min(cfg.batch_size, n)
     rng = np.random.default_rng(shuffle_ss)
@@ -253,14 +308,26 @@ def mlp_train(
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            _, grads = mlp_loss_and_grads(net, X[idx], y[idx], cfg.l2)
+            _loss_and_grads(net, X[idx], y[idx], cfg.l2, grads, with_loss=False)
             t += 1
             bc1 = 1.0 - MLPConfig.BETA1**t
             bc2 = 1.0 - MLPConfig.BETA2**t
-            for p, g, m_acc, v_acc in zip(params, grads, mom, vel):
-                m_acc += (1.0 - MLPConfig.BETA1) * (g - m_acc)
-                v_acc += (1.0 - MLPConfig.BETA2) * (g**2 - v_acc)
-                p -= cfg.learning_rate * (m_acc / bc1) / (np.sqrt(v_acc / bc2) + MLPConfig.EPS)
+            # m += (1 - b1)(g - m); v += (1 - b2)(g g - v); p -= lr (m / bc1) / (sqrt(v / bc2) + eps),
+            # in place but in that operand order, so every bit is that of the expressions.
+            np.subtract(grad, mom, out=step)
+            step *= 1.0 - MLPConfig.BETA1
+            mom += step
+            np.multiply(grad, grad, out=step)
+            step -= vel
+            step *= 1.0 - MLPConfig.BETA2
+            vel += step
+            np.divide(mom, bc1, out=step)
+            step *= cfg.learning_rate
+            np.divide(vel, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += MLPConfig.EPS
+            step /= denom
+            theta -= step
     return net
 
 
@@ -269,6 +336,7 @@ def mlp_predict(net: MLP, features: np.ndarray) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ValueError(f"features must have shape (n, {net.input_dim})")
+    _check_finite("features", X)
     *_, z3 = _forward(net.weights, net.biases, X)
     if net.task is Task.REGRESSION:
         return z3[:, 0]
@@ -419,8 +487,7 @@ def cross_validate(
     n = X.shape[0]
     if n < N_FOLDS:
         raise ValueError(f"need at least {N_FOLDS} samples, got {n}")
-    if y.shape != (n,):
-        raise ValueError(f"targets must have shape ({n},), got {y.shape}")
+    _check_samples(X, y, task)
 
     base_cfg = mlp_config or MLPConfig()
     fold_seeds = np.random.SeedSequence(seed).spawn(N_FOLDS + 1)[1:]

@@ -14,6 +14,7 @@ from steve.analytics import HeadToHead, Outcome, RankingEntry
 from steve.baselines import COMPETITION_ORDER
 from steve.match_data import CSV_FIELDS, Competition, Dataset, MatchQuad, Matches, TeamRegistry
 from steve.trainer import EmbeddingModel, GradientUpdate, TrainConfig, init_model
+from steve.valuation import MLP, N_CLASSES, MLPConfig, Task
 
 
 def sigmoid(x):
@@ -741,3 +742,119 @@ def reference_steve_features(model: EmbeddingModel, teams: Sequence[int]) -> np.
         model.registry.check_id(team)
         rows.append(np.concatenate([model.phi[team - 1], model.psi[team - 1]]))
     return np.asarray(rows)
+
+
+# ---------------------------------------------------------------------------
+# Reference MLP: the per-array training loop and gradient function that the
+# one-block ``steve.valuation.mlp_train`` replaced, kept unchanged (renamed,
+# with their private helpers) as bit-exact oracles for ``mlp_train`` and
+# ``mlp_loss_and_grads``.
+
+
+def _reference_init_params(dims: list[int], seed) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return weights, biases
+
+
+def _reference_forward(weights, biases, X):
+    """Forward pass keeping pre-activations for backprop."""
+    z1 = X @ weights[0] + biases[0]
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ weights[1] + biases[1]
+    h2 = np.maximum(z2, 0.0)
+    z3 = h2 @ weights[2] + biases[2]
+    return z1, h1, z2, h2, z3
+
+
+def _reference_log_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def reference_mlp_loss_and_grads(
+    net: MLP, X: np.ndarray, y: np.ndarray, l2: float
+) -> tuple[float, list[np.ndarray]]:
+    """Batch loss and analytic gradients in parameter order W1,b1,W2,b2,W3,b3.
+
+    Regression: half mean squared error.  Classification: mean cross
+    entropy of a 4-way softmax.  Both add ``l2 / (2 n) * sum|W|^2`` over the
+    weight matrices, so the gradients here match finite differences of the
+    returned loss exactly.
+    """
+    weights, biases = net.weights, net.biases
+    n = X.shape[0]
+    z1, h1, z2, h2, z3 = _reference_forward(weights, biases, X)
+
+    if net.task is Task.REGRESSION:
+        resid = z3[:, 0] - y
+        loss = 0.5 * float(np.mean(resid**2))
+        dz3 = (resid / n)[:, None]
+    else:
+        log_probs = _reference_log_softmax(z3)
+        loss = -float(np.mean(log_probs[np.arange(n), y]))
+        dz3 = np.exp(log_probs)
+        dz3[np.arange(n), y] -= 1.0
+        dz3 /= n
+
+    loss += l2 / (2 * n) * sum(float(np.sum(W**2)) for W in weights)
+
+    dW3 = h2.T @ dz3 + (l2 / n) * weights[2]
+    db3 = dz3.sum(axis=0)
+    dz2 = (dz3 @ weights[2].T) * (z2 > 0)
+    dW2 = h1.T @ dz2 + (l2 / n) * weights[1]
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ weights[1].T) * (z1 > 0)
+    dW1 = X.T @ dz1 + (l2 / n) * weights[0]
+    db1 = dz1.sum(axis=0)
+    return loss, [dW1, db1, dW2, db2, dW3, db3]
+
+
+def reference_mlp_train(
+    features: np.ndarray, targets: np.ndarray, task: Task, cfg: MLPConfig
+) -> MLP:
+    """Train the fixed 50/20 network with mini-batch Adam."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("features must be a 2-d array")
+    n = X.shape[0]
+    if task is Task.REGRESSION:
+        y = np.asarray(targets, dtype=np.float64)
+    else:
+        y = np.asarray(targets)
+        if y.dtype.kind not in "iu" or ((y < 0) | (y >= N_CLASSES)).any():
+            raise ValueError(f"classification targets must be integers in 0..{N_CLASSES - 1}")
+        y = y.astype(np.int64)
+    if y.shape != (n,):
+        raise ValueError(f"targets must have shape ({n},), got {y.shape}")
+    if n == 0:
+        raise ValueError("cannot train on empty data")
+
+    out_dim = 1 if task is Task.REGRESSION else N_CLASSES
+    init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    weights, biases = _reference_init_params([X.shape[1], *MLPConfig.HIDDEN, out_dim], init_ss)
+    net = MLP(weights=weights, biases=biases, task=task)
+
+    params = [weights[0], biases[0], weights[1], biases[1], weights[2], biases[2]]
+    mom = [np.zeros_like(p) for p in params]
+    vel = [np.zeros_like(p) for p in params]
+    t = 0
+    batch = min(cfg.batch_size, n)
+    rng = np.random.default_rng(shuffle_ss)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = perm[start : start + batch]
+            _, grads = reference_mlp_loss_and_grads(net, X[idx], y[idx], cfg.l2)
+            t += 1
+            bc1 = 1.0 - MLPConfig.BETA1**t
+            bc2 = 1.0 - MLPConfig.BETA2**t
+            for p, g, m_acc, v_acc in zip(params, grads, mom, vel):
+                m_acc += (1.0 - MLPConfig.BETA1) * (g - m_acc)
+                v_acc += (1.0 - MLPConfig.BETA2) * (g**2 - v_acc)
+                p -= cfg.learning_rate * (m_acc / bc1) / (np.sqrt(v_acc / bc2) + MLPConfig.EPS)
+    return net

@@ -130,6 +130,33 @@ class TestHeadToHead:
 
 
 class TestRankTeams:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_victories_conserved_on_trained_random_leagues(self, data):
+        n_teams = data.draw(st.integers(2, 40), label="teams")
+        ds = random_league(
+            n_teams,
+            data.draw(st.integers(1, 400), label="matches"),
+            data.draw(st.integers(1, 5), label="seasons"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="league seed"),
+            draw_share=data.draw(st.sampled_from([0.0, 0.25, 1.0]), label="draw share"),
+        )
+        cfg = TrainConfig(
+            delta=data.draw(st.sampled_from([1, 2, 8, 16]), label="delta"),
+            batch_size=data.draw(st.integers(1, 64), label="batch"),
+            learning_rate=data.draw(st.sampled_from([1e-4, 1e-2, 0.5]), label="learning rate"),
+            epochs=data.draw(st.integers(1, 3), label="epochs"),
+            seed=data.draw(st.integers(0, 1000), label="train seed"),
+        )
+        model = train(ds, cfg)
+        order = data.draw(st.permutations(range(1, n_teams + 1)), label="team order")
+        teams = order[: data.draw(st.integers(2, n_teams), label="subset size")]
+        entries = rank_teams(model, teams)
+        n = len(teams)
+        assert sorted(e.team for e in entries) == sorted(teams)
+        assert sum(e.victories for e in entries) == n * (n - 1) / 2
+        assert all(0 <= e.victories <= n - 1 for e in entries)
+
     def test_two_teams(self):
         model = init_model(5, 4, 6)
         entries = rank_teams(model, [1, 2])

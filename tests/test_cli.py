@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from steve import valuation
 from steve.baselines import SEASON_STATS_COLUMNS, cat_feature_columns
 from steve.cli import _stage_seed, main
 from steve.model_io import read_model_file
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -88,6 +94,31 @@ class TestTrain:
         rc = main(["train", str(matches_file), "-o", str(tmp_path / "m.json"), "--epochs", "0"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--learning-rate", "inf"], "learning_rate"),
+            (["--learning-rate", "1e308"], "team 'Club "),
+            (["--weight-decay", "nan"], "weight_decay"),
+            (["--weight-decay", "inf"], "weight_decay"),
+        ],
+    )
+    def test_non_finite_model_is_refused_and_earlier_file_kept(self, matches_file, tmp_path, flags, message):
+        # Run in a subprocess: with a 1e308 step numpy overflows and warns on
+        # stderr, and here that warning must not fail the test.
+        out = tmp_path / "m.json"
+        out.write_bytes(b"an earlier model\n")
+        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from steve.cli import main; sys.exit(main())",
+             "train", str(matches_file), "-o", str(out), "--epochs", "3", "--quiet", *flags],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "steve: error:" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert out.read_bytes() == b"an earlier model\n"
 
 
 class TestSimilar:

@@ -57,6 +57,10 @@ class TestInitModel:
 
 
 class TestTrainConfig:
+    def test_numpy_ints_accepted(self):
+        cfg = TrainConfig(delta=np.int64(4), batch_size=np.int32(8), epochs=np.uint8(2), seed=np.int64(3))
+        assert (cfg.delta, cfg.batch_size, cfg.epochs, cfg.seed) == (4, 8, 2, 3)
+
     def test_defaults(self):
         cfg = TrainConfig()
         assert (cfg.delta, cfg.batch_size, cfg.epochs) == (16, 128, 40)
@@ -71,6 +75,16 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"learning_rate": 0.0},
             {"weight_decay": -1e-6},
+            {"learning_rate": float("inf")},
+            {"learning_rate": float("nan")},
+            {"weight_decay": float("inf")},
+            {"weight_decay": float("nan")},
+            {"epochs": 2.5},
+            {"epochs": True},
+            {"delta": 2.0},
+            {"batch_size": np.True_},
+            {"seed": 1.0},
+            {"seed": False},
         ],
     )
     def test_invalid(self, kwargs):

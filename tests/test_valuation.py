@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_steve_features
+from helpers import reference_mlp_loss_and_grads, reference_mlp_train, reference_steve_features
+from steve import valuation
 from steve.trainer import init_model
 from steve.valuation import (
     MLP,
@@ -148,6 +149,11 @@ class TestQuartileLabels:
         with pytest.raises(ValueError):
             quartile_labels([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_with_row(self, bad):
+        with pytest.raises(ValueError, match="row 3"):
+            quartile_labels([1, 2, 3, bad, 5])
+
 
 class TestStandardize:
     def test_fit_apply_normalizes_training_data(self):
@@ -237,6 +243,31 @@ class TestMLP:
             mlp_predict(net, np.zeros((2, 5)))
         with pytest.raises(ValueError):
             mlp_train(np.zeros((6, 3)), np.zeros(5), Task.REGRESSION, MLPConfig(epochs=1))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"epochs": 0},
+            {"epochs": 2.5},
+            {"epochs": True},
+            {"batch_size": 0},
+            {"batch_size": np.True_},
+            {"batch_size": 20.0},
+            {"learning_rate": 0.0},
+            {"learning_rate": float("inf")},
+            {"learning_rate": float("nan")},
+            {"l2": -1e-4},
+            {"l2": float("inf")},
+            {"l2": float("nan")},
+        ],
+    )
+    def test_invalid_config(self, kwargs):
+        with pytest.raises(ValueError):
+            MLPConfig(**kwargs)
+
+    def test_numpy_int_config_accepted(self):
+        cfg = MLPConfig(epochs=np.int64(3), batch_size=np.int32(4))
+        assert (cfg.epochs, cfg.batch_size) == (3, 4)
 
     def test_classification_targets_validated(self):
         with pytest.raises(ValueError):
@@ -388,3 +419,132 @@ class TestCrossValidate:
             X, y, Task.REGRESSION, seed=0, standardize_features=True, mlp_config=MLPConfig(epochs=5)
         )
         assert report.metadata["standardize_features"] is True
+
+
+class TestNonFiniteAndEmptyFeatures:
+    """NaN or infinity in a feature or target is refused, naming its row."""
+
+    def _data(self, n=12, width=3):
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((n, width)), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_feature_row_named(self, bad):
+        X, y = self._data()
+        X[7, 2] = bad
+        cfg = MLPConfig(epochs=1)
+        with pytest.raises(ValueError, match="features must be finite; row 7"):
+            mlp_train(X, y, Task.REGRESSION, cfg)
+        with pytest.raises(ValueError, match="features must be finite; row 7"):
+            cross_validate(X, y, Task.REGRESSION, seed=0, mlp_config=cfg)
+        with pytest.raises(ValueError, match="features must be finite; row 7"):
+            cross_validate(X, quartile_labels(y), Task.CLASSIFICATION, seed=0, mlp_config=cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_target_row_named(self, bad):
+        X, y = self._data()
+        y[4] = bad
+        cfg = MLPConfig(epochs=1)
+        with pytest.raises(ValueError, match="targets must be finite; row 4"):
+            mlp_train(X, y, Task.REGRESSION, cfg)
+        with pytest.raises(ValueError, match="targets must be finite; row 4"):
+            cross_validate(X, y, Task.REGRESSION, seed=0, mlp_config=cfg)
+
+    def test_prediction_on_a_non_finite_row_refused(self):
+        X, y = self._data()
+        net = mlp_train(X, quartile_labels(y), Task.CLASSIFICATION, MLPConfig(epochs=1))
+        X[5, 0] = np.nan
+        with pytest.raises(ValueError, match="features must be finite; row 5"):
+            mlp_predict(net, X)
+
+    def test_zero_width_features_rejected(self):
+        X = np.empty((12, 0))
+        y = np.arange(12.0)
+        with pytest.raises(ValueError, match="at least one column"):
+            mlp_train(X, y, Task.REGRESSION, MLPConfig(epochs=1))
+        with pytest.raises(ValueError, match="at least one column"):
+            cross_validate(X, y, Task.REGRESSION, seed=0, standardize_features=True)
+
+
+# ---------------------------------------------------------------------------
+# The one-block MLP against the per-array loop it replaced (``helpers``):
+# every parameter bit, every gradient bit and every loss must agree.
+
+MLP_ORACLE_CASES = [
+    # task, samples, feature width, batch_size, l2
+    (Task.REGRESSION, 40, 32, 8, 1e-4),  # batch divides n
+    (Task.CLASSIFICATION, 40, 54, 8, 1e-2),
+    (Task.REGRESSION, 37, 54, 10, 0.0),  # a last, partial batch
+    (Task.CLASSIFICATION, 37, 1, 10, 1e-4),
+    (Task.REGRESSION, 5, 1, 200, 1e-2),  # one batch, larger than n
+    (Task.CLASSIFICATION, 5, 32, 200, 0.0),
+    (Task.REGRESSION, 23, 32, 1, 1e-4),  # batch of one
+    (Task.CLASSIFICATION, 23, 54, 1, 1e-2),
+    (Task.REGRESSION, 378, 54, 200, 1e-4),  # a whole desk league, partial batch
+    (Task.CLASSIFICATION, 302, 32, 200, 0.0),  # a desk training split
+]
+
+
+def _oracle_data(task, n, width, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, width))
+    y = rng.standard_normal(n) if task is Task.REGRESSION else rng.integers(0, 4, n)
+    return X, y
+
+
+@pytest.mark.parametrize("task, n, width, batch, l2", MLP_ORACLE_CASES)
+def test_mlp_train_matches_reference_loop_bit_for_bit(task, n, width, batch, l2):
+    X, y = _oracle_data(task, n, width, seed=n + width)
+    cfg = MLPConfig(l2=l2, epochs=4, batch_size=batch, learning_rate=0.01, seed=n)
+    got = mlp_train(X, y, task, cfg)
+    want = reference_mlp_train(X, y, task, cfg)
+    assert got.task is want.task
+    for ours, theirs in zip(got.weights + got.biases, want.weights + want.biases):
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+    assert mlp_predict(got, X).tobytes() == mlp_predict(want, X).tobytes()
+
+
+@pytest.mark.parametrize("task, n, width, batch, l2", MLP_ORACLE_CASES)
+def test_mlp_loss_and_grads_match_reference_bit_for_bit(task, n, width, batch, l2):
+    X, y = _oracle_data(task, n, width, seed=n * width)
+    # Trained parameters, so no gradient is zero by the initialization.
+    net = mlp_train(X, y, task, MLPConfig(epochs=2, batch_size=batch, learning_rate=0.01, seed=1))
+    rows = np.arange(min(batch, n))
+    loss, grads = mlp_loss_and_grads(net, X[rows], y[rows], l2)
+    ref_loss, ref_grads = reference_mlp_loss_and_grads(net, X[rows], y[rows], l2)
+    assert loss == ref_loss
+    for ours, theirs in zip(grads, ref_grads):
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def test_parameters_are_views_of_one_block():
+    X, y = _oracle_data(Task.CLASSIFICATION, 9, 5, seed=0)
+    net = mlp_train(X, y, Task.CLASSIFICATION, MLPConfig(epochs=1))
+    block = net.weights[0].base
+    params = [net.weights[0], net.biases[0], net.weights[1], net.biases[1], net.weights[2], net.biases[2]]
+    assert block.size == sum(p.size for p in params)
+    assert all(p.base is block for p in params)
+    assert np.array_equal(block, np.concatenate([p.ravel() for p in params]))
+
+
+@pytest.mark.parametrize(
+    "shape, task, standardize",
+    [
+        ((378, 54), Task.REGRESSION, True),  # desk, cat-3
+        ((378, 32), Task.CLASSIFICATION, False),  # desk, steve-32
+        ((300, 54), Task.REGRESSION, True),  # wide evaluation sub-league, cat-3
+        ((300, 32), Task.CLASSIFICATION, False),  # wide evaluation sub-league, steve-32
+    ],
+)
+def test_cross_validate_report_matches_reference_loop(shape, task, standardize, monkeypatch):
+    rng = np.random.default_rng(41)
+    if standardize:
+        X = rng.poisson(4.0, shape).astype(np.float64)  # match counts
+    else:
+        X = steve_features(init_model(shape[0], shape[1] // 2, 41), range(1, shape[0] + 1))
+    values = rng.lognormal(4.0, 1.0, shape[0])
+    y = values if task is Task.REGRESSION else quartile_labels(values)
+    got = cross_validate(X, y, task, seed=41, standardize_features=standardize).to_dict()
+    monkeypatch.setattr(valuation, "mlp_train", reference_mlp_train)
+    want = cross_validate(X, y, task, seed=41, standardize_features=standardize).to_dict()
+    assert got == want
