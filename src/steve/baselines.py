@@ -125,16 +125,11 @@ def sum_features(
     team: int | Sequence[int],
     newest_season: int,
     x: int,
-    recompute_ratios: bool = False,
 ) -> np.ndarray:
     """Elementwise sum of the last ``x`` season-stats vectors.
 
-    By default the three ratio entries are summed along with the counts
-    (literal reading).  With ``recompute_ratios=True`` they are instead
-    recomputed from the summed goal and match totals.  ``team`` may also be
-    a sequence of ids, giving one row per team.
+    The three ratio entries are summed along with the counts (literal
+    reading).  ``team`` may also be a sequence of ids, giving one row per
+    team.
     """
-    tallies = _window_tallies(matches, registry, team, newest_season, x)
-    if recompute_ratios:
-        return _vectors(tallies.sum(axis=-3))
-    return _vectors(tallies).sum(axis=-2)
+    return _vectors(_window_tallies(matches, registry, team, newest_season, x)).sum(axis=-2)

@@ -4,8 +4,9 @@ Subcommands: ``train``, ``similar``, ``rank``, ``evaluate``, ``summary``
 and ``export-features``.  Every command takes ``--seed`` (default 7),
 ``--output {text,json}`` and ``--quiet``; all randomness derives from the
 one seed, fanned out into per-stage sub-seeds, so reruns with identical
-inputs are reproducible.  Exit codes: 0 success, 1 validation error, 2 I/O
-error.
+inputs are reproducible.  With ``--output json`` every line a command
+prints is one JSON document.  Exit codes: 0 success, 1 validation error,
+2 I/O error.
 """
 
 from __future__ import annotations
@@ -29,14 +30,10 @@ _STAGE_TRAIN = 0
 _STAGE_EVAL = 1
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # Usage problems are validation errors (exit 1), not I/O errors.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _stage_seed(seed: int, stage: int) -> int:
@@ -74,6 +71,20 @@ def _team_list(arg: str) -> list[str]:
     return names
 
 
+def _progress(args, epochs: int):
+    """The ``progress`` sink of :func:`train`: one line per epoch, ``None`` when quiet."""
+    if args.quiet:
+        return None
+    if args.output == "json":
+        return lambda epoch, loss: print(json.dumps({"epoch": epoch, "mean_loss": loss}))
+    return lambda epoch, loss: print(f"epoch {epoch:>3}/{epochs}  mean_loss {loss:.6f}")
+
+
+def _report_written(args, path: str) -> None:
+    if not args.quiet:
+        print(json.dumps({"wrote": path}) if args.output == "json" else f"wrote {path}")
+
+
 def cmd_train(args) -> int:
     cfg = TrainConfig(
         delta=args.delta,
@@ -83,17 +94,9 @@ def cmd_train(args) -> int:
         weight_decay=args.weight_decay,
         seed=args.seed,
     )
-    ds = _load_dataset(args.matches)
-    if args.quiet:
-        progress = None
-    elif args.output == "json":
-        progress = lambda epoch, loss: print(json.dumps({"epoch": epoch, "mean_loss": loss}))
-    else:
-        progress = lambda epoch, loss: print(f"epoch {epoch:>3}/{cfg.epochs}  mean_loss {loss:.6f}")
-    model = train(ds, cfg, progress=progress)
+    model = train(_load_dataset(args.matches), cfg, progress=_progress(args, cfg.epochs))
     model_io.save_model(model, args.model_out, train_config=cfg)
-    if not args.quiet:
-        print(f"wrote {args.model_out}")
+    _report_written(args, args.model_out)
     return 0
 
 
@@ -182,10 +185,7 @@ def cmd_evaluate(args) -> int:
     model = None
     if kind == "steve":
         cfg = TrainConfig(delta=param, seed=_stage_seed(args.seed, _STAGE_TRAIN))
-        progress = None if args.quiet else (
-            lambda epoch, loss: print(f"epoch {epoch:>3}/{cfg.epochs}  mean_loss {loss:.6f}")
-        )
-        model = train(ds, cfg, progress=progress)
+        model = train(ds, cfg, progress=_progress(args, cfg.epochs))
     _, features, standardize = _features(kind, param, ds, ds.x_max, model)
     task = Task(args.task)
     targets = y if task is Task.REGRESSION else valuation.quartile_labels(y)
@@ -227,8 +227,7 @@ def cmd_export_features(args) -> int:
         writer.writerow(["team"] + header)
         for name, row in zip(names, rows):
             writer.writerow([name] + [repr(float(v)) for v in row])
-    if not args.quiet:
-        print(f"wrote {args.features_out}")
+    _report_written(args, args.features_out)
     return 0
 
 
@@ -287,17 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"steve: error: {e}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"steve: error: {e}", file=sys.stderr)
-        return 1
     except ValueError as e:
         print(f"steve: error: {e}", file=sys.stderr)
         return 1

@@ -29,16 +29,10 @@ UNIT_NORM_TOL = 1e-6
 #: Teams per chunk of text handed to ``writelines`` by :func:`save_model`.
 _SLAB_TEAMS = 256
 
-#: How ``json`` spells the floats that ``float.__repr__`` writes as ``nan``/``inf``.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
 
 def _float_texts(block: np.ndarray) -> list[str]:
-    """Each value of ``block`` (row-major) as ``json`` writes a float."""
-    texts = list(map(float.__repr__, block.ravel().tolist()))
-    if not np.isfinite(block).all():
-        texts = [_NON_FINITE.get(t, t) for t in texts]
-    return texts
+    """Each finite value of ``block`` (row-major) as ``json`` writes a float."""
+    return list(map(float.__repr__, block.ravel().tolist()))
 
 
 def _team_slabs(model: EmbeddingModel):
@@ -72,8 +66,15 @@ def save_model(
 
     The file holds the bytes ``json.dump(doc, f, indent=1)`` and a final
     newline would write, but the team records are formatted a slab at a
-    time instead of by ``json``'s pure-Python encoder.
+    time instead of by ``json``'s pure-Python encoder.  A model that
+    :func:`load_model` would refuse, one with no teams or with a NaN or an
+    infinity in a vector, raises ``ValueError`` and writes nothing.
     """
+    if not model.m:
+        raise ValueError("model has no teams")
+    team = model.first_non_finite_team()
+    if team is not None:
+        raise ValueError(f"team {model.registry.name_of(team)!r} has a non-finite vector")
     header = json.dumps(
         {
             "format_version": MODEL_FORMAT_VERSION,
@@ -92,7 +93,7 @@ def save_model(
             f.write(header[:-2] + ',\n "teams": [')
             for slab in _team_slabs(model):
                 f.writelines(slab)
-            f.write("\n ]\n}\n" if model.m else "]\n}\n")
+            f.write("\n ]\n}\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

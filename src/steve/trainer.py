@@ -98,13 +98,11 @@ class EmbeddingModel:
     def m(self) -> int:
         return self.registry.m
 
-    def winner_vec(self, team_id: int) -> np.ndarray:
-        self.registry.check_id(team_id)
-        return self.phi[team_id - 1]
-
-    def loser_vec(self, team_id: int) -> np.ndarray:
-        self.registry.check_id(team_id)
-        return self.psi[team_id - 1]
+    def first_non_finite_team(self) -> int | None:
+        """Id of the first team with a NaN or infinity in ``phi`` or ``psi``, else ``None``."""
+        finite = np.isfinite(self.theta).all(axis=1)
+        bad = np.flatnonzero(~(finite[: self.m] & finite[self.m :]))
+        return int(bad[0]) + 1 if bad.size else None
 
     def __eq__(self, other) -> bool:
         """Same sizes, team names and every bit of ``theta``."""
@@ -347,8 +345,11 @@ def train(
     ``progress`` is given; the trained model is the same bits either way.
     ``on_batch`` runs after each completed batch update and is meant for
     instrumentation; only when it is given is the batch's update split into
-    its winner and loser rows.  A model with a non-finite entry (a step too
-    large for float64) is refused with an error naming the first such team.
+    its winner and loser rows.  The batches run, sinks included, under
+    ``np.errstate`` that raises on overflow, invalid values and division by
+    zero, so a step too large for float64 ends training with an error
+    naming the winner of its batch's first match; a model that still holds
+    a NaN or an infinity is refused naming the first such team.
     """
     if not len(ds):
         raise ValueError("dataset is empty")
@@ -370,30 +371,38 @@ def train(
     opp = ds.b - 1 + m * (1 - ds.d)
     w = ds.s / x_max
 
-    with_loss = progress is not None
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        ea, eopp, ew = a.take(perm), opp.take(perm), w.take(perm)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            loss, rows, x, grads = _stacked_gradients(
-                theta, ea[start:stop], eopp[start:stop], ew[start:stop], cfg.weight_decay, mask, pos,
-                with_loss,
-            )
-            _adam_step(theta, opt, rows, x, grads, cfg.learning_rate)
-            if with_loss:
-                total += loss
-            if on_batch is not None:
-                on_batch(model, GradientUpdate.split(rows, grads, m))
-        if progress is not None:
-            progress(epoch, total / n)
-    finite = np.isfinite(theta).all(axis=1)
-    if not finite.all():
-        team = int(np.flatnonzero(~(finite[:m] & finite[m:]))[0]) + 1
-        raise ValueError(
+    def diverged(team: int) -> ValueError:
+        return ValueError(
             f"training diverged: team {ds.registry.name_of(team)!r} has a non-finite vector "
             f"(learning_rate={cfg.learning_rate}, weight_decay={cfg.weight_decay})"
         )
+
+    with_loss = progress is not None
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    # An overflow, a 0/0 or a division by a zero norm stops the step before
+    # it writes a NaN or an infinity into theta.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for epoch in range(1, cfg.epochs + 1):
+            perm = shuffle_rng.permutation(n)
+            ea, eopp, ew = a.take(perm), opp.take(perm), w.take(perm)
+            total = 0.0
+            for start in range(0, n, cfg.batch_size):
+                stop = start + cfg.batch_size
+                try:
+                    loss, rows, x, grads = _stacked_gradients(
+                        theta, ea[start:stop], eopp[start:stop], ew[start:stop], cfg.weight_decay,
+                        mask, pos, with_loss,
+                    )
+                    _adam_step(theta, opt, rows, x, grads, cfg.learning_rate)
+                except FloatingPointError:
+                    raise diverged(int(ea[start]) + 1) from None
+                if with_loss:
+                    total += loss
+                if on_batch is not None:
+                    on_batch(model, GradientUpdate.split(rows, grads, m))
+            if progress is not None:
+                progress(epoch, total / n)
+    team = model.first_non_finite_team()
+    if team is not None:
+        raise diverged(team)
     return model

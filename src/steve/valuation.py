@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .analytics import format_aligned
 from .trainer import EmbeddingModel
 
 
@@ -437,18 +438,10 @@ class EvalReport:
 
     def format_table(self, label: str | None = None) -> str:
         """One aligned row of ``mean +/- std`` per metric column."""
-        label = label or self.metadata.get("representation", "features")
-        metrics = list(self.per_fold)
-        cells = [f"{self.mean[m]:.2f} ± {self.std[m]:.2f}" for m in metrics]
-        headers = [_DISPLAY_NAMES.get(m, m) for m in metrics]
-        widths = [max(len(h), len(c)) for h, c in zip(headers, cells)]
-        name_w = max(len(label), len("representation"))
-        lines = [
-            "  ".join(["representation".ljust(name_w)] + [h.ljust(w) for h, w in zip(headers, widths)]),
-            "  ".join(["-" * name_w] + ["-" * w for w in widths]),
-            "  ".join([label.ljust(name_w)] + [c.ljust(w) for c, w in zip(cells, widths)]),
-        ]
-        return "\n".join(lines)
+        record = {"representation": label or self.metadata.get("representation", "features")}
+        for m in self.per_fold:
+            record[_DISPLAY_NAMES.get(m, m)] = f"{self.mean[m]:.2f} ± {self.std[m]:.2f}"
+        return format_aligned([record], list(record))
 
 
 def cv_folds(n_samples: int, seed: int) -> list[np.ndarray]:

@@ -718,14 +718,10 @@ def reference_cat_features(raw, registry, team: int, newest_season: int, x: int)
     return np.concatenate([_reference_vector_from_tally(tallies[s]) for s in seasons])
 
 
-def reference_sum_features(
-    raw, registry, team: int, newest_season: int, x: int, recompute_ratios: bool = False
-) -> np.ndarray:
+def reference_sum_features(raw, registry, team: int, newest_season: int, x: int) -> np.ndarray:
     registry.check_id(team)
     seasons = _reference_season_window(newest_season, x)
     tallies = reference_tally_matches(raw, team, set(seasons))
-    if recompute_ratios:
-        return _reference_vector_from_tally(sum(tallies[s] for s in seasons))
     vectors = [_reference_vector_from_tally(tallies[s]) for s in seasons]
     return np.sum(vectors, axis=0)
 

@@ -169,16 +169,15 @@ class TestSumFeatures:
         by_hand = season_stats(as_matches(raw), registry, 1, 1) + season_stats(as_matches(raw), registry, 1, 2)
         np.testing.assert_allclose(literal, by_hand)
 
-    def test_recompute_ratios_switch(self, registry):
+    def test_ratios_are_summed_literally(self, registry):
         raw = [
             match(1, 2, 3, 1, 1),   # 3 goals in 1 match -> ratio 3
             match(1, 3, 1, 0, 2),   # 1 goal in 1 match -> ratio 1
         ]
         literal = sum_features(as_matches(raw), registry, 1, 2, 2)
-        recomputed = sum_features(as_matches(raw), registry, 1, 2, 2, recompute_ratios=True)
+        by_hand = season_stats(as_matches(raw), registry, 1, 1) + season_stats(as_matches(raw), registry, 1, 2)
         assert literal[15] == pytest.approx(4.0)      # 3 + 1 summed
-        assert recomputed[15] == pytest.approx(2.0)   # 4 goals over 2 matches
-        np.testing.assert_allclose(literal[:15], recomputed[:15])
+        np.testing.assert_allclose(literal, by_hand)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +209,16 @@ def check_against_reference(raw, registry, newest, x):
     """Every feature of every team, one call per team and one for all teams."""
     teams = range(1, registry.m + 1)
     cases = [
-        (season_stats, reference_season_stats, (newest,), {}),
-        (cat_features, reference_cat_features, (newest, x), {}),
-        (sum_features, reference_sum_features, (newest, x), {}),
-        (sum_features, reference_sum_features, (newest, x), {"recompute_ratios": True}),
+        (season_stats, reference_season_stats, (newest,)),
+        (cat_features, reference_cat_features, (newest, x)),
+        (sum_features, reference_sum_features, (newest, x)),
     ]
     matches = as_matches(raw)
-    for fast, slow, args, kwargs in cases:
-        expected = np.array([slow(raw, registry, t, *args, **kwargs) for t in teams])
+    for fast, slow, args in cases:
+        expected = np.array([slow(raw, registry, t, *args) for t in teams])
         for t in teams:
-            assert np.array_equal(fast(matches, registry, t, *args, **kwargs), expected[t - 1])
-        assert np.array_equal(fast(matches, registry, teams, *args, **kwargs), expected)
+            assert np.array_equal(fast(matches, registry, t, *args), expected[t - 1])
+        assert np.array_equal(fast(matches, registry, teams, *args), expected)
 
 
 class TestTallyMatchesReferenceScan:

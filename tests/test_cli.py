@@ -73,8 +73,8 @@ class TestTrain:
         rc = main(["train", str(matches_file), "-o", str(tmp_path / "m.json"),
                    "--epochs", "2", "--output", "json"])
         assert rc == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
-        records = [json.loads(l) for l in lines]
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        records = [r for r in records if "epoch" in r]
         assert [r["epoch"] for r in records] == [1, 2]
         assert all("mean_loss" in r for r in records)
 
@@ -100,13 +100,14 @@ class TestTrain:
         [
             (["--learning-rate", "inf"], "learning_rate"),
             (["--learning-rate", "1e308"], "team 'Club "),
+            (["--weight-decay", "1e308"], "team 'Club "),
             (["--weight-decay", "nan"], "weight_decay"),
             (["--weight-decay", "inf"], "weight_decay"),
         ],
     )
     def test_non_finite_model_is_refused_and_earlier_file_kept(self, matches_file, tmp_path, flags, message):
-        # Run in a subprocess: with a 1e308 step numpy overflows and warns on
-        # stderr, and here that warning must not fail the test.
+        # Run in a subprocess to see the whole of stderr: one error line, no
+        # numpy RuntimeWarning from the overflowing step.
         out = tmp_path / "m.json"
         out.write_bytes(b"an earlier model\n")
         src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -118,7 +119,30 @@ class TestTrain:
         assert proc.returncode == 1
         assert "steve: error:" in proc.stderr and message in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
         assert out.read_bytes() == b"an earlier model\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "export-features"])
+def test_json_output_is_json_on_every_line(matches_file, model_file, tmp_path, capsys, command):
+    values = tmp_path / "values.csv"
+    values.write_text(values_csv(team_names(model_file), seed=1), encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv, epochs, last = {
+        "train": (["train", str(matches_file), "-o", out, "--epochs", "2"], 2, {"wrote": out}),
+        "evaluate": (["evaluate", str(matches_file), str(values), "--representation", "steve-16"], 40, None),
+        "export-features": (["export-features", str(matches_file), "-o", out, "--representation", "cat-1"],
+                            0, {"wrote": out}),
+    }[command]
+    assert main(argv + ["--output", "json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == epochs + 1
+    assert [r["epoch"] for r in records[:-1]] == list(range(1, epochs + 1))
+    if last is None:  # the evaluate report
+        assert records[-1]["metadata"]["representation"] == "steve-16"
+    else:
+        assert records[-1] == last
 
 
 class TestSimilar:
@@ -405,3 +429,18 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["similar", "m.json"], "the following arguments are required: --team"),
+            (["summary", "m.csv", "--output", "xml"], "argument --output: invalid choice: 'xml'"),
+            (["train", "m.csv", "--epochs", "two"], "argument --epochs: invalid int value: 'two'"),
+            (["summary", "m.csv", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_error_is_one_validation_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"steve: error: {message}")
+        assert len(err.splitlines()) == 1

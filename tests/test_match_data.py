@@ -61,6 +61,17 @@ class TestIngest:
         assert matches.season[0] == 2
         assert matches.season[1] == 1
 
+    def test_unpadded_season_labels_sort_as_strings(self):
+        # The documented rule: labels are ordered lexicographically, so an
+        # unpadded "Season 10" comes before "Season 9".
+        _, matches = parse(
+            HEADER
+            + "\nSeason 9,NationalLeague,A,B,1,0"
+            + "\nSeason 10,NationalLeague,A,B,0,1\n"
+        )
+        assert matches.season_labels == ("Season 10", "Season 9")
+        assert matches.season.tolist() == [2, 1]
+
     def test_header_column_order_free(self):
         registry, matches = parse(
             "home,away,season_label,competition,home_goals,away_goals\n"

@@ -191,7 +191,7 @@ def test_save_without_config(tmp_path):
 # replaced, with ``created_at`` pinned.
 
 STAMP = datetime(2021, 3, 4, 5, 6, 7, 890123, tzinfo=timezone.utc)
-ODD_FLOATS = [-0.0, 5e-324, 1e-300, 1 - 2**-53, 1e16, float("nan"), float("inf"), float("-inf")]
+ODD_FLOATS = [-0.0, 5e-324, 1e-300, 1 - 2**-53, 1e16]
 
 
 class _PinnedClock:
@@ -247,7 +247,10 @@ class TestWriterMatchesJsonDump:
         delta=st.integers(1, 64),
         special=st.lists(team_names, max_size=6, unique=True),
         odd=st.lists(
-            st.tuples(st.integers(0, 2**31), st.one_of(st.sampled_from(ODD_FLOATS), st.floats())),
+            st.tuples(
+                st.integers(0, 2**31),
+                st.one_of(st.sampled_from(ODD_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+            ),
             max_size=12,
         ),
         config=configs,
@@ -268,14 +271,30 @@ class TestWriterMatchesJsonDump:
     def test_every_odd_float_at_slab_edges(self, tmp_path, m):
         model = init_model(m, 8, m)
         for row in (0, m - 1, m, 2 * m - 1, min(255, m - 1), min(256, m - 1)):
-            model.theta[row] = ODD_FLOATS
+            model.theta[row, : len(ODD_FLOATS)] = ODD_FLOATS
         config = TrainConfig(delta=8, x_max=4)
         assert saved_bytes(model, tmp_path / "m.json", config) == json_dump_bytes(model, config)
 
-    def test_model_without_teams(self, tmp_path):
-        empty = np.zeros((0, 3))
-        model = EmbeddingModel(phi=empty, psi=empty, delta=3, registry=TeamRegistry(), x_max=1)
-        assert saved_bytes(model, tmp_path / "m.json") == json_dump_bytes(model, None)
+
+class TestSaveRefusesModelsLoadWouldRefuse:
+    @pytest.mark.parametrize(
+        "value", [None, float("nan"), float("inf"), float("-inf")], ids=["no teams", "nan", "+inf", "-inf"]
+    )
+    def test_refused_and_earlier_file_kept(self, tmp_path, value):
+        if value is None:
+            empty = np.zeros((0, 3))
+            model = EmbeddingModel(phi=empty, psi=empty, delta=3, registry=TeamRegistry(), x_max=1)
+            message = "model has no teams"
+        else:
+            model = init_model(4, 3, 0)
+            model.psi[2, 1] = value
+            message = "team 'team_3' has a non-finite vector"
+        path = tmp_path / "m.json"
+        path.write_bytes(b"an earlier model\n")
+        with pytest.raises(ValueError, match=message):
+            save_model(model, path)
+        assert path.read_bytes() == b"an earlier model\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -298,6 +298,15 @@ class TestTrain:
             for j in range(i + 1, 5):
                 assert head_to_head(model, i, j).outcome is Outcome.A_WINS
 
+    @pytest.mark.parametrize("rates", [{"learning_rate": 1e308}, {"weight_decay": 1e308}])
+    def test_overflowing_step_is_refused_naming_a_team(self, rates):
+        # Raised by the step itself: no RuntimeWarning (an error under this
+        # suite's filter) and no NaN reaches the end-of-training scan.
+        ds = self.small_ds()
+        with pytest.raises(ValueError, match=r"^training diverged: team '.+' has a non-finite") as err:
+            train(ds, TrainConfig(delta=4, epochs=3, batch_size=8, seed=0, **rates))
+        assert err.value.args[0].split("'")[1] in ds.registry.names
+
     def test_empty_dataset_rejected(self):
         ds = Dataset.from_quads([], x_max=1, registry=TeamRegistry(["A", "B"]))
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from steve import valuation
 from steve.trainer import init_model
 from steve.valuation import (
     MLP,
+    EvalReport,
     MLPConfig,
     Task,
     _init_params,
@@ -402,6 +403,37 @@ class TestCrossValidate:
         assert doc["folds"] == 5
         table = report.format_table("toy")
         assert "RMSE" in table and "MMAE" in table and "toy" in table
+
+    @pytest.mark.parametrize(
+        "task, label, table",
+        [
+            (Task.REGRESSION, None,
+             "representation  RMSE          MAE            MMAE         \n"
+             "--------------  ------------  -------------  -------------\n"
+             "cat-3           12.00 ± 1.41  14.50 ± 10.25  56.38 ± 35.82"),
+            (Task.REGRESSION, "a-label-longer-than-representation",
+             "representation                      RMSE          MAE            MMAE         \n"
+             "----------------------------------  ------------  -------------  -------------\n"
+             "a-label-longer-than-representation  12.00 ± 1.41  14.50 ± 10.25  56.38 ± 35.82"),
+            (Task.CLASSIFICATION, None,
+             "representation  Micro F1     Macro F1   \n"
+             "--------------  -----------  -----------\n"
+             "features        0.52 ± 0.01  0.45 ± 0.14"),
+            (Task.CLASSIFICATION, "steve-32",
+             "representation  Micro F1     Macro F1   \n"
+             "--------------  -----------  -----------\n"
+             "steve-32        0.52 ± 0.01  0.45 ± 0.14"),
+        ],
+    )
+    def test_table_bytes(self, task, label, table):
+        if task is Task.REGRESSION:
+            folds = [{"rmse": 10.0 + i, "mae": 7.25 * i, "median_ae": 123.456 / (i + 1)} for i in range(5)]
+            metadata = {"representation": "cat-3"}
+        else:
+            folds = [{"micro_f1": 0.5 + 0.01 * i, "macro_f1": 0.25 + 0.1 * i} for i in range(5)]
+            metadata = None
+        report = EvalReport.from_folds(task, folds, metadata=metadata)
+        assert report.format_table(label) == table
 
     def test_classification_report(self):
         rng = np.random.default_rng(5)
