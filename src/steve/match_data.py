@@ -14,9 +14,9 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from collections import defaultdict
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from operator import eq, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,10 +35,13 @@ class Competition(Enum):
 #: Required CSV columns, in canonical order.
 CSV_FIELDS = ("season_label", "competition", "home", "away", "home_goals", "away_goals")
 
-#: CSV records parsed and checked together by :func:`ingest_csv`.
+#: Lines of a plain chunk, or CSV records, parsed and checked together by
+#: :func:`ingest_csv`.
 _CHUNK_ROWS = 1 << 12
 _COMPETITION_CODE = {c.value: code for code, c in enumerate(Competition)}
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: The common spellings of goal counts, read without ``int``.
+_GOALS = {str(goals): goals for goals in range(100)}
 
 
 class TeamRegistry:
@@ -208,6 +211,21 @@ class Dataset:
         return len(self.a)
 
 
+def csv_records(stream: Iterable[str], first_no: int = 1) -> Iterator[list[str]]:
+    """The records of ``csv.reader(stream)``, numbered from ``first_no``.
+
+    A record the reader cannot take (a field over ``csv.field_size_limit()``,
+    say) raises ``ValueError("row N: …")`` with its number.
+    """
+    row_no = first_no
+    try:
+        for record in csv.reader(stream):
+            yield record
+            row_no += 1
+    except csv.Error as e:
+        raise ValueError(f"row {row_no}: {e}") from None
+
+
 def _blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
@@ -255,28 +273,122 @@ def _checked_fields(rows: list[list[str]], first_no: int, col: list[int]) -> tup
     return out
 
 
-def _fields(rows: list[list[str]], col: list[int]) -> tuple[list, ...] | None:
-    """What :func:`_checked_fields` returns, a column at a time.
+def _plain_fields(lines: list[str]) -> list[str] | None:
+    """The fields of ``lines``, six a line in file order, if the chunk is plain.
 
-    Returns ``None`` as soon as any record fails one of the checks, without
-    telling which; the caller then re-checks record by record.
+    Plain means what :mod:`csv` would read as one record a line, each field
+    the text between the commas: no quote, no NUL, no ``\\r`` but in a
+    trailing ``\\r\\n``, exactly five commas and a ``\\n`` end on every line,
+    and no line longer than the field size limit.  Otherwise ``None``.
+    """
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if (
+        set(map(str.count, lines, repeat(","))) != {len(CSV_FIELDS) - 1}
+        or text.count("\n") != len(lines)
+        or not all(map(str.endswith, lines, repeat("\n")))
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # after the last line end
+    return fields
+
+
+def _columns(rows: list[list[str]], col: list[int]) -> list[list[str]] | None:
+    """The fields of the records ``rows`` by column, in :data:`CSV_FIELDS` order.
+
+    Blank lines are left out.  ``None`` if a record has the wrong number of fields.
     """
     if set(map(len, rows)) != {len(CSV_FIELDS)}:
         rows = [row for row in rows if not _blank(row)]
         if any(len(row) != len(CSV_FIELDS) for row in rows):
             return None
-    label, comp, home, away = (list(map(str.strip, map(itemgetter(i), rows))) for i in col[:4])
+    return [list(map(itemgetter(i), rows)) for i in col]
+
+
+def _goals(column: list[str]) -> list[int] | None:
+    """The goal counts of ``column``, or ``None`` unless each is an integer in 0..2**63 - 1."""
+    try:
+        return list(map(_GOALS.__getitem__, column))
+    except KeyError:
+        pass
+    try:
+        goals = list(map(int, column))
+    except ValueError:
+        return None
+    return goals if 0 <= min(goals) and max(goals) <= _INT64_MAX else None
+
+
+def _fields(columns: list[list[str]]) -> tuple[list, ...] | None:
+    """What :func:`_checked_fields` returns, from raw fields by column in :data:`CSV_FIELDS` order.
+
+    Returns ``None`` as soon as any record fails one of the checks, without
+    telling which; the caller then re-checks record by record.
+    """
+    label, comp, home, away = (list(map(str.strip, column)) for column in columns[:4])
     comp = list(map(_COMPETITION_CODE.get, comp))
     if not all(label) or None in comp or not all(home) or not all(away) or any(map(eq, home, away)):
         return None
-    try:
-        hg, ag = (list(map(int, map(itemgetter(i), rows))) for i in col[4:])
-    except ValueError:
-        return None
-    goals = (*hg, *ag)
-    if min(goals, default=0) < 0 or max(goals, default=0) > _INT64_MAX:
+    hg, ag = map(_goals, columns[4:])
+    if hg is None or ag is None:
         return None
     return label, comp, home, away, hg, ag
+
+
+def _then_raise(lines: list[str], error: Exception) -> Iterator[str]:
+    """``lines``, then ``error`` where the line after them would be."""
+    yield from lines
+    raise error
+
+
+def _checked_chunks(lines: Iterator[str], col: list[int]) -> Iterator[tuple[list, ...]]:
+    """What :func:`_checked_fields` returns for the records after the header, by chunk.
+
+    Plain chunks (see :func:`_plain_fields`) are split as text, one record a
+    line.  The first chunk that is not plain, or that holds a bad record,
+    goes with the rest of the stream to ``csv.reader``, which names the
+    first bad record.
+    """
+    row_no = 2
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(lines, _CHUNK_ROWS))
+        except (OSError, ValueError) as e:
+            rest = _then_raise(chunk, e)
+            break
+        fields = _plain_fields(chunk)
+        checked = fields and _fields([fields[i::len(CSV_FIELDS)] for i in col])
+        if not checked:
+            rest = chain(chunk, lines)
+            break
+        yield checked
+        row_no += len(chunk)
+        if len(chunk) < _CHUNK_ROWS:
+            return
+
+    reader = csv_records(rest, row_no)
+    while True:
+        rows, unreadable = [], None
+        try:
+            rows.extend(islice(reader, _CHUNK_ROWS))
+        except (OSError, ValueError) as e:
+            # A record that cannot be read or decoded is reported after the
+            # records before it are checked, as a row-by-row parse would.
+            unreadable = e
+        columns = _columns(rows, col)
+        yield columns and _fields(columns) or _checked_fields(rows, row_no, col)
+        row_no += len(rows)
+        if unreadable is not None:
+            raise unreadable
+        if len(rows) < _CHUNK_ROWS:
+            return
 
 
 def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
@@ -291,9 +403,9 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
     named by its record number (the header is record 1; a quoted field may
     span lines).  Goal counts must fit a 64-bit integer.
     """
-    reader = csv.reader(stream)
+    lines = iter(stream)
     try:
-        header = next(reader)
+        header = next(csv_records(lines))
     except StopIteration:
         raise ValueError("empty input: missing header row") from None
     header = [h.strip() for h in header]
@@ -307,26 +419,12 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
     team_ids: dict[str, int] = defaultdict(count(1).__next__)
     label_codes: dict[str, int] = defaultdict(count(1).__next__)
     blocks = []
-    row_no = 2
-    while True:
-        rows, unreadable = [], None
-        try:
-            rows.extend(islice(reader, _CHUNK_ROWS))
-        except (csv.Error, OSError, ValueError) as e:
-            # A record that cannot be read or decoded is reported after the
-            # records before it are checked, as a row-by-row parse would.
-            unreadable = e
-        label, comp, home, away, hg, ag = _fields(rows, col) or _checked_fields(rows, row_no, col)
-        row_no += len(rows)
+    for label, comp, home, away, hg, ag in _checked_chunks(lines, col):
         names = [None] * (2 * len(home))
         names[::2], names[1::2] = home, away
         ids = list(map(team_ids.__getitem__, names))
         codes = list(map(label_codes.__getitem__, label))
         blocks.append(np.array([ids[::2], ids[1::2], hg, ag, codes, comp], dtype=np.int64))
-        if unreadable is not None:
-            raise unreadable
-        if len(rows) < _CHUNK_ROWS:
-            break
 
     home, away, hg, ag, label_code, comp = np.concatenate(blocks, axis=1)
     if not home.size:

@@ -8,7 +8,6 @@ and deterministic so reports are reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -17,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import format_aligned
+from .match_data import csv_records
 from .trainer import EmbeddingModel
 
 
@@ -37,7 +37,7 @@ def load_values(stream: Iterable[str]) -> dict[str, float]:
     Values must be positive numbers; duplicate teams are rejected.
     """
     table: dict[str, float] = {}
-    for row_no, row in enumerate(csv.reader(stream), start=1):
+    for row_no, row in enumerate(csv_records(stream), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         cells = [c.strip() for c in row]
@@ -187,13 +187,17 @@ def _init_params(dims: list[int], seed) -> tuple[list[np.ndarray], list[np.ndarr
     return weights, biases
 
 
-def _forward(weights, biases, X):
-    """Forward pass keeping pre-activations for backprop."""
-    z1 = X @ weights[0] + biases[0]
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ weights[1] + biases[1]
-    h2 = np.maximum(z2, 0.0)
-    z3 = h2 @ weights[2] + biases[2]
+def _forward(weights, biases, X, out=(None,) * 5):
+    """Forward pass keeping pre-activations for backprop, written into ``out`` where given."""
+    z1, h1, z2, h2, z3 = out
+    z1 = np.matmul(X, weights[0], out=z1)
+    z1 += biases[0]
+    h1 = np.maximum(z1, 0.0, out=h1)
+    z2 = np.matmul(h1, weights[1], out=z2)
+    z2 += biases[1]
+    h2 = np.maximum(z2, 0.0, out=h2)
+    z3 = np.matmul(h2, weights[2], out=z3)
+    z3 += biases[2]
     return z1, h1, z2, h2, z3
 
 
@@ -203,17 +207,20 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_grads(
-    net: MLP, X: np.ndarray, y: np.ndarray, l2: float, grads: list[np.ndarray], with_loss: bool
+    net: MLP, X: np.ndarray, y: np.ndarray, l2: float, grads: list[np.ndarray], with_loss: bool,
+    work=(None,) * 7,
 ) -> float | None:
     """Write the batch gradients into ``grads`` (order W1, b1, W2, b2, W3, b3).
 
     Returns the loss, or ``None`` unless ``with_loss``; the gradients do not
-    depend on it.  See :func:`mlp_loss_and_grads` for the loss.
+    depend on it.  See :func:`mlp_loss_and_grads` for the loss.  ``work``
+    holds buffers for z1, h1, z2, h2, z3, dz2 and dz1; without them the
+    step allocates its own.
     """
     weights, biases = net.weights, net.biases
     dW1, db1, dW2, db2, dW3, db3 = grads
     n = X.shape[0]
-    z1, h1, z2, h2, z3 = _forward(weights, biases, X)
+    z1, h1, z2, h2, z3 = _forward(weights, biases, X, work[:5])
 
     if net.task is Task.REGRESSION:
         resid = z3[:, 0] - y
@@ -232,11 +239,13 @@ def _loss_and_grads(
     np.matmul(h2.T, dz3, out=dW3)
     dW3 += (l2 / n) * weights[2]
     dz3.sum(axis=0, out=db3)
-    dz2 = (dz3 @ weights[2].T) * (z2 > 0)
+    dz2 = np.matmul(dz3, weights[2].T, out=work[5])
+    dz2 *= z2 > 0
     np.matmul(h1.T, dz2, out=dW2)
     dW2 += (l2 / n) * weights[1]
     dz2.sum(axis=0, out=db2)
-    dz1 = (dz2 @ weights[1].T) * (z1 > 0)
+    dz1 = np.matmul(dz2, weights[1].T, out=work[6])
+    dz1 *= z1 > 0
     np.matmul(X.T, dz1, out=dW1)
     dW1 += (l2 / n) * weights[0]
     dz1.sum(axis=0, out=db1)
@@ -280,7 +289,10 @@ def mlp_train(
     """Train the fixed 50/20 network with mini-batch Adam.
 
     Each batch takes one in-place Adam step over the flat parameter block,
-    without computing the loss.
+    without computing the loss.  Its batch-sized arrays live in buffers made
+    once: a step that allocated and freed them could make the allocator hand
+    the heap top back and fault it in again every step (glibc trims a free
+    top over 128 KiB), at a cost that depends on the heap's earlier layout.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64 if task is Task.REGRESSION else None)
@@ -304,12 +316,17 @@ def mlp_train(
     step, denom = np.empty_like(theta), np.empty_like(theta)
     t = 0
     batch = min(cfg.batch_size, n)
+    d0, d1, d2, d3 = dims
+    # The batch, z1, h1, z2, h2, z3, dz2 and dz1 of a step.
+    work = [np.empty((batch, width)) for width in (d0, d1, d1, d2, d2, d3, d2, d1)]
     rng = np.random.default_rng(shuffle_ss)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            _loss_and_grads(net, X[idx], y[idx], cfg.l2, grads, with_loss=False)
+            xb, *buffers = work if len(idx) == batch else [w[: len(idx)] for w in work]
+            np.take(X, idx, axis=0, out=xb)
+            _loss_and_grads(net, xb, y[idx], cfg.l2, grads, with_loss=False, work=buffers)
             t += 1
             bc1 = 1.0 - MLPConfig.BETA1**t
             bc2 = 1.0 - MLPConfig.BETA2**t

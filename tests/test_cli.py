@@ -256,6 +256,40 @@ def test_goal_count_beyond_int64_is_validation_error(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("header", "row 1: field larger than field limit (131072)"),
+        ("matches", "row 6: field larger than field limit (131072)"),
+        ("values", "row 4: field larger than field limit (131072)"),
+        ("NUL", "row 6: "),  # "goals must be integers", or "line contains NUL" before Python 3.11
+    ],
+)
+def test_record_csv_cannot_read_is_one_validation_error(tmp_path, capsys, where, message):
+    long_name = "X" * 200_000
+    lines = league_csv(n_teams=6, seasons=2, seed=0, rounds=1).splitlines()
+    values = values_csv([f"Club {c}" for c in "ABCDEF"]).splitlines()
+    if where == "header":
+        lines[0] = lines[0].replace("home,", long_name + ",")
+    elif where == "matches":
+        lines.insert(5, f"2010/2011,NationalLeague,Club A,{long_name},1,0")
+    elif where == "values":
+        values.insert(3, f"{long_name},10")
+    else:
+        lines.insert(5, "2010/2011,NationalLeague,Club A,Club B,1\0,0")
+    matches = tmp_path / "m.csv"
+    matches.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values_path = tmp_path / "v.csv"
+    values_path.write_text("\n".join(values) + "\n", encoding="utf-8")
+    argv = ["summary", str(matches)] if where in ("header", "matches") else [
+        "evaluate", str(matches), str(values_path), "--representation", "cat-1"]
+    assert main(argv + ["--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"steve: error: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 class TestEvaluate:
     @pytest.fixture
     def values_file(self, tmp_path, matches_file, model_file):

@@ -323,16 +323,39 @@ def csv_texts(draw, bad_kind=None):
     return out.getvalue()
 
 
-def outcome(parse_fn, text):
+def stream_of(source):
+    """A file's text as a text stream; a list of lines as it is."""
+    return io.StringIO(source) if isinstance(source, str) else iter(source)
+
+
+def outcome(parse_fn, source):
     try:
-        return None, parse_fn(io.StringIO(text))
+        return None, parse_fn(stream_of(source))
     except ValueError as e:
         return f"{type(e).__name__}: {e}", None
 
 
+def reference_outcome(source):
+    """The reference parser's outcome; where ``csv.reader`` raises in it, the
+    error ``ingest_csv`` gives instead: the record's number and the reader's
+    message."""
+    try:
+        return outcome(reference_ingest_csv, source)
+    except csv.Error as e:
+        records = csv.reader(stream_of(source))
+        read = 0
+        with pytest.raises(csv.Error):
+            for read, _ in enumerate(records, start=1):
+                pass
+        return f"ValueError: row {read + 1}: {e}", None
+
+
 def assert_same_as_reference(text, chunk):
-    """Either the same error text, or equal registry, columns, quads and summary."""
-    ref_error, ref = outcome(reference_ingest_csv, text)
+    """Either the same error text, or equal registry, columns, quads and summary.
+
+    ``text`` is a file's text or a list of lines.
+    """
+    ref_error, ref = reference_outcome(text)
     with mock.patch.object(match_data, "_CHUNK_ROWS", chunk):
         error, got = outcome(ingest_csv, text)
     assert error == ref_error
@@ -357,6 +380,19 @@ def assert_same_as_reference(text, chunk):
 
 
 CHUNKS = st.integers(1, 9)
+
+
+def plain_lines(n, seed=5):
+    """A header and ``n`` records of a file with no quotes, without line ends.
+
+    Goals below 100 and above: both ways of reading them."""
+    rng = np.random.default_rng(seed)
+    lines = [",".join(CSV_FIELDS)]
+    for _ in range(n):
+        i, j = rng.choice(12, size=2, replace=False)
+        lines.append(f"{2010 + rng.integers(0, 3)}/x,{TAGS[rng.integers(0, 3)]},Club {i},Club {j},"
+                     f"{rng.integers(0, 6)},{rng.integers(0, 120)}")
+    return lines
 
 
 class TestIngestMatchesReferenceParser:
@@ -407,8 +443,9 @@ class TestIngestMatchesReferenceParser:
         error = assert_same_as_reference("\n".join(bad) + "\n", match_data._CHUNK_ROWS)
         assert error == f"ValueError: row {at}: home and away team are both 'A'"
 
+    @pytest.mark.parametrize("chunk", [1, 2, 2**12])
     @pytest.mark.parametrize("failing_at", [1, 3, 5])
-    def test_unreadable_input_after_rows_read_first(self, failing_at):
+    def test_unreadable_input_after_rows_read_first(self, failing_at, chunk):
         # A read error surfaces where the row-by-row parser met it: after
         # the rows before it were checked, before the rows after it.
         lines = [HEADER, "s,NationalLeague,A,B,1,0", "s,NationalLeague,A,B,1,0",
@@ -422,8 +459,92 @@ class TestIngestMatchesReferenceParser:
 
         errors = []
         for parse_fn in (reference_ingest_csv, ingest_csv):
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(ValueError) as info, mock.patch.object(match_data, "_CHUNK_ROWS", chunk):
                 parse_fn(stream())
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         assert (errors[1][0] is UnicodeDecodeError) == (failing_at <= 3)
+
+    # Plain chunks (one record a line, no quotes) are split as text; any
+    # other chunk goes with the rest of the file to csv.reader.
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 2**12])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
+    def test_plain_lines_with_and_without_line_ends(self, end, chunk):
+        lines = [line + end for line in plain_lines(20)]
+        assert assert_same_as_reference(lines, chunk) is None
+        assert assert_same_as_reference("".join(lines) if end else "\n".join(lines), chunk) is None
+        lines[-1] = lines[-1].rstrip("\r\n")  # the last line without its end
+        assert assert_same_as_reference(lines, chunk) is None
+        assert assert_same_as_reference("".join(lines) if end else "\n".join(lines), chunk) is None
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 2**12])
+    @pytest.mark.parametrize("odd", ["\r", "\n", "\0"])
+    @pytest.mark.parametrize("where", ["line end", "team name", "goals"])
+    def test_line_break_or_nul_inside_a_line(self, odd, where, chunk):
+        # csv.reader may read these or raise (a line break inside an
+        # unquoted field, a NUL on Python 3.10); ingest_csv reads what it reads.
+        lines = [line + "\n" for line in plain_lines(12)]
+        line = lines[6]
+        lines[6] = {"line end": line[:-1] + odd,
+                    "team name": line.replace("Club ", "Club" + odd, 1),
+                    "goals": line[:-2] + odd + line[-2:]}[where]
+        assert_same_as_reference(lines, chunk)
+
+    @pytest.mark.parametrize("chunk", [2, 3, 2**12])
+    def test_list_item_without_its_line_end(self, chunk):
+        # Read as one text, the two items below hold two good records
+        # ("...,0" + "8,..." and "2010/x,...,Club\n4,1"); csv.reader reads
+        # the first item as a record and refuses the line break in the second.
+        lines = [line + "\n" for line in plain_lines(12)]
+        lines[5:7] = ["2010/x,NationalLeague,Club 1,Club 2,1,0", "8,2010/x,NationalLeague,Club 3,Club\n4,1\n"]
+        assert assert_same_as_reference(lines, chunk).startswith("ValueError: row 7: new-line character")
+
+    @pytest.fixture
+    def field_limit_40(self):
+        old = csv.field_size_limit(40)
+        yield
+        csv.field_size_limit(old)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 2**12])
+    def test_line_over_the_field_limit(self, field_limit_40, chunk):
+        lines = [line + "\n" for line in plain_lines(12)]
+        # Every field fits, but the line is longer than the limit.
+        lines[4] = f"2010/x,NationalLeague,{'A' * 30},{'B' * 30},1,0\n"
+        assert assert_same_as_reference(lines, chunk) is None
+        lines[8] = f"2010/x,NationalLeague,{'C' * 41},Club 1,1,0\n"
+        assert assert_same_as_reference(lines, chunk) == "ValueError: row 9: field larger than field limit (40)"
+
+    @pytest.mark.parametrize("chunk", [*range(1, 10), 2**12])
+    @pytest.mark.parametrize("blank", ["\n", "\r\n", "   \n", "\t\n", ""])
+    def test_blank_line_in_a_plain_file(self, blank, chunk):
+        lines = [line + "\n" for line in plain_lines(12)]
+        lines.insert(7, blank)
+        assert assert_same_as_reference(lines, chunk) is None
+        lines.insert(10, "2010/x,NationalLeague,Club 1,Club 1,1,0\n")
+        assert assert_same_as_reference(lines, chunk) == "ValueError: row 11: home and away team are both 'Club 1'"
+
+    @pytest.mark.parametrize("chunk", [*range(1, 10), 2**12])
+    def test_quoted_multi_line_record_after_plain_chunks(self, chunk):
+        lines = [line + "\n" for line in plain_lines(30)]
+        lines[14:14] = ['2010/x,NationalLeague,"Club\n', ' 1",Club 2,1,0\n']  # record 15
+        assert assert_same_as_reference(lines, chunk) is None
+        assert assert_same_as_reference("".join(lines), chunk) is None
+        lines.insert(20, "2010/x,NationalLeague,Club 3,Club 3,1,0\n")  # record 20
+        error = assert_same_as_reference("".join(lines), chunk)
+        assert error == "ValueError: row 20: home and away team are both 'Club 3'"
+
+    def test_plain_file_reads_only_the_header_with_csv_reader(self, monkeypatch):
+        records = []
+        reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            for record in reader(*args, **kwargs):
+                records.append(record)
+                yield record
+
+        monkeypatch.setattr(match_data.csv, "reader", counting_reader)
+        monkeypatch.setattr(match_data, "_CHUNK_ROWS", 4)
+        _, matches = parse("".join(line + "\r\n" for line in plain_lines(30)))
+        assert len(matches) == 30
+        assert records == [list(CSV_FIELDS)]
