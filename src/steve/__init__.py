@@ -19,9 +19,6 @@ from .match_data import (
 from .trainer import (
     EmbeddingModel,
     TrainConfig,
-    batch_gradients,
-    init_model,
-    sample_loss,
     train,
 )
 from .analytics import (
@@ -80,7 +77,6 @@ __all__ = [
     "Task",
     "TeamRegistry",
     "TrainConfig",
-    "batch_gradients",
     "cat_feature_columns",
     "cat_features",
     "compute_metrics",
@@ -89,7 +85,6 @@ __all__ = [
     "dataset_summary",
     "head_to_head",
     "ingest_csv",
-    "init_model",
     "load_model",
     "load_values",
     "mlp_predict",
@@ -98,7 +93,6 @@ __all__ = [
     "quartile_labels",
     "rank_teams",
     "read_model_file",
-    "sample_loss",
     "save_model",
     "season_stats",
     "standardize_apply",

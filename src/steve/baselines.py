@@ -13,10 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .match_data import Competition, Matches, TeamRegistry
-
-#: Competition blocks in vector order; a match's competition code indexes it.
-COMPETITION_ORDER = tuple(Competition)
+from .match_data import Matches, TeamRegistry
 
 _BLOCK_PREFIXES = ("national", "champions_league", "europa_league")
 _BLOCK_STATS = ("wins", "draws", "defeats", "goals_for", "goals_against")
@@ -40,7 +37,7 @@ def match_tally(matches: Matches, m: int, newest_season: int) -> np.ndarray:
     """Counts of every team's matches, shape ``(m, newest_season + 1, 3, 5)``.
 
     ``tally[team - 1, season, comp]`` holds ``[w, d, l, gf, ga]`` for the
-    competition block ``comp`` (in :data:`COMPETITION_ORDER`); seasons above
+    competition block ``comp`` (in :class:`Competition` order); seasons above
     ``newest_season`` are left out and index 0 stays zero.  Both sides of
     every match are added in one pass.  The counts are integers, so the
     float sums are exact in any order.

@@ -200,7 +200,7 @@ def cmd_evaluate(args) -> int:
     if args.output == "json":
         print(json.dumps(report.to_dict()))
     else:
-        print(report.format_table(args.representation))
+        print(report.format_table())
     return 0
 
 

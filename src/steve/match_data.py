@@ -112,9 +112,6 @@ class TeamRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._ids
 
-    def __len__(self) -> int:
-        return len(self._names)
-
 
 @dataclass(frozen=True, eq=False)
 class Matches:

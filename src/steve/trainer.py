@@ -15,11 +15,11 @@ length after every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .match_data import Dataset, MatchQuad, TeamRegistry
+from .match_data import Dataset, TeamRegistry
 
 ProgressSink = Callable[[int, float], None]
 
@@ -28,11 +28,9 @@ ProgressSink = Callable[[int, float], None]
 class TrainConfig:
     """Hyperparameters for :func:`train`.
 
-    ``x_max`` is normally left ``None`` and taken from the dataset; setting
-    it explicitly re-bases the season weighting (it must cover every season
-    index present).  ``weight_decay`` changes only the reported loss, not
-    the trained vectors: its gradient is radial on unit rows, and the
-    tangent Adam step removes it.
+    ``weight_decay`` changes only the reported loss, not the trained
+    vectors: its gradient is radial on unit rows, and the tangent Adam step
+    removes it.
     """
 
     delta: int = 16
@@ -41,7 +39,6 @@ class TrainConfig:
     epochs: int = 40
     weight_decay: float = 1e-6
     seed: int = 7
-    x_max: int | None = None
 
     def __post_init__(self):
         for name in ("delta", "batch_size", "epochs", "seed"):
@@ -60,8 +57,6 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.x_max is not None and self.x_max < 1:
-            raise ValueError("x_max must be >= 1")
 
 
 @dataclass
@@ -161,14 +156,6 @@ class GradientUpdate:
         k = int(np.searchsorted(rows, m))
         return cls(rows[:k], grads[:k], rows[k:] - m, grads[k:])
 
-    def as_dict(self) -> dict[tuple[str, int], np.ndarray]:
-        out: dict[tuple[str, int], np.ndarray] = {}
-        for row, grad in zip(self.phi_rows, self.phi_grads):
-            out[("phi", int(row))] = grad
-        for row, grad in zip(self.psi_rows, self.psi_grads):
-            out[("psi", int(row))] = grad
-        return out
-
 
 def _unit_rows(rng: np.random.Generator, m: int, delta: int) -> np.ndarray:
     rows = rng.standard_normal((m, delta))
@@ -176,48 +163,9 @@ def _unit_rows(rng: np.random.Generator, m: int, delta: int) -> np.ndarray:
     return rows
 
 
-def init_model(
-    m: int,
-    delta: int,
-    seed: int | np.random.SeedSequence,
-    registry: TeamRegistry | None = None,
-    x_max: int = 1,
-) -> EmbeddingModel:
-    """Create a model with rows drawn i.i.d. N(0, 1), then unit-normalized.
-
-    The draw order is fixed (phi first, then psi) so a given seed always
-    produces the bit-identical model.  When no registry is supplied, one is
-    generated with zero-padded placeholder names ``team_01 .. team_m``.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    if registry is None:
-        width = len(str(m))
-        registry = TeamRegistry(f"team_{i:0{width}d}" for i in range(1, m + 1))
-    elif registry.m != m:
-        raise ValueError(f"registry holds {registry.m} teams, expected {m}")
-    rng = np.random.default_rng(seed)
-    phi = _unit_rows(rng, m, delta)
-    psi = _unit_rows(rng, m, delta)
-    return EmbeddingModel(phi=phi, psi=psi, delta=delta, registry=registry, x_max=x_max)
-
-
-def sample_loss(model: EmbeddingModel, q: MatchQuad) -> float:
-    """Season-weighted squared-distance loss of a single quadruple.
-
-    ``(s / x_max) * (d * |phi_a - phi_b|^2 + (1 - d) * |phi_a - psi_b|^2)``
-    """
-    Dataset.from_quads([q], model.x_max, model.registry)  # checks the quadruple
-    other = model.phi[q.b - 1] if q.d == 1 else model.psi[q.b - 1]
-    diff = model.phi[q.a - 1] - other
-    return (q.s / model.x_max) * float(diff @ diff)
-
-
 def _stacked_gradients(
     theta: np.ndarray, a: np.ndarray, opp: np.ndarray, w: np.ndarray, weight_decay: float,
-    mask: np.ndarray, pos: np.ndarray, with_loss: bool = True,
+    mask: np.ndarray, pos: np.ndarray, with_loss: bool,
 ) -> tuple[float | None, np.ndarray, np.ndarray, np.ndarray]:
     """Batch loss, touched rows of ``theta`` (sorted), those rows and their summed gradients.
 
@@ -258,28 +206,6 @@ def _stacked_gradients(
         grads += 2.0 * weight_decay * x
 
     return loss, rows, x, grads
-
-
-def batch_gradients(
-    model: EmbeddingModel, batch: Sequence[MatchQuad], weight_decay: float = 0.0
-) -> tuple[float, GradientUpdate]:
-    """Batch loss and accumulated analytic gradients of ``(a, b, s, d)`` quadruples.
-
-    The loss is the sum of :func:`sample_loss` over the batch plus
-    ``weight_decay * sum(|row|^2)`` over the touched rows.  A row touched by
-    several samples has its gradients summed; weight decay contributes
-    ``2 * weight_decay * row`` once per touched row.  This runs the same
-    stacked kernel as :func:`train`.
-    """
-    if not len(batch):
-        raise ValueError("batch must be non-empty")
-    quads = Dataset.from_quads(batch, model.x_max, model.registry)
-    m = model.m
-    loss, rows, _, grads = _stacked_gradients(
-        model.theta, quads.a - 1, quads.b - 1 + m * (1 - quads.d), quads.s / model.x_max, weight_decay,
-        np.zeros(2 * m, dtype=bool), np.empty(2 * m, dtype=np.int64),
-    )
-    return loss, GradientUpdate.split(rows, grads, m)
 
 
 def _adam_step(
@@ -330,12 +256,12 @@ def train(
 ) -> EmbeddingModel:
     """Train a model on ``ds``: seeded shuffling, mini-batches, sparse Adam.
 
-    Training starts from :func:`init_model`'s winner rows (the same seeded
-    draw, without the loser draw) with every loser row set equal to its
-    team's winner row, so the untrained model rates every pair a tie.  Each
-    batch then takes one Riemannian Adam step (see :func:`_adam_step`) on
-    the stacked block: tangent gradients and momentum, one second-moment
-    scalar per row, and renormalization of the touched rows.
+    Training starts from one seeded draw of winner rows, i.i.d. N(0, 1)
+    and then unit-normalized, with every loser row set equal to its team's
+    winner row, so the untrained model rates every pair a tie.  Each batch
+    then takes one Riemannian Adam step (see :func:`_adam_step`) on the
+    stacked block: tangent gradients and momentum, one second-moment scalar
+    per row, and renormalization of the touched rows.
 
     Every epoch reshuffles the quadruples with one generator advanced across
     epochs, so identical inputs and seed give a bit-identical model.  The
@@ -353,14 +279,11 @@ def train(
     """
     if not len(ds):
         raise ValueError("dataset is empty")
-    x_max = ds.x_max if cfg.x_max is None else cfg.x_max
-    if x_max < ds.x_max:
-        raise ValueError(f"cfg.x_max={cfg.x_max} is below the dataset's newest season {ds.x_max}")
 
     m = ds.registry.m
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     phi = _unit_rows(np.random.default_rng(init_ss), m, cfg.delta)
-    model = EmbeddingModel(phi=phi, psi=phi, delta=cfg.delta, registry=ds.registry, x_max=x_max)
+    model = EmbeddingModel(phi=phi, psi=phi, delta=cfg.delta, registry=ds.registry, x_max=ds.x_max)
     theta = model.theta
     opt = AdamState.zeros(m, cfg.delta)
     mask = np.zeros(2 * m, dtype=bool)
@@ -369,7 +292,7 @@ def train(
     n = len(ds)
     a = ds.a - 1
     opp = ds.b - 1 + m * (1 - ds.d)
-    w = ds.s / x_max
+    w = ds.s / ds.x_max
 
     def diverged(team: int) -> ValueError:
         return ValueError(

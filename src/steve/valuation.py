@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import format_aligned
-from .match_data import csv_records
+from .match_data import _blank, csv_records
 from .trainer import EmbeddingModel
 
 
@@ -38,7 +38,7 @@ def load_values(stream: Iterable[str]) -> dict[str, float]:
     """
     table: dict[str, float] = {}
     for row_no, row in enumerate(csv_records(stream), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
+        if _blank(row):
             continue
         cells = [c.strip() for c in row]
         if row_no == 1 and tuple(cells) == _VALUE_HEADER:
@@ -213,9 +213,11 @@ def _loss_and_grads(
     """Write the batch gradients into ``grads`` (order W1, b1, W2, b2, W3, b3).
 
     Returns the loss, or ``None`` unless ``with_loss``; the gradients do not
-    depend on it.  See :func:`mlp_loss_and_grads` for the loss.  ``work``
-    holds buffers for z1, h1, z2, h2, z3, dz2 and dz1; without them the
-    step allocates its own.
+    depend on it.  Regression: half mean squared error.  Classification:
+    mean cross entropy of a 4-way softmax.  Both add ``l2 / (2 n) * sum|W|^2``
+    over the weight matrices, so the gradients match finite differences of
+    the loss exactly.  ``work`` holds buffers for z1, h1, z2, h2, z3, dz2 and
+    dz1; without them the step allocates its own.
     """
     weights, biases = net.weights, net.biases
     dW1, db1, dW2, db2, dW3, db3 = grads
@@ -250,21 +252,6 @@ def _loss_and_grads(
     dW1 += (l2 / n) * weights[0]
     dz1.sum(axis=0, out=db1)
     return loss
-
-
-def mlp_loss_and_grads(
-    net: MLP, X: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[float, list[np.ndarray]]:
-    """Batch loss and analytic gradients in parameter order W1,b1,W2,b2,W3,b3.
-
-    Regression: half mean squared error.  Classification: mean cross
-    entropy of a 4-way softmax.  Both add ``l2 / (2 n) * sum|W|^2`` over the
-    weight matrices, so the gradients here match finite differences of the
-    returned loss exactly.  This runs the same kernel as :func:`mlp_train`.
-    """
-    grads = _zero_params([net.input_dim, *(W.shape[1] for W in net.weights)])
-    loss = _loss_and_grads(net, X, y, l2, grads, with_loss=True)
-    return loss, grads
 
 
 def _check_samples(X: np.ndarray, y: np.ndarray, task: Task) -> None:
@@ -453,9 +440,9 @@ class EvalReport:
             "metadata": self.metadata,
         }
 
-    def format_table(self, label: str | None = None) -> str:
+    def format_table(self) -> str:
         """One aligned row of ``mean +/- std`` per metric column."""
-        record = {"representation": label or self.metadata.get("representation", "features")}
+        record = {"representation": self.metadata.get("representation", "features")}
         for m in self.per_fold:
             record[_DISPLAY_NAMES.get(m, m)] = f"{self.mean[m]:.2f} ± {self.std[m]:.2f}"
         return format_aligned([record], list(record))

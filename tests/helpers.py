@@ -11,9 +11,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from steve.analytics import HeadToHead, Outcome, RankingEntry
-from steve.baselines import COMPETITION_ORDER
 from steve.match_data import CSV_FIELDS, Competition, Dataset, MatchQuad, Matches, TeamRegistry
-from steve.trainer import EmbeddingModel, GradientUpdate, TrainConfig, init_model
+from steve.trainer import EmbeddingModel, GradientUpdate, TrainConfig, _stacked_gradients, _unit_rows
 from steve.valuation import MLP, N_CLASSES, MLPConfig, Task
 
 
@@ -44,6 +43,60 @@ def spearman(x, y) -> float:
 def placeholder_registry(n_teams: int) -> TeamRegistry:
     width = len(str(n_teams))
     return TeamRegistry(f"team_{i:0{width}d}" for i in range(1, n_teams + 1))
+
+
+def init_model(
+    m: int,
+    delta: int,
+    seed: int | np.random.SeedSequence,
+    registry: TeamRegistry | None = None,
+    x_max: int = 1,
+) -> EmbeddingModel:
+    """Create a model with rows drawn i.i.d. N(0, 1), then unit-normalized.
+
+    The draw order is fixed (phi first, then psi) so a given seed always
+    produces the bit-identical model; ``train`` starts from the phi draw of
+    its first spawned seed.  When no registry is supplied, one is generated
+    with zero-padded placeholder names ``team_01 .. team_m``.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    if registry is None:
+        registry = placeholder_registry(m)
+    elif registry.m != m:
+        raise ValueError(f"registry holds {registry.m} teams, expected {m}")
+    rng = np.random.default_rng(seed)
+    phi = _unit_rows(rng, m, delta)
+    psi = _unit_rows(rng, m, delta)
+    return EmbeddingModel(phi=phi, psi=psi, delta=delta, registry=registry, x_max=x_max)
+
+
+def kernel_gradients(
+    model: EmbeddingModel, batch: Sequence[MatchQuad], weight_decay: float = 0.0
+) -> tuple[float, GradientUpdate]:
+    """Loss and summed gradients of ``batch`` from the stacked kernel ``train`` runs.
+
+    The loss is the season-weighted squared distance of every quadruple,
+    ``(s / x_max) * |phi_a - (phi_b if d else psi_b)|^2``, plus
+    ``weight_decay * |row|^2`` once per touched row.
+    """
+    quads = Dataset.from_quads(batch, model.x_max, model.registry)
+    m = model.m
+    loss, rows, _, grads = _stacked_gradients(
+        model.theta, quads.a - 1, quads.b - 1 + m * (1 - quads.d), quads.s / model.x_max, weight_decay,
+        np.zeros(2 * m, dtype=bool), np.empty(2 * m, dtype=np.int64), with_loss=True,
+    )
+    return loss, GradientUpdate.split(rows, grads, m)
+
+
+def gradients_by_row(update: GradientUpdate) -> dict[tuple[str, int], np.ndarray]:
+    """``{("phi" or "psi", row): gradient}`` for every row ``update`` touches."""
+    return {
+        **{("phi", int(row)): grad for row, grad in zip(update.phi_rows, update.phi_grads)},
+        **{("psi", int(row)): grad for row, grad in zip(update.psi_rows, update.psi_grads)},
+    }
 
 
 def strength_league(
@@ -325,12 +378,9 @@ def reference_train(ds: Dataset, cfg: TrainConfig, progress=None, on_batch=None)
     """The per-matrix trainer: same seeds, draws, shuffles and arithmetic as ``train``."""
     if not len(ds):
         raise ValueError("dataset is empty")
-    x_max = ds.x_max if cfg.x_max is None else cfg.x_max
-    if x_max < ds.x_max:
-        raise ValueError(f"cfg.x_max={cfg.x_max} is below the dataset's newest season {ds.x_max}")
 
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    model = init_model(ds.registry.m, cfg.delta, init_ss, registry=ds.registry, x_max=x_max)
+    model = init_model(ds.registry.m, cfg.delta, init_ss, registry=ds.registry, x_max=ds.x_max)
     model.psi[:] = model.phi
     opt = _ReferenceAdamState.zeros(model.m, cfg.delta)
 
@@ -630,7 +680,7 @@ def as_matches(raw: list[RawMatch]) -> Matches:
     labels: dict[int, str] = {}
     for match in raw:
         labels.setdefault(match.season_index, match.season_label)
-    code = {comp: i for i, comp in enumerate(COMPETITION_ORDER)}
+    code = {comp: i for i, comp in enumerate(Competition)}
     columns = [
         np.array([getattr(match, name) for match in raw], dtype=np.int64)
         for name in ("home", "away", "home_goals", "away_goals", "season_index")
@@ -649,7 +699,7 @@ def reference_tally_matches(
     raw: list[RawMatch], team: int, seasons: set[int]
 ) -> dict[int, np.ndarray]:
     """Per-season 3x5 count blocks (comp x [w, d, l, gf, ga]) for one team."""
-    comp_row = {comp: i for i, comp in enumerate(COMPETITION_ORDER)}
+    comp_row = {comp: i for i, comp in enumerate(Competition)}
     tallies = {season: np.zeros((3, 5)) for season in seasons}
     for match in raw:
         if match.season_index not in tallies:
@@ -744,7 +794,7 @@ def reference_steve_features(model: EmbeddingModel, teams: Sequence[int]) -> np.
 # Reference MLP: the per-array training loop and gradient function that the
 # one-block ``steve.valuation.mlp_train`` replaced, kept unchanged (renamed,
 # with their private helpers) as bit-exact oracles for ``mlp_train`` and
-# ``mlp_loss_and_grads``.
+# its gradient kernel ``_loss_and_grads``.
 
 
 def _reference_init_params(dims: list[int], seed) -> tuple[list[np.ndarray], list[np.ndarray]]:

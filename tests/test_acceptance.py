@@ -12,6 +12,9 @@ import numpy as np
 from helpers import (
     common_victims_dataset,
     draw_pair_dataset,
+    gradients_by_row,
+    init_model,
+    kernel_gradients,
     league_csv,
     placeholder_registry,
     sigmoid,
@@ -23,7 +26,7 @@ from steve.analytics import most_similar, rank_teams, winner_distance
 from steve.cli import main
 from steve.match_data import Dataset, MatchQuad
 from steve.model_io import read_model_file
-from steve.trainer import TrainConfig, batch_gradients, init_model, train
+from steve.trainer import TrainConfig, train
 from steve.valuation import Task, compute_metrics, cross_validate, quartile_labels, steve_features
 
 
@@ -69,10 +72,10 @@ def test_criterion_1_gradient_oracle():
             a, b = rng.choice(m, size=2, replace=False) + 1
             batch.append(MatchQuad(int(a), int(b), int(rng.integers(1, x_max + 1)), int(rng.integers(0, 2))))
         wd = float(rng.choice([0.0, 1e-3]))
-        _, update = batch_gradients(model, batch, weight_decay=wd)
+        _, update = kernel_gradients(model, batch, weight_decay=wd)
 
         analytic, numeric = [], []
-        for (mat_name, row), grad in update.as_dict().items():
+        for (mat_name, row), grad in gradients_by_row(update).items():
             mat = model.phi if mat_name == "phi" else model.psi
             for col in range(delta):
                 orig = mat[row, col]

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    init_model,
     random_league,
     reference_head_to_head,
     reference_most_similar,
@@ -22,7 +23,7 @@ from steve.analytics import (
     winner_distance,
 )
 from steve.match_data import TeamRegistry
-from steve.trainer import EmbeddingModel, TrainConfig, init_model, train
+from steve.trainer import EmbeddingModel, TrainConfig, train
 
 
 def manual_model(phi_rows, psi_rows=None, names=None):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import spearman, strength_league
+from helpers import init_model, spearman, strength_league
 
 
 class TestSpearman:
@@ -48,3 +48,29 @@ class TestStrengthLeague:
         wins = np.sum((ds.d == 0) & (ds.a == best))
         losses = np.sum((ds.d == 0) & (ds.a == worst))
         assert wins > losses
+
+
+class TestInitModel:
+    def test_deterministic(self):
+        a = init_model(5, 3, 42)
+        b = init_model(5, 3, 42)
+        assert np.array_equal(a.phi, b.phi)
+        assert np.array_equal(a.psi, b.psi)
+
+    def test_different_seeds_differ(self):
+        assert not np.array_equal(init_model(5, 3, 1).phi, init_model(5, 3, 2).phi)
+
+    def test_rows_unit_norm(self):
+        model = init_model(50, 16, 7)
+        np.testing.assert_allclose(np.linalg.norm(model.phi, axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(model.psi, axis=1), 1.0, atol=1e-9)
+
+    def test_paper_scale_shape(self):
+        model = init_model(378, 16, 0)
+        assert model.phi.shape == model.psi.shape == (378, 16)
+
+    def test_invalid_args(self):
+        with pytest.raises(ValueError):
+            init_model(1, 3, 0)
+        with pytest.raises(ValueError):
+            init_model(5, 0, 0)

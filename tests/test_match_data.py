@@ -15,7 +15,6 @@ from helpers import (
     reference_to_quads,
 )
 from steve import match_data
-from steve.baselines import COMPETITION_ORDER
 from steve.match_data import (
     CSV_FIELDS,
     Competition,
@@ -41,7 +40,7 @@ class TestIngest:
         assert registry.name_of(matches.away[0]) == "Arsenal"
         assert (matches.home_goals[0], matches.away_goals[0]) == (5, 1)
         assert matches.season_labels[matches.season[0] - 1] == "2018/2019"
-        assert COMPETITION_ORDER[matches.competition[0]] is Competition.NATIONAL_LEAGUE
+        assert tuple(Competition)[matches.competition[0]] is Competition.NATIONAL_LEAGUE
 
     def test_registry_uniqueness(self):
         registry, matches = parse(
@@ -78,7 +77,7 @@ class TestIngest:
             "X,Y,2019/2020,EuropaLeague,2,3\n"
         )
         assert registry.name_of(matches.home[0]) == "X"
-        assert COMPETITION_ORDER[matches.competition[0]] is Competition.EUROPA_LEAGUE
+        assert tuple(Competition)[matches.competition[0]] is Competition.EUROPA_LEAGUE
 
     def test_columns_are_int64_and_len_counts_rows(self):
         _, matches = parse(HEADER + "\n2018/2019,NationalLeague,A,B,1,0\n\n2018/2019,EuropaLeague,B,C,2,2\n")
@@ -367,7 +366,7 @@ def assert_same_as_reference(text, chunk):
     for column, field in (("home", "home"), ("away", "away"), ("home_goals", "home_goals"),
                           ("away_goals", "away_goals"), ("season", "season_index")):
         assert getattr(matches, column).tolist() == [getattr(r, field) for r in raw]
-    assert [COMPETITION_ORDER[c] for c in matches.competition] == [r.competition for r in raw]
+    assert [tuple(Competition)[c] for c in matches.competition] == [r.competition for r in raw]
     assert [matches.season_labels[s - 1] for s in matches.season] == [r.season_label for r in raw]
     assert matches.season_labels == tuple(sorted({r.season_label for r in raw}))
 

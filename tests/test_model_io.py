@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import BROKEN_CASES, broken_model_file, strength_league
+from helpers import BROKEN_CASES, broken_model_file, init_model, strength_league
 from steve import model_io
 from steve.match_data import TeamRegistry
 from steve.analytics import rank_teams
 from steve.model_io import MODEL_FORMAT_VERSION, load_model, read_model_file, save_model
-from steve.trainer import EmbeddingModel, TrainConfig, init_model, train
+from steve.trainer import EmbeddingModel, TrainConfig, train
 
 
 @pytest.fixture
@@ -235,7 +235,6 @@ configs = st.one_of(
         learning_rate=st.floats(1e-9, 1.0),
         weight_decay=st.sampled_from([0.0, 1e-6, 5e-324, 1 - 2**-53]),
         seed=st.integers(0, 2**40),
-        x_max=st.one_of(st.none(), st.integers(1, 30)),
     ),
 )
 
@@ -272,7 +271,7 @@ class TestWriterMatchesJsonDump:
         model = init_model(m, 8, m)
         for row in (0, m - 1, m, 2 * m - 1, min(255, m - 1), min(256, m - 1)):
             model.theta[row, : len(ODD_FLOATS)] = ODD_FLOATS
-        config = TrainConfig(delta=8, x_max=4)
+        config = TrainConfig(delta=8)
         assert saved_bytes(model, tmp_path / "m.json", config) == json_dump_bytes(model, config)
 
 

@@ -4,20 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_mlp_loss_and_grads, reference_mlp_train, reference_steve_features
+from helpers import init_model, reference_mlp_loss_and_grads, reference_mlp_train, reference_steve_features
 from steve import valuation
-from steve.trainer import init_model
 from steve.valuation import (
     MLP,
     EvalReport,
     MLPConfig,
     Task,
     _init_params,
+    _loss_and_grads,
+    _zero_params,
     compute_metrics,
     cross_validate,
     cv_folds,
     load_values,
-    mlp_loss_and_grads,
     mlp_predict,
     mlp_train,
     quartile_labels,
@@ -26,6 +26,12 @@ from steve.valuation import (
     standardize_invert,
     steve_features,
 )
+
+
+def kernel_loss_and_grads(net, X, y, l2):
+    """Loss and gradients (order W1, b1, W2, b2, W3, b3) from the kernel ``mlp_train`` runs."""
+    grads = _zero_params([net.input_dim, *(W.shape[1] for W in net.weights)])
+    return _loss_and_grads(net, X, y, l2, grads, with_loss=True), grads
 
 
 class TestLoadValues:
@@ -209,7 +215,7 @@ class TestMLP:
         out = 1 if task is Task.REGRESSION else 4
         weights, biases = _init_params([3, *MLPConfig.HIDDEN, out], 3)
         net = MLP(weights=weights, biases=biases, task=task)
-        _, grads = mlp_loss_and_grads(net, X, y, l2=1e-4)
+        _, grads = kernel_loss_and_grads(net, X, y, l2=1e-4)
         params = [weights[0], biases[0], weights[1], biases[1], weights[2], biases[2]]
         h = 1e-4
         coord_rng = np.random.default_rng(9)
@@ -218,9 +224,9 @@ class TestMLP:
             for i in coord_rng.choice(flat.size, size=min(20, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                up, _ = mlp_loss_and_grads(net, X, y, l2=1e-4)
+                up, _ = kernel_loss_and_grads(net, X, y, l2=1e-4)
                 flat[i] = orig - h
-                down, _ = mlp_loss_and_grads(net, X, y, l2=1e-4)
+                down, _ = kernel_loss_and_grads(net, X, y, l2=1e-4)
                 flat[i] = orig
                 fd = (up - down) / (2 * h)
                 assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
@@ -401,7 +407,8 @@ class TestCrossValidate:
         doc = report.to_dict()
         assert doc["task"] == "regression"
         assert doc["folds"] == 5
-        table = report.format_table("toy")
+        report.metadata["representation"] = "toy"
+        table = report.format_table()
         assert "RMSE" in table and "MMAE" in table and "toy" in table
 
     @pytest.mark.parametrize(
@@ -432,8 +439,10 @@ class TestCrossValidate:
         else:
             folds = [{"micro_f1": 0.5 + 0.01 * i, "macro_f1": 0.25 + 0.1 * i} for i in range(5)]
             metadata = None
+        if label is not None:
+            metadata = {"representation": label}
         report = EvalReport.from_folds(task, folds, metadata=metadata)
-        assert report.format_table(label) == table
+        assert report.format_table() == table
 
     def test_classification_report(self):
         rng = np.random.default_rng(5)
@@ -542,7 +551,7 @@ def test_mlp_loss_and_grads_match_reference_bit_for_bit(task, n, width, batch, l
     # Trained parameters, so no gradient is zero by the initialization.
     net = mlp_train(X, y, task, MLPConfig(epochs=2, batch_size=batch, learning_rate=0.01, seed=1))
     rows = np.arange(min(batch, n))
-    loss, grads = mlp_loss_and_grads(net, X[rows], y[rows], l2)
+    loss, grads = kernel_loss_and_grads(net, X[rows], y[rows], l2)
     ref_loss, ref_grads = reference_mlp_loss_and_grads(net, X[rows], y[rows], l2)
     assert loss == ref_loss
     for ours, theirs in zip(grads, ref_grads):
