@@ -11,10 +11,13 @@ because the count-based baseline features need them.
 from __future__ import annotations
 
 import csv
+import os
+import pickle
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from collections import defaultdict
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -38,10 +41,17 @@ CSV_FIELDS = ("season_label", "competition", "home", "away", "home_goals", "away
 #: Lines of a plain chunk, or CSV records, parsed and checked together by
 #: :func:`ingest_csv`.
 _CHUNK_ROWS = 1 << 12
+#: Chunks after the header from which :func:`ingest_csv` parses a file
+#: with no quotes in two processes, where two CPUs are usable.
+_SPLIT_CHUNKS = 8
 _COMPETITION_CODE = {c.value: code for code, c in enumerate(Competition)}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: The common spellings of goal counts, read without ``int``.
 _GOALS = {str(goals): goals for goals in range(100)}
+#: A plain line's commas and line end, and the NUL :func:`_plain_fields`
+#: puts after it; every other byte.
+_PLAIN_SEPARATORS = b"," * (len(CSV_FIELDS) - 1) + b"\n\0"
+_NOT_SEPARATORS = bytes(set(range(256)) - set(_PLAIN_SEPARATORS))
 
 
 class TeamRegistry:
@@ -278,23 +288,25 @@ def _plain_fields(lines: list[str]) -> list[str] | None:
     trailing ``\\r\\n``, exactly five commas and a ``\\n`` end on every line,
     and no line longer than the field size limit.  Otherwise ``None``.
     """
-    text = "".join(lines)
-    if '"' in text or "\0" in text:
+    # Joined by NULs, a plain chunk's commas, line ends and NULs come in a
+    # fixed order (compared as UTF-8 bytes, which keep ASCII as it is), and
+    # no line end is left once the last character is dropped and each line
+    # end before a NUL is turned into a comma.
+    text = "\0".join(lines)
+    if '"' in text:
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
     if (
-        set(map(str.count, lines, repeat(","))) != {len(CSV_FIELDS) - 1}
-        or text.count("\n") != len(lines)
-        or not all(map(str.endswith, lines, repeat("\n")))
+        text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+        != (_PLAIN_SEPARATORS * len(lines))[:-1]
         or max(map(len, lines)) > csv.field_size_limit()
     ):
         return None
-    fields = text.replace("\n", ",").split(",")
-    fields.pop()  # after the last line end
-    return fields
+    text = text[:-1].replace("\n\0", ",")
+    return None if "\n" in text else text.split(",")
 
 
 def _columns(rows: list[list[str]], col: list[int]) -> list[list[str]] | None:
@@ -344,48 +356,164 @@ def _then_raise(lines: list[str], error: Exception) -> Iterator[str]:
     raise error
 
 
+def _csv_rows(lines: Iterator[str], until_line: int, row_no: int) -> tuple[list[list[str]], Exception | None]:
+    """The records ``csv.reader`` reads from ``lines`` up to the first record end at or past line ``until_line``.
+
+    ``row_no`` is the number of the first record.  Reading stops early at
+    the end of ``lines`` or at a line or record that cannot be read, which
+    is returned as the second item (a ``csv.Error`` as ``ValueError("row N: …")``).
+    """
+    reader = csv.reader(lines)
+    rows = []
+    try:
+        for row in reader:
+            rows.append(row)
+            if reader.line_num >= until_line:
+                break
+    except csv.Error as e:
+        return rows, ValueError(f"row {row_no + len(rows)}: {e}")
+    except (OSError, ValueError) as e:
+        return rows, e
+    return rows, None
+
+
 def _checked_chunks(lines: Iterator[str], col: list[int]) -> Iterator[tuple[list, ...]]:
     """What :func:`_checked_fields` returns for the records after the header, by chunk.
 
     Plain chunks (see :func:`_plain_fields`) are split as text, one record a
-    line.  The first chunk that is not plain, or that holds a bad record,
-    goes with the rest of the stream to ``csv.reader``, which names the
-    first bad record.
+    line.  A chunk that is not plain, or that holds a bad record, goes to
+    ``csv.reader``, which names the first bad record and reads on past the
+    chunk only to the end of a record that spans its last line.  A line or
+    record that cannot be read is raised after the records before it are
+    checked, as a row-by-row parse would.
     """
     row_no = 2
     while True:
-        chunk = []
+        chunk, unreadable = [], None
         try:
             chunk.extend(islice(lines, _CHUNK_ROWS))
         except (OSError, ValueError) as e:
-            rest = _then_raise(chunk, e)
-            break
-        fields = _plain_fields(chunk)
+            unreadable = e
+        if not chunk and unreadable is None:
+            return
+        fields = unreadable is None and _plain_fields(chunk)
         checked = fields and _fields([fields[i::len(CSV_FIELDS)] for i in col])
-        if not checked:
-            rest = chain(chunk, lines)
-            break
-        yield checked
-        row_no += len(chunk)
+        if checked:
+            yield checked
+            row_no += len(chunk)
+        else:
+            rest = lines if unreadable is None else _then_raise([], unreadable)
+            rows, error = _csv_rows(chain(chunk, rest), len(chunk), row_no)
+            columns = _columns(rows, col)
+            yield columns and _fields(columns) or _checked_fields(rows, row_no, col)
+            if error or unreadable:
+                raise error or unreadable
+            row_no += len(rows)
         if len(chunk) < _CHUNK_ROWS:
             return
 
-    reader = csv_records(rest, row_no)
-    while True:
-        rows, unreadable = [], None
+
+def _id_block(checked: Iterable[tuple[list, ...]]) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
+    """Team ids and season label codes for checked fields, by first appearance.
+
+    Returns the id of each team name and the code of each season label,
+    both numbered 1, 2, ... in first-appearance order (home before away,
+    row by row), and the int64 rows home id, away id, home goals, away
+    goals, label code and competition code.  A name or label new to the
+    returned dicts gets the next number when it is looked up.
+    """
+    # A key seen for the first time gets the next number: 1, 2, ...
+    team_ids: dict[str, int] = defaultdict(count(1).__next__)
+    label_codes: dict[str, int] = defaultdict(count(1).__next__)
+    blocks = [np.zeros((len(CSV_FIELDS), 0), dtype=np.int64)]
+    for label, comp, home, away, hg, ag in checked:
+        names = [None] * (2 * len(home))
+        names[::2], names[1::2] = home, away
+        ids = list(map(team_ids.__getitem__, names))
+        codes = list(map(label_codes.__getitem__, label))
+        blocks.append(np.array([ids[::2], ids[1::2], hg, ag, codes, comp], dtype=np.int64))
+    return team_ids, label_codes, np.concatenate(blocks, axis=1)
+
+
+def _read_unquoted(lines: Iterator[str]) -> tuple[list[str] | None, Iterator[str]]:
+    """Read ``lines`` a chunk at a time while no line holds a ``"``.
+
+    Returns every line as a list if none holds a quote, else ``None``, and
+    an iterator over the whole of ``lines`` again: the lines read, then
+    the rest, or the read error where it was met.
+    """
+    read: list[str] = []
+    try:
+        while True:
+            start = len(read)
+            read.extend(islice(lines, _CHUNK_ROWS))
+            if '"' in "".join(read[start:]):
+                return None, chain(read, lines)
+            if len(read) - start < _CHUNK_ROWS:
+                return read, iter(read)
+    except (OSError, ValueError) as e:
+        return None, _then_raise(read, e)
+
+
+def _split_id_blocks(lines: list[str], col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
+    """What ``_id_block(_checked_chunks(iter(lines), col))`` returns, from two processes.
+
+    ``lines`` hold no ``"``, so every line is one record.  They are cut at
+    the chunk boundary nearest the middle; one forked child parses the
+    second half and pickles its :func:`_id_block` (names and labels in
+    order) back through a pipe, while this process parses the first, and
+    the child's ids and codes are renumbered to follow on from the first
+    half's.  A bad record in the first half raises as in a serial parse.
+    ``None`` if the pipe, the fork or the child fails, or the second half
+    holds a bad record; the caller then parses all of ``lines`` serially,
+    for the error text.  The child is always waited for.
+    """
+    cut = _CHUNK_ROWS * round(len(lines) / (2 * _CHUNK_ROWS))
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with other threads forks.
+            # The child is safe with them (an idle OpenBLAS pool, say): it
+            # calls no BLAS, takes no lock such a thread can hold, and ends
+            # through os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
         try:
-            rows.extend(islice(reader, _CHUNK_ROWS))
-        except (OSError, ValueError) as e:
-            # A record that cannot be read or decoded is reported after the
-            # records before it are checked, as a row-by-row parse would.
-            unreadable = e
-        columns = _columns(rows, col)
-        yield columns and _fields(columns) or _checked_fields(rows, row_no, col)
-        row_no += len(rows)
-        if unreadable is not None:
-            raise unreadable
-        if len(rows) < _CHUNK_ROWS:
-            return
+            os.close(r)
+            with os.fdopen(w, "wb") as pipe:
+                names, labels, block = _id_block(_checked_chunks(iter(lines[cut:]), col))
+                pickle.dump((list(names), list(labels), block), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            team_ids, label_codes, block = _id_block(_checked_chunks(iter(lines[:cut]), col))
+            sent = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+
+    names, labels, child = pickle.loads(sent)
+    team = np.array([0, *map(team_ids.__getitem__, names)], dtype=np.int64)
+    code = np.array([0, *map(label_codes.__getitem__, labels)], dtype=np.int64)
+    child[:2] = team[child[:2]]
+    child[4] = code[child[4]]
+    return team_ids, label_codes, np.concatenate([block, child], axis=1)
 
 
 def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
@@ -399,6 +527,11 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
     chronology.  A malformed file aborts the parse at its first bad record,
     named by its record number (the header is record 1; a quoted field may
     span lines).  Goal counts must fit a 64-bit integer.
+
+    Where at least two CPUs are usable, a file of :data:`_SPLIT_CHUNKS`
+    chunks or more with no ``"`` after the header is read whole and parsed
+    in two processes (see :func:`_split_id_blocks`), with the same result
+    and the same errors.
     """
     lines = iter(stream)
     try:
@@ -412,18 +545,14 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
         )
     col = [header.index(name) for name in CSV_FIELDS]
 
-    # A key seen for the first time gets the next number: 1, 2, ...
-    team_ids: dict[str, int] = defaultdict(count(1).__next__)
-    label_codes: dict[str, int] = defaultdict(count(1).__next__)
-    blocks = []
-    for label, comp, home, away, hg, ag in _checked_chunks(lines, col):
-        names = [None] * (2 * len(home))
-        names[::2], names[1::2] = home, away
-        ids = list(map(team_ids.__getitem__, names))
-        codes = list(map(label_codes.__getitem__, label))
-        blocks.append(np.array([ids[::2], ids[1::2], hg, ag, codes, comp], dtype=np.int64))
+    parsed = None
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        read, lines = _read_unquoted(lines)
+        if read is not None and len(read) >= _SPLIT_CHUNKS * _CHUNK_ROWS:
+            parsed = _split_id_blocks(read, col)
+    team_ids, label_codes, block = parsed or _id_block(_checked_chunks(lines, col))
 
-    home, away, hg, ag, label_code, comp = np.concatenate(blocks, axis=1)
+    home, away, hg, ag, label_code, comp = block
     if not home.size:
         raise ValueError("empty input: no match rows")
     labels = sorted(label_codes)

@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -149,10 +150,14 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 raise ValueError(f"{path}: team {team['name']!r} has vectors of the wrong width")
     vectors = {}
     for key in ("phi", "psi"):
+        rows = [t[key] for t in teams]
+        # numpy would also take a numeric string or a bool.
+        if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+            raise ValueError(f"{path}: a {key} vector holds a non-numeric value")
         try:
-            mat = np.array([t[key] for t in teams], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: a {key} vector holds a non-numeric value") from None
+            mat = np.array(rows, dtype=np.float64)
+        except OverflowError:
+            raise ValueError(f"{path}: a {key} vector holds a number too large for a float") from None
         finite = np.isfinite(mat).all(axis=1)
         off = np.abs(np.linalg.norm(mat, axis=1) - 1.0)
         bad = ~finite | (off > UNIT_NORM_TOL)

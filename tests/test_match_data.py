@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import pickle
+import signal
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -276,6 +280,9 @@ LABELS = ["2018/2019", " 2019/2020", "2020/2021 ", "2017,18", "2016\n17"]
 TAGS = [c.value for c in Competition] + [" NationalLeague", "EuropaLeague "]
 ODD_GOALS = [" 2", "+3", "1_0", "٣", "07", "4 ", "0"]
 GOALS = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(ODD_GOALS))
+#: Names and labels that ``csv.writer`` writes without quotes.
+UNQUOTED_NAMES = [n for n in NAMES if not set(n) & set('",\n')]
+UNQUOTED_LABELS = [label for label in LABELS if not set(label) & set('",\n')]
 
 #: One way to spoil a row per check of the parser, in the order it checks.
 BAD_ROWS = {
@@ -290,11 +297,11 @@ BAD_ROWS = {
 
 
 @st.composite
-def rows(draw):
-    home = draw(st.sampled_from(NAMES))
-    away = draw(st.sampled_from([n for n in NAMES if n.strip() != home.strip()]))
+def rows(draw, names=NAMES, labels=LABELS):
+    home = draw(st.sampled_from(names))
+    away = draw(st.sampled_from([n for n in names if n.strip() != home.strip()]))
     return {
-        "season_label": draw(st.sampled_from(LABELS)),
+        "season_label": draw(st.sampled_from(labels)),
         "competition": draw(st.sampled_from(TAGS)),
         "home": home,
         "away": away,
@@ -304,13 +311,18 @@ def rows(draw):
 
 
 @st.composite
-def csv_texts(draw, bad_kind=None):
-    """Header in any order, rows with quoted and padded fields, blank lines."""
+def csv_texts(draw, bad_kind=None, quoted=True):
+    """Header in any order, rows with quoted and padded fields, blank lines.
+
+    With ``quoted=False``, no field needs quotes, so the file holds no
+    ``"``, and it has 8 records or more.
+    """
     header = draw(st.permutations(CSV_FIELDS))
-    records = draw(st.lists(rows(), max_size=40))
+    record = rows() if quoted else rows(UNQUOTED_NAMES, UNQUOTED_LABELS)
+    records = draw(st.lists(record, min_size=0 if quoted else 8, max_size=40))
     if bad_kind is not None:
         at = draw(st.integers(0, len(records)))
-        records.insert(at, BAD_ROWS[bad_kind](draw(rows()), draw(st.booleans())))
+        records.insert(at, BAD_ROWS[bad_kind](draw(record), draw(st.booleans())))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
     pad = draw(st.sampled_from(["", " "]))
@@ -332,6 +344,10 @@ def outcome(parse_fn, source):
         return None, parse_fn(stream_of(source))
     except ValueError as e:
         return f"{type(e).__name__}: {e}", None
+    finally:
+        # No process outlives the parse.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def reference_outcome(source):
@@ -394,11 +410,35 @@ def plain_lines(n, seed=5):
     return lines
 
 
+@pytest.fixture(scope="class", params=[1, 2], ids=["1cpu", "2cpus"])
+def usable_cpus(request):
+    """Run a test class once as if on one CPU (serial parse), once on two (split parse)."""
+    cpus = set(range(request.param))
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+        yield request.param
+
+
+@pytest.mark.usefixtures("usable_cpus")
 class TestIngestMatchesReferenceParser:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=csv_texts(), chunk=CHUNKS)
     def test_valid_files(self, text, chunk):
         assert_same_as_reference(text, chunk)
+
+    # Files with no quotes and at least _SPLIT_CHUNKS chunks after the
+    # header are parsed in two processes where two CPUs are usable.
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=csv_texts(quoted=False), chunk=st.integers(1, 3))
+    def test_valid_unquoted_files(self, text, chunk):
+        assert_same_as_reference(text, chunk)
+
+    @pytest.mark.parametrize("kind", list(BAD_ROWS))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), chunk=st.integers(1, 3))
+    def test_first_bad_row_in_an_unquoted_file(self, kind, data, chunk):
+        text = data.draw(csv_texts(bad_kind=kind, quoted=False), label="text")
+        assert assert_same_as_reference(text, chunk) is not None
 
     @pytest.mark.parametrize("kind", list(BAD_ROWS))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -499,6 +539,18 @@ class TestIngestMatchesReferenceParser:
         lines[5:7] = ["2010/x,NationalLeague,Club 1,Club 2,1,0", "8,2010/x,NationalLeague,Club 3,Club\n4,1\n"]
         assert assert_same_as_reference(lines, chunk).startswith("ValueError: row 7: new-line character")
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 2**12])
+    @pytest.mark.parametrize("after", ["X", "Club 3,Club 4,1,0", "\0"])
+    def test_list_item_with_text_after_its_line_end(self, after, chunk):
+        # The item's commas and line end are in a plain line's order, but
+        # csv.reader refuses what follows the line end.  A text split of
+        # the last two items would read a good record shifted by one field.
+        lines = ["season_label,competition,home_goals,away_goals,home,away\n"]
+        lines += [f"2010/x,NationalLeague,1,0,Club {i},Club {i + 1}\n" for i in range(11)]
+        lines += ["2010/x,2010/x,NationalLeague,1,0,Club 12\n"]
+        lines[11] += after
+        assert assert_same_as_reference(lines, chunk).startswith("ValueError: row 12: ")
+
     @pytest.fixture
     def field_limit_40(self):
         old = csv.field_size_limit(40)
@@ -533,17 +585,175 @@ class TestIngestMatchesReferenceParser:
         error = assert_same_as_reference("".join(lines), chunk)
         assert error == "ValueError: row 20: home and away team are both 'Club 3'"
 
-    def test_plain_file_reads_only_the_header_with_csv_reader(self, monkeypatch):
+    @pytest.fixture
+    def csv_reader_records(self, monkeypatch):
+        """The records every ``csv.reader`` in ``match_data`` reads, in order."""
         records = []
         reader = csv.reader
 
-        def counting_reader(*args, **kwargs):
-            for record in reader(*args, **kwargs):
-                records.append(record)
-                yield record
+        class CountingReader:
+            def __init__(self, *args, **kwargs):
+                self.reader = reader(*args, **kwargs)
 
-        monkeypatch.setattr(match_data.csv, "reader", counting_reader)
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                records.append(next(self.reader))
+                return records[-1]
+
+            @property
+            def line_num(self):
+                return self.reader.line_num
+
+        monkeypatch.setattr(match_data.csv, "reader", CountingReader)
         monkeypatch.setattr(match_data, "_CHUNK_ROWS", 4)
+        return records
+
+    def test_plain_file_reads_only_the_header_with_csv_reader(self, csv_reader_records):
         _, matches = parse("".join(line + "\r\n" for line in plain_lines(30)))
         assert len(matches) == 30
-        assert records == [list(CSV_FIELDS)]
+        assert csv_reader_records == [list(CSV_FIELDS)]
+
+    def test_text_split_resumes_after_a_chunk_that_is_not_plain(self, csv_reader_records):
+        # The text split takes over again at the first record end at or past
+        # the last line of a chunk csv.reader read: here the end of the
+        # quoted record 5, which spans lines 5 and 6.
+        lines = [line + "\n" for line in plain_lines(30)]
+        head, tail = lines[4].split("Club ", 1)
+        lines[4:5] = [head + '"Club\n', tail.replace(",", '",', 1)]
+        expected = [list(CSV_FIELDS), *csv.reader(lines[1:6])]
+        csv_reader_records.clear()
+        _, matches = parse("".join(lines))
+        assert len(matches) == 30
+        assert csv_reader_records == expected
+
+
+def ingest_on(cpus, source, chunk=4, **patches):
+    """``outcome`` of ``ingest_csv`` with ``cpus`` usable CPUs, and the forks it made.
+
+    The result is compared as registry names, every column and the season
+    labels.  ``patches`` replace attributes of ``os`` during the parse.
+    """
+    patches = {"fork": mock.Mock(wraps=os.fork), "sched_getaffinity": lambda pid: set(range(cpus)), **patches}
+    fds = len(os.listdir("/proc/self/fd"))
+    with ExitStack() as patched, mock.patch.object(match_data, "_CHUNK_ROWS", chunk):
+        for name, value in patches.items():
+            patched.enter_context(mock.patch.object(os, name, value, create=True))
+        error, got = outcome(ingest_csv, source)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    if got is not None:
+        registry, matches = got
+        got = (registry.names, matches.season_labels,
+               [getattr(matches, c).tolist() for c in ("home", "away", "home_goals", "away_goals",
+                                                        "season", "competition")])
+    return error, got, patches["fork"].call_count
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+                    reason="needs os.fork and /proc/self/fd")
+class TestSplitIngest:
+    """Two processes parse a large unquoted file with the serial parse's result and errors.
+
+    With chunks of 4 lines, a file of 32 records or more after the header
+    is split; the 60 records below are cut after record 33 (``lines()[32]``),
+    the chunk boundary nearest the middle.
+    """
+
+    def lines(self):
+        return [line + "\n" for line in plain_lines(60, seed=7)]  # the header, then records 2..61
+
+    def assert_serial(self, source, forks):
+        serial = ingest_on(1, source)
+        assert serial[2] == 0
+        split = ingest_on(2, source)
+        assert split == (*serial[:2], forks)
+        assert_same_as_reference(source, 4)
+        return serial[0]
+
+    def test_clean_file_is_split(self):
+        assert self.assert_serial(self.lines(), forks=1) is None
+        assert self.assert_serial(self.lines()[:31], forks=0) is None  # below 8 chunks
+
+    @pytest.mark.parametrize("at", [1, 32, 33, 60])
+    def test_bad_record(self, at):
+        lines = self.lines()
+        lines[at] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        error = self.assert_serial(lines, forks=1)
+        assert error == f"ValueError: row {at + 1}: home and away team are both 'Club 3'"
+
+    def test_bad_records_in_both_halves(self):
+        lines = self.lines()
+        lines[10] = "2011/x,NationalLeague,Club 3,Club 4,x,0\n"
+        lines[45] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        assert self.assert_serial(lines, forks=1) == "ValueError: row 11: goals must be integers"
+
+    @pytest.mark.parametrize("odd", ["\n", "  \r\n", "crlf", "no line end", "lone cr"])
+    def test_odd_line_in_the_second_half(self, odd):
+        lines = self.lines()
+        if odd == "crlf":
+            lines[45] = lines[45].replace("\n", "\r\n")
+        elif odd == "no line end":
+            lines[-1] = lines[-1].rstrip("\n")
+        elif odd == "lone cr":
+            lines[45] = lines[45].replace("Club ", "Club\r", 1)
+        else:
+            lines.insert(45, odd)
+        error = self.assert_serial(lines, forks=1)
+        if odd == "lone cr":
+            assert error.startswith("ValueError: row 46: new-line character seen in unquoted field")
+        else:
+            assert error is None
+
+    def test_quoted_field_is_not_split(self):
+        lines = self.lines()
+        lines[45] = lines[45].replace("Club 1,", '"Club 1",')
+        assert self.assert_serial(lines, forks=0) is None
+        lines[50:51] = ['2011/x,NationalLeague,"Club\n', ' 1",Club 2,1,0\n']
+        assert self.assert_serial(lines, forks=0) is None
+
+    @pytest.mark.parametrize("bad_at", [None, 10])
+    def test_read_error_in_the_second_half(self, bad_at):
+        # The whole file is read before the cut, so nothing is split, and a
+        # bad record in the first half still comes before the read error.
+        lines = self.lines()
+        if bad_at is not None:
+            lines[bad_at] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+
+        class Stream:
+            def __iter__(self):
+                for i, line in enumerate(lines):
+                    if i == 50:
+                        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+                    yield line
+
+        error = self.assert_serial(Stream(), forks=0)
+        assert error == ("ValueError: row 11: home and away team are both 'Club 3'" if bad_at else
+                         "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: "
+                         "invalid start byte")
+
+    def test_failed_fork_parses_serially(self):
+        lines = self.lines()
+        serial = ingest_on(1, lines)
+        failing = mock.Mock(side_effect=OSError(11, "Resource temporarily unavailable"))
+        assert ingest_on(2, lines, fork=failing) == (*serial[:2], 1)
+        lines[45] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        assert ingest_on(2, lines, fork=failing)[0] == "ValueError: row 46: home and away team are both 'Club 3'"
+
+    def test_failed_pipe_parses_serially(self):
+        serial = ingest_on(1, self.lines())
+        assert ingest_on(2, self.lines(), pipe=mock.Mock(side_effect=OSError(24, "Too many open files"))) \
+            == (*serial[:2], 0)
+
+    @pytest.mark.parametrize("how", ["raises", "dies"])
+    def test_failed_child_parses_serially(self, how):
+        # Only the child pickles; it fails, or dies by a signal, before it writes.
+        def dump(*args):
+            if how == "raises":
+                raise pickle.PicklingError("cannot pickle")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        lines = self.lines()
+        serial = ingest_on(1, lines)
+        with mock.patch.object(match_data.pickle, "dump", dump):
+            assert ingest_on(2, lines) == (*serial[:2], 1)

@@ -141,6 +141,38 @@ def test_broken_file_raises_value_error_naming_path(trained, tmp_path, case, mes
     assert str(bad) in str(err.value)
 
 
+class TestVectorEntries:
+    """Every vector entry must be a JSON number; numpy alone would take more."""
+
+    def write(self, tmp_path, **vectors):
+        teams = [{"name": name, "phi": [1.0, 0.0], "psi": [0.0, 1.0]} for name in "ABC"]
+        teams[1].update(vectors)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"format_version": 1, "delta": 2, "x_max": 1, "teams": teams}))
+        return path
+
+    @pytest.mark.parametrize("vectors", [
+        {"psi": ["0.0", 1.0]},
+        {"phi": [True, False]},
+        {"phi": [1.0, None]},
+        {"psi": [[0.0], 1.0]},
+    ], ids=["numeric string", "bools", "null", "list"])
+    def test_non_number_rejected(self, tmp_path, vectors):
+        path = self.write(tmp_path, **vectors)
+        key = next(iter(vectors))
+        with pytest.raises(ValueError, match=f"^{path}: a {key} vector holds a non-numeric value$"):
+            load_model(path)
+
+    def test_integer_entries_load(self, tmp_path):
+        model = load_model(self.write(tmp_path, phi=[0, 1], psi=[-1, 0]))
+        assert model.phi[1].tolist() == [0.0, 1.0] and model.psi[1].tolist() == [-1.0, 0.0]
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = self.write(tmp_path, psi=[10**400, 0])
+        with pytest.raises(ValueError, match=f"^{path}: a psi vector holds a number too large for a float$"):
+            load_model(path)
+
+
 def test_row_within_unit_norm_tolerance_loads(trained, tmp_path):
     _, _, path = trained
     doc = json.loads(path.read_text())
