@@ -13,18 +13,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import difflib
 import json
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import baselines, match_data, model_io, valuation
 from .analytics import format_aligned, most_similar, rank_teams, ranking_records, similarity_records
+from .teams import TeamRegistry
 from .trainer import TrainConfig, train
-from .valuation import Task
+
+if TYPE_CHECKING:
+    from .match_data import Dataset
+
+# Each command imports the other steve modules it calls, so that ``rank``
+# and ``similar`` start without compiling the ingest and valuation code.
 
 _STAGE_TRAIN = 0
 _STAGE_EVAL = 1
@@ -44,15 +49,19 @@ def _open_text(path: str):
     return open(path, "r", encoding="utf-8", newline="")
 
 
-def _load_dataset(path: str) -> match_data.Dataset:
+def _load_dataset(path: str) -> Dataset:
+    from . import match_data
+
     with _open_text(path) as f:
         registry, matches = match_data.ingest_csv(f)
     return match_data.to_quads(matches, registry)
 
 
-def _resolve_team(registry: match_data.TeamRegistry, name: str) -> int:
+def _resolve_team(registry: TeamRegistry, name: str) -> int:
     if name in registry:
         return registry.id_of(name)
+    import difflib
+
     close = difflib.get_close_matches(name, registry.names, n=3)
     hint = f"; close matches: {', '.join(close)}" if close else ""
     raise ValueError(f"unknown team {name!r}{hint}")
@@ -86,6 +95,8 @@ def _report_written(args, path: str) -> None:
 
 
 def cmd_train(args) -> int:
+    from . import model_io
+
     cfg = TrainConfig(
         delta=args.delta,
         batch_size=args.batch_size,
@@ -101,6 +112,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_similar(args) -> int:
+    from . import model_io
+
     model = model_io.load_model(args.model)
     team = _resolve_team(model.registry, args.team)
     if not 1 <= args.k <= model.m - 1:
@@ -114,6 +127,8 @@ def cmd_similar(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import model_io
+
     model = model_io.load_model(args.model)
     ids = [_resolve_team(model.registry, name) for name in _team_list(args.teams)]
     records = ranking_records(model, rank_teams(model, ids))
@@ -125,6 +140,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_summary(args) -> int:
+    from . import match_data
+
     summary = match_data.dataset_summary(_load_dataset(args.matches))
     if args.output == "json":
         print(json.dumps(summary))
@@ -155,6 +172,8 @@ def _features(kind, param, ds, newest, model):
     baselines are built from ``ds`` with ``newest`` as the newest season
     and are standardized per fold.
     """
+    from . import baselines, valuation
+
     if kind == "steve":
         header = [f"phi_{i}" for i in range(model.delta)] + [f"psi_{i}" for i in range(model.delta)]
         return header, valuation.steve_features(model, list(range(1, model.m + 1))), False
@@ -172,6 +191,8 @@ def _features(kind, param, ds, newest, model):
 
 
 def cmd_evaluate(args) -> int:
+    from . import valuation
+
     kind, param = _parse_representation(args.representation)
     ds = _load_dataset(args.matches)
     with _open_text(args.values) as f:
@@ -187,8 +208,8 @@ def cmd_evaluate(args) -> int:
         cfg = TrainConfig(delta=param, seed=_stage_seed(args.seed, _STAGE_TRAIN))
         model = train(ds, cfg, progress=_progress(args, cfg.epochs))
     _, features, standardize = _features(kind, param, ds, ds.x_max, model)
-    task = Task(args.task)
-    targets = y if task is Task.REGRESSION else valuation.quartile_labels(y)
+    task = valuation.Task(args.task)
+    targets = y if task is valuation.Task.REGRESSION else valuation.quartile_labels(y)
     report = valuation.cross_validate(
         features,
         targets,
@@ -205,6 +226,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export_features(args) -> int:
+    from . import model_io
+
     kind, param = _parse_representation(args.representation)
     ds = model = newest = None
     if kind == "steve":

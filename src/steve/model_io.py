@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .match_data import TeamRegistry
+from .teams import TeamRegistry
 from .trainer import EmbeddingModel, TrainConfig
 
 MODEL_FORMAT_VERSION = 1
@@ -108,7 +108,9 @@ def read_model_file(path: str | Path) -> dict:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: not valid JSON ({e})") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    # ``True`` and ``1.0`` both compare equal to 1.
+    if not isinstance(version, int) or isinstance(version, bool) or version != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported model file (expected format_version {MODEL_FORMAT_VERSION})"
         )
@@ -140,7 +142,8 @@ def load_model(path: str | Path) -> EmbeddingModel:
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     if registry.m != len(teams):
-        raise ValueError(f"{path}: duplicate team names in model file")
+        repeated = next(name for i, name in enumerate(names) if registry.id_of(name) != i + 1)
+        raise ValueError(f"{path}: duplicate team names in model file: {repeated!r}")
     for team in teams:
         for key in ("phi", "psi"):
             vec = team.get(key)

@@ -15,11 +15,14 @@ length after every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .match_data import Dataset, TeamRegistry
+from .teams import TeamRegistry
+
+if TYPE_CHECKING:
+    from .match_data import Dataset
 
 ProgressSink = Callable[[int, float], None]
 

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -14,6 +18,22 @@ from steve.analytics import HeadToHead, Outcome, RankingEntry
 from steve.match_data import CSV_FIELDS, Competition, Dataset, MatchQuad, Matches, TeamRegistry
 from steve.trainer import EmbeddingModel, GradientUpdate, TrainConfig, _stacked_gradients, _unit_rows
 from steve.valuation import MLP, N_CLASSES, MLPConfig, Task
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args: str, env: dict | None = None, timeout: float = 120, cwd=None):
+    """``python *args`` in a fresh interpreter that imports ``steve`` from this tree.
+
+    ``env`` adds to the environment.  Returns the ``CompletedProcess``, with
+    its output as text.
+    """
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **(env or {})},
+        cwd=cwd, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def sigmoid(x):
@@ -257,6 +277,10 @@ def broken_model_file(path, tmp_path, case):
         del doc["teams"][0]["name"]
     elif case == "non-numeric value":
         doc["teams"][0]["psi"][0] = "x"
+    elif case == "format_version true":
+        doc["format_version"] = True
+    elif case == "format_version 1.0":
+        doc["format_version"] = 1.0
     bad = tmp_path / "broken.json"
     bad.write_text(json.dumps(doc))
     return bad
@@ -273,6 +297,8 @@ BROKEN_CASES = [
     ("non-unit row", "norm off 1"),
     ("team without name", "name"),
     ("non-numeric value", "non-numeric"),
+    ("format_version true", "unsupported model file"),
+    ("format_version 1.0", "unsupported model file"),
 ]
 
 

@@ -1,8 +1,11 @@
 """The public API of the ``steve`` package: exactly the names its users call."""
 
+import json
+
 import pytest
 
 import steve
+from helpers import run_python
 
 PUBLIC = [
     "Competition",
@@ -68,3 +71,39 @@ def test_public_name_resolves(name):
 def test_removed_name_is_gone(name):
     assert not hasattr(steve, name)
     assert not any(hasattr(getattr(steve, module), name) for module in ("trainer", "valuation"))
+
+
+#: Checks the lazy package from a fresh interpreter, where no test has
+#: imported a submodule yet.
+_FRESH_PACKAGE = """
+import json, sys
+import steve
+loaded_by_import = sorted(m for m in sys.modules if m.startswith("steve."))
+submodules = [steve.trainer.__name__, steve.valuation.__name__]
+namespace = {}
+exec("from steve import *", namespace)
+try:
+    steve.no_such_name
+    unknown = None
+except AttributeError as e:
+    unknown = str(e)
+print(json.dumps({
+    "loaded_by_import": loaded_by_import,
+    "submodules": submodules,
+    "unbound": [n for n in steve.__all__ if namespace.get(n) is not getattr(steve, n)],
+    "unknown": unknown,
+    "not_in_dir": sorted(set(steve.__all__) - set(dir(steve))),
+}))
+"""
+
+
+def test_lazy_package_in_fresh_interpreter():
+    proc = run_python("-W", "error", "-c", _FRESH_PACKAGE)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == {
+        "loaded_by_import": [],
+        "submodules": ["steve.trainer", "steve.valuation"],
+        "unbound": [],
+        "unknown": "module 'steve' has no attribute 'no_such_name'",
+        "not_in_dir": [],
+    }

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +11,13 @@ from helpers import (
     reference_ingest_csv,
     reference_season_stats,
     reference_sum_features,
+    run_python,
     values_csv,
 )
 from steve import valuation
 from steve.baselines import SEASON_STATS_COLUMNS, cat_feature_columns
 from steve.cli import _stage_seed, main
 from steve.model_io import read_model_file
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -110,11 +105,9 @@ class TestTrain:
         # numpy RuntimeWarning from the overflowing step.
         out = tmp_path / "m.json"
         out.write_bytes(b"an earlier model\n")
-        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from steve.cli import main; sys.exit(main())",
-             "train", str(matches_file), "-o", str(out), "--epochs", "3", "--quiet", *flags],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        proc = run_python(
+            "-c", "import sys; from steve.cli import main; sys.exit(main())",
+            "train", str(matches_file), "-o", str(out), "--epochs", "3", "--quiet", *flags,
         )
         assert proc.returncode == 1
         assert "steve: error:" in proc.stderr and message in proc.stderr
@@ -478,3 +471,41 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"steve: error: {message}")
         assert len(err.splitlines()) == 1
+
+
+#: Prints the exit code of ``main(argv)`` and the ``steve.*`` modules it loaded.
+_IMPORT_GRAPH = """
+import contextlib, io, json, sys
+from steve.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as e:
+        code = e.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("steve."))]))
+"""
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("--help", {"steve.match_data", "steve.valuation", "steve.baselines"}),
+    ("rank", {"steve.match_data", "steve.valuation", "steve.baselines"}),
+    ("similar", {"steve.match_data", "steve.valuation", "steve.baselines"}),
+    ("summary", {"steve.valuation", "steve.baselines"}),
+    ("train", {"steve.valuation", "steve.baselines"}),
+])
+def test_command_loads_only_the_modules_it_runs(matches_file, model_file, tmp_path, command, unloaded):
+    # Compiling a module it never calls would slow every start of the command.
+    names = team_names(model_file)
+    argv = {
+        "--help": ["--help"],
+        "rank": ["rank", str(model_file), "--teams", ",".join(names)],
+        "similar": ["similar", str(model_file), "--team", names[0], "--k", "2"],
+        "summary": ["summary", str(matches_file)],
+        "train": ["train", str(matches_file), "-o", str(tmp_path / "m.json"), "--epochs", "1", "--quiet"],
+    }[command]
+    proc = run_python("-c", _IMPORT_GRAPH, *argv, env={"PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert "steve.cli" in loaded
+    assert not unloaded & set(loaded)

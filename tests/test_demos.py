@@ -1,23 +1,15 @@
 """The demos run start to finish against the library as it is."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, run_python
+
 DEMOS = ["01_train_and_search.py", "02_rank_teams.py", "03_value_estimation.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs_without_error(demo, tmp_path):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python(str(ROOT / "demos" / demo), cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout

@@ -119,11 +119,15 @@ class TestValidation:
     def test_duplicate_names(self, trained, tmp_path):
         _, _, path = trained
         doc = json.loads(path.read_text())
-        doc["teams"][1]["name"] = doc["teams"][0]["name"]
+        names = [t["name"] for t in doc["teams"]]
+        # The first repeat in file order, not the repeat of the first name.
+        doc["teams"][4]["name"] = names[2]
+        doc["teams"][5]["name"] = names[1]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate") as err:
             load_model(bad)
+        assert str(err.value) == f"{bad}: duplicate team names in model file: {names[2]!r}"
 
     def test_no_teams(self, tmp_path):
         bad = tmp_path / "bad.json"
