@@ -5,8 +5,8 @@ and ``export-features``.  Every command takes ``--seed`` (default 7),
 ``--output {text,json}`` and ``--quiet``; all randomness derives from the
 one seed, fanned out into per-stage sub-seeds, so reruns with identical
 inputs are reproducible.  With ``--output json`` every line a command
-prints is one JSON document.  Exit codes: 0 success, 1 validation error,
-2 I/O error.
+prints is one JSON document.  Exit codes: 0 success, 1 validation error or
+out of memory, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -182,8 +182,9 @@ def _features(kind, param, ds, newest, model):
         header = baselines.SEASON_STATS_COLUMNS
         matrix = baselines.season_stats(ds.matches, ds.registry, teams, newest)
     elif kind == "cat":
-        header = baselines.cat_feature_columns(param)
+        # The matrix first: it checks the season window before the 18x-wide header exists.
         matrix = baselines.cat_features(ds.matches, ds.registry, teams, newest, param)
+        header = baselines.cat_feature_columns(param)
     else:
         header = baselines.SEASON_STATS_COLUMNS
         matrix = baselines.sum_features(ds.matches, ds.registry, teams, newest, param)
@@ -318,6 +319,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"steve: I/O error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        detail = f": {e}" if str(e) else ""
+        print(f"steve: error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -509,3 +509,63 @@ def test_command_loads_only_the_modules_it_runs(matches_file, model_file, tmp_pa
     assert code == 0
     assert "steve.cli" in loaded
     assert not unloaded & set(loaded)
+
+
+# A fresh ``steve`` whose address space is capped at 2 GiB: a runaway
+# allocation ends in a ``MemoryError`` at once instead of exhausting the host.
+_CAPPED = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 2 ** 31 if hard == resource.RLIM_INFINITY else min(2 ** 31, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from steve.cli import main
+sys.exit(main())
+"""
+
+
+def run_capped(*argv):
+    pytest.importorskip("resource")
+    return run_python("-c", _CAPPED, *argv, env={"OPENBLAS_NUM_THREADS": "1"})
+
+
+def assert_one_error_line(proc, message):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"steve: error: {message}"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["export-features", "evaluate"])
+def test_huge_cat_window_is_refused_before_its_header_is_built(matches_file, model_file, tmp_path, command):
+    values = tmp_path / "values.csv"
+    values.write_text(values_csv(team_names(model_file), seed=1), encoding="utf-8")
+    x = "99999999999999999999"
+    argv = {
+        "export-features": ["export-features", str(matches_file), "-o", str(tmp_path / "f.csv")],
+        "evaluate": ["evaluate", str(matches_file), str(values)],
+    }[command]
+    proc = run_capped(*argv, "--representation", f"cat-{x}", "--quiet")
+    assert_one_error_line(proc, f"window of {x} seasons ending at 2 reaches below season 1")
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_allocation_failure_is_one_error_line(matches_file, tmp_path):
+    out = tmp_path / "m.json"
+    proc = run_capped("train", str(matches_file), "-o", str(out), "--delta", "100000000000", "--quiet")
+    assert_one_error_line(proc, "out of memory: Unable to allocate")
+    assert list(tmp_path.iterdir()) == [matches_file]
+
+
+@pytest.mark.parametrize("command", ["rank", "similar"])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_output_identical_without_the_sidecar(model_file, capsys, command, output):
+    names = team_names(model_file)
+    argv = {
+        "rank": ["rank", str(model_file), "--teams", ",".join(names)],
+        "similar": ["similar", str(model_file), "--team", names[3], "--k", "4"],
+    }[command] + ["--output", output]
+    assert main(argv) == 0
+    with_sidecar = capsys.readouterr()
+    model_file.with_name("model.json.theta").unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr() == with_sidecar
+    assert not model_file.with_name("model.json.theta").exists()  # a load never writes

@@ -1,7 +1,10 @@
 import io
 import json
+import os
+import zlib
 from dataclasses import asdict
 from datetime import datetime, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -204,14 +207,14 @@ class TestAtomicSave:
         with pytest.raises(RuntimeError, match="disk full"):
             save_model(model, path)
         assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.json.theta"]
 
     def test_save_replaces_earlier_file_and_leaves_no_temp(self, trained, tmp_path):
         _, _, path = trained
         other = init_model(3, 2, 0)
         save_model(other, path)
         assert np.array_equal(load_model(path).phi, other.phi)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.json.theta"]
 
 
 def test_save_without_config(tmp_path):
@@ -357,3 +360,210 @@ def test_save_load_keeps_every_bit_of_unit_rows(tmp_path, m, delta, odd, seed):
     loaded = load_model(path)
     assert loaded.theta.tobytes() == model.theta.tobytes()
     assert loaded == model
+
+
+# ---------------------------------------------------------------------------
+# The sidecar ``<model>.theta``: taken only when it matches the model file,
+# and with the same result as parsing the JSON.
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".theta")
+
+
+def json_only(path):
+    """The model at ``path`` as loaded from its JSON alone."""
+    sidecar = sidecar_of(path)
+    kept = sidecar.read_bytes() if sidecar.exists() else None
+    sidecar.unlink(missing_ok=True)
+    try:
+        return load_model(path)
+    finally:
+        if kept is not None:
+            sidecar.write_bytes(kept)
+
+
+def assert_same_bits(a, b):
+    assert a.registry.names == b.registry.names
+    assert (a.delta, a.x_max) == (b.delta, b.x_max)
+    assert type(a.delta) is type(b.delta) is int and type(a.x_max) is type(b.x_max) is int
+    assert a.phi.tobytes() == b.phi.tobytes() and a.psi.tobytes() == b.psi.tobytes()
+
+
+def sealed(body: bytes) -> bytes:
+    """``body`` with the trailing CRC-32 that a whole sidecar ends in."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def sidecar_parts(path):
+    """The sidecar's header (a dict) and its theta block."""
+    raw = sidecar_of(path).read_bytes()[:-4]
+    end = raw.index(b"\n")
+    return json.loads(raw[:end]), np.frombuffer(raw[end + 1:], dtype="<f8")
+
+
+def write_sidecar(path, header, theta):
+    sidecar_of(path).write_bytes(sealed(json.dumps(header).encode() + b"\n" + theta.astype("<f8").tobytes()))
+
+
+class TestSidecar:
+    def test_save_writes_it_and_load_takes_it(self, trained):
+        model, _, path = trained
+        header, theta = sidecar_parts(path)
+        data = path.read_bytes()
+        assert header["json_bytes"] == len(data) and header["json_crc32"] == zlib.crc32(data)
+        assert (header["m"], header["delta"], header["x_max"]) == (model.m, model.delta, model.x_max)
+        assert header["names"] == model.registry.names
+        assert theta.tobytes() == model.theta.tobytes()
+        # Rows of the sidecar's own block, not the JSON's, come back: negated rows stay unit.
+        write_sidecar(path, header, -theta)
+        assert np.array_equal(load_model(path).theta, -model.theta)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        m=st.sampled_from([2, 3, 257]),
+        delta=st.integers(1, 40),
+        names=st.lists(team_names, min_size=257, max_size=257, unique=True),
+        x_max=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+    )
+    def test_same_model_with_and_without_it(self, tmp_path, m, delta, names, x_max, seed):
+        model = init_model(m, delta, seed, registry=TeamRegistry(names[:m]), x_max=x_max)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert_same_bits(loaded, model)
+        assert_same_bits(json_only(path), loaded)
+
+    def test_same_length_hand_edit_is_seen(self, trained):
+        model, _, path = trained
+        text = path.read_text()
+        value = repr(float(model.phi[1, 2]))
+        assert text.count(value) == 1 and value[-6].isdigit()
+        # One changed digit: same length, and the row stays within the norm tolerance.
+        edited = value[:-6] + str((int(value[-6]) + 1) % 10) + value[-5:]
+        path.write_text(text.replace(value, edited))
+        loaded = load_model(path)
+        assert loaded.phi[1, 2] == float(edited) != model.phi[1, 2]
+        assert_same_bits(loaded, json_only(path))
+
+    @pytest.mark.parametrize("damage", [
+        "missing", "empty", "truncated", "body bit", "header name bit", "trailer bit",
+    ])
+    def test_damaged_sidecar_is_ignored(self, trained, damage):
+        model, _, path = trained
+        sidecar = sidecar_of(path)
+        header, theta = sidecar_parts(path)
+        # Whatever a damaged sidecar would give, the JSON gives the saved model.
+        write_sidecar(path, header, -theta)
+        raw = bytearray(sidecar.read_bytes())
+        if damage == "missing":
+            sidecar.unlink()
+        elif damage == "empty":
+            sidecar.write_bytes(b"")
+        elif damage == "truncated":
+            sidecar.write_bytes(raw[: len(raw) // 2])
+        else:
+            at = {"body bit": -20, "header name bit": raw.index(b'"names": ["') + 12, "trailer bit": -1}[damage]
+            raw[at] ^= 1
+            sidecar.write_bytes(raw)
+        assert_same_bits(load_model(path), model)
+
+    @pytest.mark.parametrize("change", [
+        "format", "json_bytes", "json_crc32", "m", "delta", "names", "short block", "long block",
+        "no header line", "nested header",
+    ])
+    def test_sealed_sidecar_that_does_not_fit_is_ignored(self, trained, change):
+        model, _, path = trained
+        header, theta = sidecar_parts(path)
+        theta = -theta
+        if change == "format":
+            header["format"] = "steve-theta-2"
+        elif change in ("json_bytes", "json_crc32"):
+            header[change] += 1
+        elif change == "m":
+            header["m"] -= 1
+        elif change == "delta":
+            header["delta"] += 1
+        elif change == "names":
+            header["names"] = header["names"][:-1]
+        elif change == "short block":
+            theta = theta[:-1]
+        elif change == "long block":
+            theta = np.concatenate([theta, theta[:1]])
+        if change == "no header line":
+            sidecar_of(path).write_bytes(sealed(theta.tobytes()))
+        elif change == "nested header":
+            sidecar_of(path).write_bytes(sealed(b"[" * 100_000 + b"]" * 100_000 + b"\n" + theta.tobytes()))
+        else:
+            write_sidecar(path, header, theta)
+        assert_same_bits(load_model(path), model)
+
+    def test_foreign_sidecar_is_ignored(self, trained, tmp_path):
+        model, _, path = trained
+        other = tmp_path / "other.json"
+        save_model(init_model(model.m, model.delta, 99, registry=model.registry, x_max=model.x_max), other)
+        sidecar_of(path).write_bytes(sidecar_of(other).read_bytes())
+        assert_same_bits(load_model(path), model)
+
+    @pytest.mark.parametrize("where, message", [
+        ("phi", "team 'team_2' has a phi vector with a norm off 1 by 1"),
+        ("psi", "team 'team_4' has a psi vector with non-finite values"),
+    ])
+    def test_refused_with_the_same_message_either_way(self, tmp_path, where, message):
+        model = init_model(5, 3, 0)
+        if where == "phi":
+            model.phi[1] *= 2
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        if where == "psi":
+            # save_model refuses a non-finite vector, so this one is put in by hand.
+            header, theta = sidecar_parts(path)
+            theta = theta.reshape(10, 3).copy()
+            theta[8, 0] = np.inf
+            text = path.read_text().replace(repr(float(model.psi[3, 0])), "Infinity")
+            path.write_text(text)
+            header["json_bytes"], header["json_crc32"] = len(text.encode()), zlib.crc32(text.encode())
+            write_sidecar(path, header, theta)
+        errors = []
+        for load in (load_model, json_only):
+            with pytest.raises(ValueError) as err:
+                load(path)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == f"{path}: {message}"
+
+    def test_failed_save_leaves_earlier_model_loading_as_before(self, trained, monkeypatch):
+        model, _, path = trained
+        before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+        real_replace = os.replace
+        renamed = []
+
+        def fail_on_the_second_rename(src, dst):
+            if renamed:
+                raise OSError("rename failed")
+            real_replace(src, dst)
+            renamed.append(Path(dst).name)
+
+        monkeypatch.setattr(model_io.os, "replace", fail_on_the_second_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            save_model(init_model(3, 2, 0), path)
+        monkeypatch.undo()
+        # The new sidecar is in place, but it does not match the earlier file.
+        assert renamed == ["model.json.theta"]
+        assert sorted(p.name for p in path.parent.iterdir()) == sorted(before)
+        assert path.read_bytes() == before["model.json"]
+        assert_same_bits(load_model(path), model)
+        # A failure before either rename changes no file at all.
+        save_model(model, path)
+        before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+        monkeypatch.setattr(model_io, "_sidecar_bytes", mock.Mock(side_effect=RuntimeError("disk full")))
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_model(init_model(3, 2, 0), path)
+        assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
+        assert_same_bits(load_model(path), model)
+
+    def test_load_writes_nothing(self, trained):
+        _, _, path = trained
+        sidecar_of(path).unlink()
+        load_model(path)
+        assert sorted(p.name for p in path.parent.iterdir()) == ["model.json"]
