@@ -41,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _seed(text: str) -> int:
+    """The value of ``--seed``: numpy takes no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _stage_seed(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(stage,)).generate_state(1)[0])
 
@@ -244,6 +255,8 @@ def cmd_export_features(args) -> int:
         ds = _load_dataset(args.matches)
         names = ds.registry.names
         newest = args.season if args.season is not None else ds.x_max
+        if not 1 <= newest <= ds.x_max:
+            raise ValueError(f"--season must be in 1..{ds.x_max}, the data's newest season, got {newest}")
     header, rows, _ = _features(kind, param, ds, newest, model)
 
     with open(args.features_out, "w", encoding="utf-8", newline="") as f:
@@ -257,7 +270,7 @@ def cmd_export_features(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=7, help="master random seed (default 7)")
+    common.add_argument("--seed", type=_seed, default=7, help="master random seed (default 7)")
     common.add_argument("--output", choices=("text", "json"), default="text")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 

@@ -11,12 +11,14 @@ because the count-based baseline features need them.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import pickle
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from collections import defaultdict
+from contextlib import suppress
 from itertools import chain, count, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -151,66 +153,31 @@ class Dataset:
         return len(self.a)
 
 
-def csv_records(stream: Iterable[str], first_no: int = 1) -> Iterator[list[str]]:
-    """The records of ``csv.reader(stream)``, numbered from ``first_no``.
+def csv_records(
+    lines: Iterable[str], row_no: int = 1, until_line: float = math.inf
+) -> tuple[list[list[str]], Exception | None]:
+    """The records ``csv.reader`` reads from ``lines`` up to the first record end at or past line ``until_line``.
 
-    A record the reader cannot take (a field over ``csv.field_size_limit()``,
-    say) raises ``ValueError("row N: …")`` with its number.
+    ``row_no`` is the number of the first record.  Reading stops early at
+    the end of ``lines`` or at a line or record that cannot be read, which
+    is returned as the second item (a ``csv.Error`` as ``ValueError("row N: …")``).
     """
-    row_no = first_no
+    reader = csv.reader(lines)
+    rows = []
     try:
-        for record in csv.reader(stream):
-            yield record
-            row_no += 1
+        for row in reader:
+            rows.append(row)
+            if reader.line_num >= until_line:
+                break
     except csv.Error as e:
-        raise ValueError(f"row {row_no}: {e}") from None
+        return rows, ValueError(f"row {row_no + len(rows)}: {e}")
+    except (OSError, ValueError) as e:
+        return rows, e
+    return rows, None
 
 
 def _blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
-
-
-def _checked_fields(rows: list[list[str]], first_no: int, col: list[int]) -> tuple[list, ...]:
-    """Fields of the records ``rows``, checked and converted one record at a time.
-
-    ``first_no`` is the record number of ``rows[0]``; the first bad record
-    raises with its number.  Returns the columns label, competition code,
-    home, away, home goals and away goals, blank lines left out.
-    """
-    out = ([], [], [], [], [], [])
-    i_label, i_comp, i_home, i_away, i_hg, i_ag = col
-    for row_no, row in enumerate(rows, start=first_no):
-        if _blank(row):
-            continue
-        if len(row) != len(CSV_FIELDS):
-            raise ValueError(f"row {row_no}: expected {len(CSV_FIELDS)} fields, got {len(row)}")
-        label = row[i_label].strip()
-        comp_tag = row[i_comp].strip()
-        home = row[i_home].strip()
-        away = row[i_away].strip()
-        if not label:
-            raise ValueError(f"row {row_no}: empty season_label")
-        if comp_tag not in _COMPETITION_CODE:
-            raise ValueError(
-                f"row {row_no}: unknown competition tag {comp_tag!r} "
-                f"(expected one of {sorted(_COMPETITION_CODE)})"
-            )
-        if not home or not away:
-            raise ValueError(f"row {row_no}: empty team name")
-        if home == away:
-            raise ValueError(f"row {row_no}: home and away team are both {home!r}")
-        try:
-            hg = int(row[i_hg])
-            ag = int(row[i_ag])
-        except ValueError:
-            raise ValueError(f"row {row_no}: goals must be integers") from None
-        if hg < 0 or ag < 0:
-            raise ValueError(f"row {row_no}: goals must be non-negative")
-        if hg > _INT64_MAX or ag > _INT64_MAX:
-            raise ValueError(f"row {row_no}: goals must fit a 64-bit integer")
-        for column, value in zip(out, (label, _COMPETITION_CODE[comp_tag], home, away, hg, ag)):
-            column.append(value)
-    return out
 
 
 def _plain_fields(lines: list[str]) -> list[str] | None:
@@ -242,45 +209,71 @@ def _plain_fields(lines: list[str]) -> list[str] | None:
     return None if "\n" in text else text.split(",")
 
 
-def _columns(rows: list[list[str]], col: list[int]) -> list[list[str]] | None:
-    """The fields of the records ``rows`` by column, in :data:`CSV_FIELDS` order.
-
-    Blank lines are left out.  ``None`` if a record has the wrong number of fields.
-    """
-    if set(map(len, rows)) != {len(CSV_FIELDS)}:
-        rows = [row for row in rows if not _blank(row)]
-        if any(len(row) != len(CSV_FIELDS) for row in rows):
-            return None
-    return [list(map(itemgetter(i), rows)) for i in col]
-
-
-def _goals(column: list[str]) -> list[int] | None:
-    """The goal counts of ``column``, or ``None`` unless each is an integer in 0..2**63 - 1."""
+def _goals(columns: list[list[str]]) -> list[list[int]]:
+    """The goal counts of ``columns``; each must be an integer in 0..2**63 - 1."""
     try:
-        return list(map(_GOALS.__getitem__, column))
+        return [list(map(_GOALS.__getitem__, column)) for column in columns]
     except KeyError:
         pass
     try:
-        goals = list(map(int, column))
+        goals = [list(map(int, column)) for column in columns]
     except ValueError:
-        return None
-    return goals if 0 <= min(goals) and max(goals) <= _INT64_MAX else None
+        raise ValueError("goals must be integers") from None
+    if min(map(min, goals)) < 0:
+        raise ValueError("goals must be non-negative")
+    if max(map(max, goals)) > _INT64_MAX:
+        raise ValueError("goals must fit a 64-bit integer")
+    return goals
 
 
-def _fields(columns: list[list[str]]) -> tuple[list, ...] | None:
-    """What :func:`_checked_fields` returns, from raw fields by column in :data:`CSV_FIELDS` order.
+def _fields(columns: list[list[str]]) -> tuple[list, ...]:
+    """Checked fields from raw fields by column, in :data:`CSV_FIELDS` order.
 
-    Returns ``None`` as soon as any record fails one of the checks, without
-    telling which; the caller then re-checks record by record.
+    Returns the columns label, competition code, home, away, home goals and
+    away goals.  Raises ``ValueError`` with the message of the first check
+    that any record fails, checked in this order: empty season label,
+    unknown competition tag, empty team name, equal teams, then the goals.
+    For one record that is its first failing check.
     """
     label, comp, home, away = (list(map(str.strip, column)) for column in columns[:4])
-    comp = list(map(_COMPETITION_CODE.get, comp))
-    if not all(label) or None in comp or not all(home) or not all(away) or any(map(eq, home, away)):
-        return None
-    hg, ag = map(_goals, columns[4:])
-    if hg is None or ag is None:
-        return None
-    return label, comp, home, away, hg, ag
+    codes = list(map(_COMPETITION_CODE.get, comp))
+    if not all(label):
+        raise ValueError("empty season_label")
+    if None in codes:
+        raise ValueError(
+            f"unknown competition tag {comp[codes.index(None)]!r} "
+            f"(expected one of {sorted(_COMPETITION_CODE)})"
+        )
+    if not all(home) or not all(away):
+        raise ValueError("empty team name")
+    if any(map(eq, home, away)):
+        raise ValueError(f"home and away team are both {home[list(map(eq, home, away)).index(True)]!r}")
+    return label, codes, home, away, *_goals(columns[4:])
+
+
+def _record_fields(rows: list[list[str]], row_no: int, col: list[int]) -> tuple[list, ...]:
+    """What :func:`_fields` returns for the records ``rows``, blank lines left out.
+
+    ``row_no`` is the number of ``rows[0]``.  If the records fail a check
+    together, they are checked again one at a time, and the first bad one
+    raises with its number.
+    """
+    records = rows
+    if set(map(len, rows)) != {len(CSV_FIELDS)}:
+        records = [row for row in rows if not _blank(row)]
+    if set(map(len, records)) <= {len(CSV_FIELDS)}:
+        with suppress(ValueError):
+            return _fields([list(map(itemgetter(i), records)) for i in col])
+    for row_no, row in enumerate(rows, start=row_no):
+        if _blank(row):
+            continue
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"row {row_no}: expected {len(CSV_FIELDS)} fields, got {len(row)}")
+        try:
+            _fields([[row[i]] for i in col])
+        except ValueError as e:
+            raise ValueError(f"row {row_no}: {e}") from None
+    raise AssertionError("records that fail a check together hold one that fails it alone")
 
 
 def _then_raise(lines: list[str], error: Exception) -> Iterator[str]:
@@ -289,29 +282,8 @@ def _then_raise(lines: list[str], error: Exception) -> Iterator[str]:
     raise error
 
 
-def _csv_rows(lines: Iterator[str], until_line: int, row_no: int) -> tuple[list[list[str]], Exception | None]:
-    """The records ``csv.reader`` reads from ``lines`` up to the first record end at or past line ``until_line``.
-
-    ``row_no`` is the number of the first record.  Reading stops early at
-    the end of ``lines`` or at a line or record that cannot be read, which
-    is returned as the second item (a ``csv.Error`` as ``ValueError("row N: …")``).
-    """
-    reader = csv.reader(lines)
-    rows = []
-    try:
-        for row in reader:
-            rows.append(row)
-            if reader.line_num >= until_line:
-                break
-    except csv.Error as e:
-        return rows, ValueError(f"row {row_no + len(rows)}: {e}")
-    except (OSError, ValueError) as e:
-        return rows, e
-    return rows, None
-
-
 def _checked_chunks(lines: Iterator[str], col: list[int]) -> Iterator[tuple[list, ...]]:
-    """What :func:`_checked_fields` returns for the records after the header, by chunk.
+    """What :func:`_fields` returns for the records after the header, by chunk.
 
     Plain chunks (see :func:`_plain_fields`) are split as text, one record a
     line.  A chunk that is not plain, or that holds a bad record, goes to
@@ -330,15 +302,17 @@ def _checked_chunks(lines: Iterator[str], col: list[int]) -> Iterator[tuple[list
         if not chunk and unreadable is None:
             return
         fields = unreadable is None and _plain_fields(chunk)
-        checked = fields and _fields([fields[i::len(CSV_FIELDS)] for i in col])
+        try:
+            checked = fields and _fields([fields[i::len(CSV_FIELDS)] for i in col])
+        except ValueError:
+            checked = None
         if checked:
             yield checked
             row_no += len(chunk)
         else:
             rest = lines if unreadable is None else _then_raise([], unreadable)
-            rows, error = _csv_rows(chain(chunk, rest), len(chunk), row_no)
-            columns = _columns(rows, col)
-            yield columns and _fields(columns) or _checked_fields(rows, row_no, col)
+            rows, error = csv_records(chain(chunk, rest), row_no, len(chunk))
+            yield _record_fields(rows, row_no, col)
             if error or unreadable:
                 raise error or unreadable
             row_no += len(rows)
@@ -366,26 +340,6 @@ def _id_block(checked: Iterable[tuple[list, ...]]) -> tuple[dict[str, int], dict
         codes = list(map(label_codes.__getitem__, label))
         blocks.append(np.array([ids[::2], ids[1::2], hg, ag, codes, comp], dtype=np.int64))
     return team_ids, label_codes, np.concatenate(blocks, axis=1)
-
-
-def _read_unquoted(lines: Iterator[str]) -> tuple[list[str] | None, Iterator[str]]:
-    """Read ``lines`` a chunk at a time while no line holds a ``"``.
-
-    Returns every line as a list if none holds a quote, else ``None``, and
-    an iterator over the whole of ``lines`` again: the lines read, then
-    the rest, or the read error where it was met.
-    """
-    read: list[str] = []
-    try:
-        while True:
-            start = len(read)
-            read.extend(islice(lines, _CHUNK_ROWS))
-            if '"' in "".join(read[start:]):
-                return None, chain(read, lines)
-            if len(read) - start < _CHUNK_ROWS:
-                return read, iter(read)
-    except (OSError, ValueError) as e:
-        return None, _then_raise(read, e)
 
 
 def _split_id_blocks(lines: list[str], col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
@@ -461,17 +415,18 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
     named by its record number (the header is record 1; a quoted field may
     span lines).  Goal counts must fit a 64-bit integer.
 
-    Where at least two CPUs are usable, a file of :data:`_SPLIT_CHUNKS`
-    chunks or more with no ``"`` after the header is read whole and parsed
-    in two processes (see :func:`_split_id_blocks`), with the same result
-    and the same errors.
+    Where at least two CPUs are usable, the lines after the header are read
+    whole first, and a file of :data:`_SPLIT_CHUNKS` chunks or more with no
+    ``"`` after the header is parsed in two processes (see
+    :func:`_split_id_blocks`), with the same result and the same errors.
     """
     lines = iter(stream)
-    try:
-        header = next(csv_records(lines))
-    except StopIteration:
-        raise ValueError("empty input: missing header row") from None
-    header = [h.strip() for h in header]
+    rows, error = csv_records(lines, until_line=1)
+    if error:
+        raise error
+    if not rows:
+        raise ValueError("empty input: missing header row")
+    header = [h.strip() for h in rows[0]]
     if sorted(header) != sorted(CSV_FIELDS):
         raise ValueError(
             f"row 1: header must name columns {', '.join(CSV_FIELDS)}; got {header}"
@@ -480,9 +435,17 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
 
     parsed = None
     if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-        read, lines = _read_unquoted(lines)
-        if read is not None and len(read) >= _SPLIT_CHUNKS * _CHUNK_ROWS:
-            parsed = _split_id_blocks(read, col)
+        read: list[str] = []
+        try:
+            read.extend(lines)
+        except (OSError, ValueError) as e:
+            lines = _then_raise(read, e)
+        else:
+            lines = iter(read)
+            if len(read) >= _SPLIT_CHUNKS * _CHUNK_ROWS and not any(
+                '"' in "".join(read[i : i + _CHUNK_ROWS]) for i in range(0, len(read), _CHUNK_ROWS)
+            ):
+                parsed = _split_id_blocks(read, col)
     team_ids, label_codes, block = parsed or _id_block(_checked_chunks(lines, col))
 
     home, away, hg, ag, label_code, comp = block

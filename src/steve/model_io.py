@@ -123,6 +123,8 @@ def save_model(
     path = Path(path)
     sidecar = _sidecar(path)
     tmp, sidecar_tmp = (p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar))
+    # The file an I/O error names: the user's, not its temporary file.
+    target = path
     try:
         size = crc = 0
         with open(tmp, "wb") as f:
@@ -133,14 +135,22 @@ def save_model(
                 f.write(data)
                 size += len(data)
                 crc = zlib.crc32(data, crc)
+        target = sidecar
         sidecar_tmp.write_bytes(_sidecar_bytes(model, size, crc))
         # The sidecar first: until the model file is replaced too, the new
         # sidecar does not match it, and the earlier model loads from the JSON.
         os.replace(sidecar_tmp, sidecar)
-        os.replace(tmp, path)
-    except BaseException:
+        target = path
+        try:
+            os.replace(tmp, path)
+        except BaseException:
+            sidecar.unlink(missing_ok=True)
+            raise
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
         sidecar_tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise type(e)(e.errno, e.strerror, str(target)) from None
         raise
 
 
@@ -150,7 +160,8 @@ def _model_doc(path, data: bytes) -> dict:
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nested deeper than the parser's recursion allows.
         raise ValueError(f"{path}: not valid JSON ({e})") from None
     version = doc.get("format_version") if isinstance(doc, dict) else None
     # ``True`` and ``1.0`` both compare equal to 1.

@@ -37,7 +37,8 @@ def load_values(stream: Iterable[str]) -> dict[str, float]:
     Values must be positive numbers; duplicate teams are rejected.
     """
     table: dict[str, float] = {}
-    for row_no, row in enumerate(csv_records(stream), start=1):
+    rows, error = csv_records(stream)
+    for row_no, row in enumerate(rows, start=1):
         if _blank(row):
             continue
         cells = [c.strip() for c in row]
@@ -57,6 +58,8 @@ def load_values(stream: Iterable[str]) -> dict[str, float]:
         if not np.isfinite(value) or not value > 0:
             raise ValueError(f"row {row_no}: value must be positive, got {raw_value}")
         table[name] = value
+    if error:
+        raise error
     if not table:
         raise ValueError("empty input: no value rows")
     return table

@@ -256,6 +256,11 @@ def random_league(n_teams: int, n_matches: int, seasons: int, seed: int, draw_sh
 
 def broken_model_file(path, tmp_path, case):
     """A copy of the model file at ``path`` with one defect, by case name."""
+    bad = tmp_path / "broken.json"
+    if case == "nested too deeply":
+        # Deeper than json's recursive parser can go.
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        return bad
     doc = json.loads(path.read_text())
     if case == "team without phi":
         del doc["teams"][1]["phi"]
@@ -281,7 +286,6 @@ def broken_model_file(path, tmp_path, case):
         doc["format_version"] = True
     elif case == "format_version 1.0":
         doc["format_version"] = 1.0
-    bad = tmp_path / "broken.json"
     bad.write_text(json.dumps(doc))
     return bad
 
@@ -299,6 +303,7 @@ BROKEN_CASES = [
     ("non-numeric value", "non-numeric"),
     ("format_version true", "unsupported model file"),
     ("format_version 1.0", "unsupported model file"),
+    ("nested too deeply", "not valid JSON"),
 ]
 
 

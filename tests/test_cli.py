@@ -116,6 +116,14 @@ class TestTrain:
         assert len(proc.stderr.splitlines()) == 1
         assert out.read_bytes() == b"an earlier model\n"
 
+    def test_model_out_a_directory_is_io_error_naming_it(self, matches_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", str(matches_file), "-o", str(out), "--epochs", "1", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("steve: I/O error: ") and err.endswith(f": {str(out)!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["matches.csv", "out"]
+
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "export-features"])
 def test_json_output_is_json_on_every_line(matches_file, model_file, tmp_path, capsys, command):
@@ -357,6 +365,17 @@ class TestExportFeatures:
         assert len(lines[0].split(",")) == 1 + 162
         assert len(lines) == 1 + 5
 
+    @pytest.mark.parametrize("season", ["0", "3", "99999999999999999999"])
+    def test_season_outside_the_data_is_refused(self, matches_file, tmp_path, capsys, season):
+        out = tmp_path / "f.csv"
+        rc = main(["export-features", str(matches_file), "-o", str(out),
+                   "--representation", "cat-1", "--season", season, "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"steve: error: --season must be in 1..2, the data's newest season, got {season}\n"
+        )
+        assert not out.exists()
+
     def test_steve_export_requires_model(self, matches_file, tmp_path, capsys):
         rc = main(["export-features", str(matches_file), "-o", str(tmp_path / "f.csv"),
                    "--representation", "steve-16", "--quiet"])
@@ -403,7 +422,7 @@ class TestBaselineOutputsMatchReferenceScan:
         return np.array([rule(raw, registry, t, newest) for t in range(1, registry.m + 1)])
 
     @pytest.mark.parametrize("rep, columns, rule", CASES)
-    @pytest.mark.parametrize("season", [None, 3, 6])
+    @pytest.mark.parametrize("season", [None, 3, 4])
     def test_export_bytes(self, league, tmp_path, rep, columns, rule, season):
         matches, _, registry, raw = league
         out = tmp_path / "f.csv"
@@ -464,6 +483,10 @@ class TestUsage:
             (["summary", "m.csv", "--output", "xml"], "argument --output: invalid choice: 'xml'"),
             (["train", "m.csv", "--epochs", "two"], "argument --epochs: invalid int value: 'two'"),
             (["summary", "m.csv", "--bogus"], "unrecognized arguments: --bogus"),
+            (["train", "m.csv", "--seed", "-1"], "argument --seed: must be non-negative, got -1"),
+            (["evaluate", "m.csv", "v.csv", "--representation", "cat-1", "--seed", "-1"],
+             "argument --seed: must be non-negative, got -1"),
+            (["summary", "m.csv", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
         ],
     )
     def test_usage_error_is_one_validation_error_line(self, capsys, argv, message):

@@ -284,7 +284,8 @@ GOALS = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(ODD_GOALS))
 UNQUOTED_NAMES = [n for n in NAMES if not set(n) & set('",\n')]
 UNQUOTED_LABELS = [label for label in LABELS if not set(label) & set('",\n')]
 
-#: One way to spoil a row per check of the parser, in the order it checks.
+#: One way to spoil a row per check of the parser, in the order it checks,
+#: then records with two faults.
 BAD_ROWS = {
     "field count": lambda row, extra: [*row.values(), "1"] if extra else list(row.values())[:-1],
     "empty season_label": lambda row, extra: {**row, "season_label": " " if extra else ""},
@@ -293,6 +294,13 @@ BAD_ROWS = {
     "home == away": lambda row, extra: {**row, "away": " " + row["home"].strip() + " "},
     "integer goals": lambda row, extra: {**row, "home_goals" if extra else "away_goals": "1.5" if extra else "x"},
     "negative goals": lambda row, extra: {**row, "away_goals" if extra else "home_goals": "-1"},
+    # Two faults in one record: the earlier check is the one reported.
+    "competition tag and empty team name":
+        lambda row, extra: {**row, "competition": "Cup", "away" if extra else "home": ""},
+    "home == away and bad goals":
+        lambda row, extra: {**row, "away": row["home"], "away_goals": "x" if extra else "-1"},
+    "negative and non-integer goals":
+        lambda row, extra: {**row, "home_goals": "x" if extra else "-1", "away_goals": "-1" if extra else "x"},
 }
 
 
@@ -675,12 +683,20 @@ class TestSplitIngest:
         assert self.assert_serial(self.lines(), forks=1) is None
         assert self.assert_serial(self.lines()[:31], forks=0) is None  # below 8 chunks
 
+    @pytest.mark.parametrize("bad,message", [
+        ("NationalLeague,Club 3,Club 3,1,0", "home and away team are both 'Club 3'"),
+        # Two faults in one record: the earlier check is the one reported.
+        ("NationalLeague,Club 3,Club 3,x,0", "home and away team are both 'Club 3'"),
+        ("NationalLeague,Club 3,Club 4,-1,x", "goals must be integers"),
+        ("Cup,,Club 4,1,0", "unknown competition tag 'Cup' "
+                            "(expected one of ['ChampionsLeague', 'EuropaLeague', 'NationalLeague'])"),
+    ])
     @pytest.mark.parametrize("at", [1, 32, 33, 60])
-    def test_bad_record(self, at):
+    def test_bad_record(self, at, bad, message):
         lines = self.lines()
-        lines[at] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        lines[at] = f"2011/x,{bad}\n"
         error = self.assert_serial(lines, forks=1)
-        assert error == f"ValueError: row {at + 1}: home and away team are both 'Club 3'"
+        assert error == f"ValueError: row {at + 1}: {message}"
 
     def test_bad_records_in_both_halves(self):
         lines = self.lines()

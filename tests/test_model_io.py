@@ -209,6 +209,17 @@ class TestAtomicSave:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.json.theta"]
 
+    @pytest.mark.parametrize("target, error", [("model.json", IsADirectoryError),
+                                               ("missing/model.json", FileNotFoundError)])
+    def test_failed_rename_or_open_names_the_target_and_leaves_nothing(self, tmp_path, target, error):
+        (tmp_path / "model.json").mkdir()
+        path = tmp_path / target
+        with pytest.raises(error) as info:
+            save_model(init_model(3, 2, 0), path)
+        assert info.value.filename == str(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert not any((tmp_path / "model.json").iterdir())
+
     def test_save_replaces_earlier_file_and_leaves_no_temp(self, trained, tmp_path):
         _, _, path = trained
         other = init_model(3, 2, 0)
@@ -548,9 +559,9 @@ class TestSidecar:
         with pytest.raises(OSError, match="rename failed"):
             save_model(init_model(3, 2, 0), path)
         monkeypatch.undo()
-        # The new sidecar is in place, but it does not match the earlier file.
+        # The new sidecar was put in place, then removed: the earlier file loads from its JSON.
         assert renamed == ["model.json.theta"]
-        assert sorted(p.name for p in path.parent.iterdir()) == sorted(before)
+        assert sorted(p.name for p in path.parent.iterdir()) == ["model.json"]
         assert path.read_bytes() == before["model.json"]
         assert_same_bits(load_model(path), model)
         # A failure before either rename changes no file at all.
