@@ -237,6 +237,44 @@ class TestSummary:
         assert [s["season_index"] for s in doc["per_season"]] == [1, 2]
 
 
+def test_text_output_bytes(tmp_path, capsys):
+    """The text-mode stdout of every command that prints a result, byte for byte."""
+    matches, values, model = tmp_path / "m.csv", tmp_path / "v.csv", tmp_path / "model.json"
+    matches.write_text(league_csv(n_teams=6, seasons=2, seed=4, rounds=1), encoding="utf-8")
+    values.write_text(values_csv([f"Club {c}" for c in "ABCDEF"], seed=2), encoding="utf-8")
+    expected = [
+        (["train", str(matches), "-o", str(model), "--epochs", "3", "--delta", "4", "--seed", "5"],
+         "epoch   1/3  mean_loss 1.732873\n"
+         "epoch   2/3  mean_loss 1.732804\n"
+         "epoch   3/3  mean_loss 1.732735\n"
+         f"wrote {model}\n"),
+        (["similar", str(model), "--team", "Club C", "--k", "3"],
+         "team    distance\n"
+         "------  --------\n"
+         "Club D  0.731147\n"
+         "Club A  1.10448 \n"
+         "Club B  2.07745 \n"),
+        (["rank", str(model), "--teams", "Club A,Club D,Club F"],
+         "rank  team    victories\n"
+         "----  ------  ---------\n"
+         "1     Club F  2        \n"
+         "2     Club D  1        \n"
+         "3     Club A  0        \n"),
+        (["summary", str(matches)],
+         '{\n  "matches": 64,\n  "teams": 6,\n  "draw_fraction": 0.234375,\n  "per_season": [\n'
+         '    {\n      "season_index": 1,\n      "season_label": "2010/2011",\n      "matches": 32\n    },\n'
+         '    {\n      "season_index": 2,\n      "season_label": "2011/2012",\n      "matches": 32\n    }\n'
+         "  ]\n}\n"),
+        (["evaluate", str(matches), str(values), "--representation", "cat-1", "--seed", "5"],
+         "representation  RMSE             MAE              MMAE           \n"
+         "--------------  ---------------  ---------------  ---------------\n"
+         "cat-1           327.69 ± 277.59  312.02 ± 279.68  312.02 ± 279.68\n"),
+    ]
+    for argv, out in expected:
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
 @pytest.mark.parametrize("command", ["summary", "evaluate", "export-features"])
 def test_goal_count_beyond_int64_is_validation_error(tmp_path, capsys, command):
     lines = league_csv(n_teams=6, seasons=2, seed=0, rounds=1).splitlines()
