@@ -35,7 +35,7 @@ _EXPORTS = {
         "quartile_labels", "standardize_apply", "standardize_fit", "standardize_invert",
         "steve_features",
     ),
-    "model_io": ("MODEL_FORMAT_VERSION", "load_model", "read_model_file", "save_model"),
+    "model_io": ("MODEL_FORMAT_VERSION", "load_model", "save_model"),
     "cli": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -57,7 +57,8 @@ def _stage_seed(seed: int, stage: int) -> int:
 
 
 def _open_text(path: str):
-    return open(path, "r", encoding="utf-8", newline="")
+    # "utf-8-sig" drops the byte-order mark that Excel's "CSV UTF-8" writes first.
+    return open(path, "r", encoding="utf-8-sig", newline="")
 
 
 def _load_dataset(path: str) -> Dataset:
@@ -82,7 +83,7 @@ def _team_list(arg: str) -> list[str]:
     """Interpret --teams as a file of names (one per line) or a comma list."""
     path = Path(arg)
     if path.exists():
-        names = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+        names = [line.strip() for line in path.read_text(encoding="utf-8-sig").splitlines()]
     else:
         names = [piece.strip() for piece in arg.split(",")]
     names = [n for n in names if n]
@@ -91,18 +92,23 @@ def _team_list(arg: str) -> list[str]:
     return names
 
 
+def _print(args, doc, text) -> None:
+    """Print one result line: ``doc`` as JSON with ``--output json``, else ``text()``."""
+    print(json.dumps(doc) if args.output == "json" else text())
+
+
 def _progress(args, epochs: int):
     """The ``progress`` sink of :func:`train`: one line per epoch, ``None`` when quiet."""
     if args.quiet:
         return None
-    if args.output == "json":
-        return lambda epoch, loss: print(json.dumps({"epoch": epoch, "mean_loss": loss}))
-    return lambda epoch, loss: print(f"epoch {epoch:>3}/{epochs}  mean_loss {loss:.6f}")
+    return lambda epoch, loss: _print(
+        args, {"epoch": epoch, "mean_loss": loss}, lambda: f"epoch {epoch:>3}/{epochs}  mean_loss {loss:.6f}"
+    )
 
 
 def _report_written(args, path: str) -> None:
     if not args.quiet:
-        print(json.dumps({"wrote": path}) if args.output == "json" else f"wrote {path}")
+        _print(args, {"wrote": path}, lambda: f"wrote {path}")
 
 
 def cmd_train(args) -> int:
@@ -130,10 +136,7 @@ def cmd_similar(args) -> int:
     if not 1 <= args.k <= model.m - 1:
         raise ValueError(f"--k must be in 1..{model.m - 1}, got {args.k}")
     records = similarity_records(model, most_similar(model, team, args.k))
-    if args.output == "json":
-        print(json.dumps(records))
-    else:
-        print(format_aligned(records, ("team", "distance")))
+    _print(args, records, lambda: format_aligned(records, ("team", "distance")))
     return 0
 
 
@@ -143,10 +146,7 @@ def cmd_rank(args) -> int:
     model = model_io.load_model(args.model)
     ids = [_resolve_team(model.registry, name) for name in _team_list(args.teams)]
     records = ranking_records(model, rank_teams(model, ids))
-    if args.output == "json":
-        print(json.dumps(records))
-    else:
-        print(format_aligned(records, ("rank", "team", "victories")))
+    _print(args, records, lambda: format_aligned(records, ("rank", "team", "victories")))
     return 0
 
 
@@ -154,10 +154,7 @@ def cmd_summary(args) -> int:
     from . import match_data
 
     summary = match_data.dataset_summary(_load_dataset(args.matches))
-    if args.output == "json":
-        print(json.dumps(summary))
-    else:
-        print(json.dumps(summary, indent=2))
+    _print(args, summary, lambda: json.dumps(summary, indent=2))
     return 0
 
 
@@ -177,17 +174,21 @@ def _parse_representation(rep: str):
 
 
 def _features(kind, param, ds, newest, model):
-    """``(header, matrix, standardize)`` of one representation over all teams.
+    """``(header, matrix, standardize)`` of one representation, one row per team of ``ds``.
 
-    ``steve`` rows are the winner and loser vectors of ``model``; the count
-    baselines are built from ``ds`` with ``newest`` as the newest season
-    and are standardized per fold.
+    ``steve`` rows are the winner and loser vectors of ``model``, looked up
+    by team name; the count baselines are built from ``ds`` with ``newest``
+    as the newest season and are standardized per fold.
     """
     from . import baselines, valuation
 
     if kind == "steve":
+        missing = next((name for name in ds.registry.names if name not in model.registry), None)
+        if missing is not None:
+            raise ValueError(f"the model has no team {missing!r} of the matches file")
         header = [f"phi_{i}" for i in range(model.delta)] + [f"psi_{i}" for i in range(model.delta)]
-        return header, valuation.steve_features(model, list(range(1, model.m + 1))), False
+        teams = [model.registry.id_of(name) for name in ds.registry.names]
+        return header, valuation.steve_features(model, teams), False
     teams = range(1, ds.registry.m + 1)
     if kind == "season-stats":
         header = baselines.SEASON_STATS_COLUMNS
@@ -230,10 +231,7 @@ def cmd_evaluate(args) -> int:
         standardize_features=standardize,
         metadata={"representation": args.representation},
     )
-    if args.output == "json":
-        print(json.dumps(report.to_dict()))
-    else:
-        print(report.format_table())
+    _print(args, report.to_dict(), report.format_table)
     return 0
 
 
@@ -241,8 +239,10 @@ def cmd_export_features(args) -> int:
     from . import model_io
 
     kind, param = _parse_representation(args.representation)
-    ds = model = newest = None
+    model = None
     if kind == "steve":
+        if args.season is not None:
+            raise ValueError(f"--season applies only to the count representations, not {args.representation}")
         if not args.model:
             raise ValueError("exporting a steve-* representation requires --model")
         model = model_io.load_model(args.model)
@@ -250,19 +250,16 @@ def cmd_export_features(args) -> int:
             raise ValueError(
                 f"model has delta={model.delta}, but {args.representation} needs delta={param}"
             )
-        names = model.registry.names
-    else:
-        ds = _load_dataset(args.matches)
-        names = ds.registry.names
-        newest = args.season if args.season is not None else ds.x_max
-        if not 1 <= newest <= ds.x_max:
-            raise ValueError(f"--season must be in 1..{ds.x_max}, the data's newest season, got {newest}")
+    ds = _load_dataset(args.matches)
+    newest = args.season if args.season is not None else ds.x_max
+    if not 1 <= newest <= ds.x_max:
+        raise ValueError(f"--season must be in 1..{ds.x_max}, the data's newest season, got {newest}")
     header, rows, _ = _features(kind, param, ds, newest, model)
 
     with open(args.features_out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["team"] + header)
-        for name, row in zip(names, rows):
+        for name, row in zip(ds.registry.names, rows):
             writer.writerow([name] + [repr(float(v)) for v in row])
     _report_written(args, args.features_out)
     return 0
@@ -316,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--features-out", default="features.csv", help="output CSV file")
     p.add_argument("--representation", required=True, help=_REPRESENTATIONS)
     p.add_argument("--model", help="model JSON (required for steve-* representations)")
-    p.add_argument("--season", type=int, help="newest season index (default: newest in data)")
+    p.add_argument("--season", type=int,
+                   help="newest season index of a count representation (default: newest in data)")
     p.set_defaults(func=cmd_export_features)
 
     return parser

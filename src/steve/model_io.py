@@ -101,9 +101,10 @@ def save_model(
 
     The file holds the bytes ``json.dump(doc, f, indent=1)`` and a final
     newline would write, but the team records are formatted a slab at a
-    time instead of by ``json``'s pure-Python encoder.  A model that
-    :func:`load_model` would refuse, one with no teams or with a NaN or an
-    infinity in a vector, raises ``ValueError`` and writes nothing.
+    time instead of by ``json``'s pure-Python encoder.  A model with no
+    teams or with a NaN or an infinity in a vector raises ``ValueError``
+    and writes nothing.  Row norms are not checked, though
+    :func:`load_model` refuses a row off unit norm.
     """
     if not model.m:
         raise ValueError("model has no teams")
@@ -154,8 +155,8 @@ def save_model(
         raise
 
 
-def _model_doc(path, data: bytes) -> dict:
-    """The model document in the bytes ``data`` of ``path``; see :func:`read_model_file`."""
+def _json_parts(path, data: bytes):
+    """``(delta, x_max, names, blocks)`` of the model file's bytes; see :func:`_checked_model`."""
     # Decoded as ``open(path, encoding="utf-8")`` would, so errors read the same.
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     try:
@@ -169,29 +170,13 @@ def _model_doc(path, data: bytes) -> dict:
         raise ValueError(
             f"{path}: unsupported model file (expected format_version {MODEL_FORMAT_VERSION})"
         )
-    _check_sizes(path, doc.get("delta"), doc.get("x_max"))
+    for key in ("delta", "x_max"):
+        value = doc.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{path}: {key} must be a positive integer, got {value!r}")
     teams = doc.get("teams")
     if not isinstance(teams, list) or not teams:
         raise ValueError(f"{path}: model file has no teams")
-    return doc
-
-
-def _check_sizes(path, delta, x_max) -> None:
-    for key, value in (("delta", delta), ("x_max", x_max)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{path}: {key} must be a positive integer, got {value!r}")
-
-
-def read_model_file(path: str | Path) -> dict:
-    """Load and structurally validate the raw model document."""
-    with open(path, "rb") as f:
-        return _model_doc(path, f.read())
-
-
-def _json_parts(path, data: bytes):
-    """``(delta, x_max, names, blocks)`` of the model file's bytes; see :func:`_checked_model`."""
-    doc = _model_doc(path, data)
-    teams = doc["teams"]
     if not all(isinstance(t, dict) and isinstance(t.get("name"), str) for t in teams):
         raise ValueError(f"{path}: every team record needs a name")
 
@@ -221,8 +206,9 @@ def _sidecar_parts(path: Path, data: bytes):
     """``(delta, x_max, names, blocks)`` from the sidecar of ``path``, or ``None``.
 
     ``None`` unless the sidecar is whole (its trailing CRC-32 matches), has
-    this format's header, was written with exactly the bytes ``data`` (same
-    length and CRC-32) and holds a block of the header's size.
+    this format's header with positive integer ``m``, ``delta`` and
+    ``x_max``, was written with exactly the bytes ``data`` (same length and
+    CRC-32) and holds a block of the header's size.
     """
     try:
         raw = _sidecar(path).read_bytes()
@@ -239,15 +225,15 @@ def _sidecar_parts(path: Path, data: bytes):
         header.get("format"), header.get("json_bytes"), header.get("json_crc32")
     ) != (_SIDECAR_FORMAT, len(data), zlib.crc32(data)):
         return None
-    m, delta, names = header.get("m"), header.get("delta"), header.get("names")
+    m, delta, x_max, names = (header.get(key) for key in ("m", "delta", "x_max", "names"))
     if not (
-        type(m) is int and type(delta) is int and m > 0 and delta > 0
+        type(m) is int and type(delta) is int and type(x_max) is int and min(m, delta, x_max) > 0
         and isinstance(names, list) and len(names) == m and all(isinstance(n, str) for n in names)
         and len(raw) - end - 5 == 2 * m * delta * 8
     ):
         return None
     theta = np.frombuffer(raw, dtype="<f8", count=2 * m * delta, offset=end + 1).reshape(2 * m, delta)
-    return delta, header.get("x_max"), names, lambda _: (theta[:m], theta[m:])
+    return delta, x_max, names, lambda _: (theta[:m], theta[m:])
 
 
 def _checked_model(path, delta, x_max, names: list[str], blocks) -> EmbeddingModel:
@@ -258,7 +244,6 @@ def _checked_model(path, delta, x_max, names: list[str], blocks) -> EmbeddingMod
     entries as it builds them.  Anything wrong raises ``ValueError`` naming
     ``path``.
     """
-    _check_sizes(path, delta, x_max)
     try:
         registry = TeamRegistry(names)
     except ValueError as e:

@@ -87,6 +87,8 @@ class EmbeddingModel:
             raise ValueError(
                 f"phi/psi must have shape {expected}, got {phi.shape} and {psi.shape}"
             )
+        if self.delta < 1:
+            raise ValueError("delta must be >= 1")
         if self.x_max < 1:
             raise ValueError("x_max must be >= 1")
         self.theta = np.concatenate([phi, psi])

@@ -9,7 +9,7 @@ and deterministic so reports are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -209,17 +209,15 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _loss_and_grads(
-    net: MLP, X: np.ndarray, y: np.ndarray, l2: float, grads: list[np.ndarray], with_loss: bool,
-    work=(None,) * 7,
-) -> float | None:
+def _grads(
+    net: MLP, X: np.ndarray, y: np.ndarray, l2: float, grads: list[np.ndarray], work=(None,) * 7
+) -> None:
     """Write the batch gradients into ``grads`` (order W1, b1, W2, b2, W3, b3).
 
-    Returns the loss, or ``None`` unless ``with_loss``; the gradients do not
-    depend on it.  Regression: half mean squared error.  Classification:
-    mean cross entropy of a 4-way softmax.  Both add ``l2 / (2 n) * sum|W|^2``
-    over the weight matrices, so the gradients match finite differences of
-    the loss exactly.  ``work`` holds buffers for z1, h1, z2, h2, z3, dz2 and
+    They are the gradients of the half mean squared error (regression) or
+    the mean cross entropy of a 4-way softmax (classification), plus
+    ``l2 / (2 n) * sum|W|^2`` over the weight matrices; the loss itself is
+    not computed.  ``work`` holds buffers for z1, h1, z2, h2, z3, dz2 and
     dz1; without them the step allocates its own.
     """
     weights, biases = net.weights, net.biases
@@ -228,18 +226,11 @@ def _loss_and_grads(
     z1, h1, z2, h2, z3 = _forward(weights, biases, X, work[:5])
 
     if net.task is Task.REGRESSION:
-        resid = z3[:, 0] - y
-        loss = 0.5 * float(np.mean(resid**2)) if with_loss else None
-        dz3 = (resid / n)[:, None]
+        dz3 = ((z3[:, 0] - y) / n)[:, None]
     else:
-        log_probs = _log_softmax(z3)
-        loss = -float(np.mean(log_probs[np.arange(n), y])) if with_loss else None
-        dz3 = np.exp(log_probs)
+        dz3 = np.exp(_log_softmax(z3))
         dz3[np.arange(n), y] -= 1.0
         dz3 /= n
-
-    if with_loss:
-        loss += l2 / (2 * n) * sum(float(np.sum(W**2)) for W in weights)
 
     np.matmul(h2.T, dz3, out=dW3)
     dW3 += (l2 / n) * weights[2]
@@ -254,7 +245,6 @@ def _loss_and_grads(
     np.matmul(X.T, dz1, out=dW1)
     dW1 += (l2 / n) * weights[0]
     dz1.sum(axis=0, out=db1)
-    return loss
 
 
 def _check_samples(X: np.ndarray, y: np.ndarray, task: Task) -> None:
@@ -316,7 +306,7 @@ def mlp_train(
             idx = perm[start : start + batch]
             xb, *buffers = work if len(idx) == batch else [w[: len(idx)] for w in work]
             np.take(X, idx, axis=0, out=xb)
-            _loss_and_grads(net, xb, y[idx], cfg.l2, grads, with_loss=False, work=buffers)
+            _grads(net, xb, y[idx], cfg.l2, grads, work=buffers)
             t += 1
             bc1 = 1.0 - MLPConfig.BETA1**t
             bc2 = 1.0 - MLPConfig.BETA2**t
@@ -470,12 +460,13 @@ def cross_validate(
     task: Task,
     seed: int,
     standardize_features: bool = False,
-    mlp_config: MLPConfig | None = None,
     metadata: dict | None = None,
 ) -> EvalReport:
     """5-fold cross-validation of MLP prediction quality.
 
-    Samples are shuffled with ``seed`` and split into five near-equal folds.
+    Samples are shuffled with ``seed`` and split into five near-equal folds;
+    each fold trains the network of the :class:`MLPConfig` defaults, seeded
+    from ``seed``.
     Regression targets are standardized on each training split and
     predictions are mapped back to original units before computing metrics;
     features are standardized per split only when ``standardize_features``
@@ -489,7 +480,6 @@ def cross_validate(
         raise ValueError(f"need at least {N_FOLDS} samples, got {n}")
     _check_samples(X, y, task)
 
-    base_cfg = mlp_config or MLPConfig()
     fold_seeds = np.random.SeedSequence(seed).spawn(N_FOLDS + 1)[1:]
     folds = cv_folds(n, seed)
 
@@ -502,7 +492,7 @@ def cross_validate(
             X_tr = standardize_apply(ft, X_tr)
             X_val = standardize_apply(ft, X_val)
 
-        cfg = replace(base_cfg, seed=int(fold_seeds[k].generate_state(1)[0]))
+        cfg = MLPConfig(seed=int(fold_seeds[k].generate_state(1)[0]))
         if task is Task.REGRESSION:
             tt = standardize_fit(y[train_idx].astype(np.float64))
             net = mlp_train(X_tr, standardize_apply(tt, y[train_idx]), task, cfg)

@@ -825,7 +825,7 @@ def reference_steve_features(model: EmbeddingModel, teams: Sequence[int]) -> np.
 # Reference MLP: the per-array training loop and gradient function that the
 # one-block ``steve.valuation.mlp_train`` replaced, kept unchanged (renamed,
 # with their private helpers) as bit-exact oracles for ``mlp_train`` and
-# its gradient kernel ``_loss_and_grads``.
+# its gradient kernel ``_grads``.
 
 
 def _reference_init_params(dims: list[int], seed) -> tuple[list[np.ndarray], list[np.ndarray]]:

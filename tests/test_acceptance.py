@@ -4,6 +4,7 @@ PASS/FAIL line with the measured numbers so the run reads as a checklist.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import json
 import math
 import time
 
@@ -25,7 +26,6 @@ from helpers import (
 from steve.analytics import most_similar, rank_teams, winner_distance
 from steve.cli import main
 from steve.match_data import Dataset, MatchQuad
-from steve.model_io import read_model_file
 from steve.trainer import TrainConfig, train
 from steve.valuation import Task, compute_metrics, cross_validate, quartile_labels, steve_features
 
@@ -326,7 +326,7 @@ def test_criterion_9_pipeline_determinism(tmp_path, capsys):
         model_path = tmp_path / f"model_{run}.json"
         assert main(["train", str(matches), "-o", str(model_path), "--epochs", "5",
                      "--seed", "11", "--quiet"]) == 0
-        doc = read_model_file(model_path)
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
         doc.pop("created_at")
         names = [t["name"] for t in doc["teams"]]
 

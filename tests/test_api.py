@@ -40,7 +40,6 @@ PUBLIC = [
     "most_similar",
     "quartile_labels",
     "rank_teams",
-    "read_model_file",
     "save_model",
     "season_stats",
     "standardize_apply",
@@ -54,8 +53,9 @@ PUBLIC = [
 ]
 
 #: Wrappers and helpers that only tests called; the tests now use the
-#: kernels in ``steve.trainer`` and ``steve.valuation`` or ``tests/helpers.py``.
-REMOVED = ["batch_gradients", "sample_loss", "init_model", "mlp_loss_and_grads"]
+#: kernels in ``steve.trainer`` and ``steve.valuation``, a plain JSON read of the
+#: model file, or ``tests/helpers.py``.
+REMOVED = ["batch_gradients", "sample_loss", "init_model", "mlp_loss_and_grads", "read_model_file"]
 
 
 def test_all_is_pinned():
@@ -70,7 +70,7 @@ def test_public_name_resolves(name):
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert not hasattr(steve, name)
-    assert not any(hasattr(getattr(steve, module), name) for module in ("trainer", "valuation"))
+    assert not any(hasattr(getattr(steve, module), name) for module in ("trainer", "valuation", "model_io"))
 
 
 #: Checks the lazy package from a fresh interpreter, where no test has

@@ -17,7 +17,6 @@ from helpers import (
 from steve import valuation
 from steve.baselines import SEASON_STATS_COLUMNS, cat_feature_columns
 from steve.cli import _stage_seed, main
-from steve.model_io import read_model_file
 
 
 @pytest.fixture
@@ -37,7 +36,7 @@ def model_file(tmp_path, matches_file):
 
 
 def team_names(model_file):
-    return [t["name"] for t in read_model_file(model_file)["teams"]]
+    return [t["name"] for t in json.loads(model_file.read_text(encoding="utf-8"))["teams"]]
 
 
 class TestTrain:
@@ -47,7 +46,7 @@ class TestTrain:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len([l for l in lines if l.startswith("epoch")]) == 2
-        doc = read_model_file(out)
+        doc = json.loads(out.read_text(encoding="utf-8"))
         cfg = doc["train_config"]
         assert cfg["delta"] == 16
         assert cfg["batch_size"] == 128
@@ -60,7 +59,7 @@ class TestTrain:
         rc = main(["train", str(matches_file), "-o", str(out), "--delta", "10",
                    "--batch-size", "32", "--epochs", "2", "--quiet"])
         assert rc == 0
-        doc = read_model_file(out)
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["delta"] == 10
         assert doc["train_config"]["batch_size"] == 32
 
@@ -78,7 +77,7 @@ class TestTrain:
         for out in (a, b):
             assert main(["train", str(matches_file), "-o", str(out),
                          "--epochs", "2", "--seed", "3", "--quiet"]) == 0
-        da, db = read_model_file(a), read_model_file(b)
+        da, db = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
         da.pop("created_at"), db.pop("created_at")
         assert da == db
 
@@ -429,12 +428,82 @@ class TestExportFeatures:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines[0].split(",")) == 1 + 16
-        doc = read_model_file(model)
+        doc = json.loads(model.read_text(encoding="utf-8"))
         first = lines[1].split(",")
         assert first[0] == doc["teams"][0]["name"]
         np.testing.assert_array_equal(
             [float(v) for v in first[1:9]], doc["teams"][0]["phi"]
         )
+
+
+    @pytest.fixture
+    def model8(self, matches_file, tmp_path):
+        model = tmp_path / "m8.json"
+        assert main(["train", str(matches_file), "-o", str(model), "--delta", "8",
+                     "--epochs", "2", "--quiet"]) == 0
+        return model
+
+    def test_steve_export_reads_the_matches_file(self, model8, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        rc = main(["export-features", str(tmp_path / "nope.csv"), "-o", str(out),
+                   "--representation", "steve-16", "--model", str(model8), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("steve: I/O error: ")
+        assert not out.exists()
+
+    def test_steve_export_refuses_season(self, matches_file, model8, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        rc = main(["export-features", str(matches_file), "-o", str(out), "--representation", "steve-16",
+                   "--model", str(model8), "--season", "2", "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "steve: error: --season applies only to the count representations, not steve-16\n"
+        )
+        assert not out.exists()
+
+    def test_steve_rows_are_the_data_teams_in_data_order(self, matches_file, model8, tmp_path, capsys):
+        header, *rows = matches_file.read_text(encoding="utf-8").splitlines()
+        # Seven of the model's eight teams, first seen in another order than in training.
+        rows = [row for row in reversed(rows) if "Club H" not in row]
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        assert main(["export-features", str(data), "-o", str(out), "--representation", "steve-16",
+                     "--model", str(model8), "--quiet"]) == 0
+        order = list(dict.fromkeys(name for row in rows for name in row.split(",")[2:4]))
+        vectors = {t["name"]: t["phi"] + t["psi"] for t in json.loads(model8.read_text(encoding="utf-8"))["teams"]}
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == order and len(order) == 7
+        for line in lines:
+            name, *values = line.split(",")
+            assert [float(v) for v in values] == vectors[name]
+        # A team of the data that the model lacks is refused by name.
+        data.write_text(data.read_text(encoding="utf-8").replace("Club C", "Club Z"), encoding="utf-8")
+        out.unlink()
+        assert main(["export-features", str(data), "-o", str(out), "--representation", "steve-16",
+                     "--model", str(model8), "--quiet"]) == 1
+        assert capsys.readouterr().err == "steve: error: the model has no team 'Club Z' of the matches file\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["matches", "values", "teams"])
+def test_byte_order_mark_is_ignored(matches_file, model_file, tmp_path, capsys, kind):
+    # Excel's "CSV UTF-8" export writes U+FEFF first.
+    names = team_names(model_file)
+    values, teams = tmp_path / "values.csv", tmp_path / "teams.txt"
+    values.write_text(values_csv(names, seed=1), encoding="utf-8")
+    teams.write_text("\n".join(names[:3]) + "\n", encoding="utf-8")
+    path, argv = {
+        "matches": (matches_file, ["summary", str(matches_file)]),
+        "values": (values, ["evaluate", str(matches_file), str(values), "--representation", "cat-1",
+                            "--output", "json"]),
+        "teams": (teams, ["rank", str(model_file), "--teams", str(teams)]),
+    }[kind]
+    assert main(argv) == 0
+    without = capsys.readouterr()
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(argv) == 0
+    assert capsys.readouterr() == without
 
 
 class TestBaselineOutputsMatchReferenceScan:

@@ -16,7 +16,7 @@ from helpers import BROKEN_CASES, broken_model_file, init_model, strength_league
 from steve import model_io
 from steve.match_data import TeamRegistry
 from steve.analytics import rank_teams
-from steve.model_io import MODEL_FORMAT_VERSION, load_model, read_model_file, save_model
+from steve.model_io import MODEL_FORMAT_VERSION, load_model, save_model
 from steve.trainer import EmbeddingModel, TrainConfig, train
 
 
@@ -73,7 +73,7 @@ class TestRoundTrip:
 class TestFileContents:
     def test_document_fields(self, trained):
         model, cfg, path = trained
-        doc = read_model_file(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["format_version"] == MODEL_FORMAT_VERSION
         assert doc["delta"] == cfg.delta
         assert doc["train_config"]["epochs"] == cfg.epochs
@@ -86,7 +86,7 @@ class TestFileContents:
 
     def test_vector_widths(self, trained):
         _, cfg, path = trained
-        doc = read_model_file(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
         assert all(len(t["phi"]) == cfg.delta and len(t["psi"]) == cfg.delta for t in doc["teams"])
 
 
@@ -232,7 +232,7 @@ def test_save_without_config(tmp_path):
     model = init_model(3, 2, 0)
     path = tmp_path / "m.json"
     save_model(model, path)
-    assert read_model_file(path)["train_config"] is None
+    assert json.loads(path.read_text(encoding="utf-8"))["train_config"] is None
     assert np.array_equal(load_model(path).phi, model.phi)
 
 
@@ -344,6 +344,14 @@ class TestSaveRefusesModelsLoadWouldRefuse:
             save_model(model, path)
         assert path.read_bytes() == b"an earlier model\n"
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+@pytest.mark.parametrize("delta, x_max, message", [(0, 1, "delta must be >= 1"), (3, 0, "x_max must be >= 1")])
+def test_model_load_would_refuse_cannot_be_built(delta, x_max, message):
+    # So save_model never writes a file whose delta or x_max load_model refuses.
+    rows = np.ones((2, delta)) / np.sqrt(max(delta, 1))
+    with pytest.raises(ValueError, match=message):
+        EmbeddingModel(phi=rows, psi=rows, delta=delta, registry=TeamRegistry(["a", "b"]), x_max=x_max)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -481,7 +489,7 @@ class TestSidecar:
         assert_same_bits(load_model(path), model)
 
     @pytest.mark.parametrize("change", [
-        "format", "json_bytes", "json_crc32", "m", "delta", "names", "short block", "long block",
+        "format", "json_bytes", "json_crc32", "m", "delta", "x_max", "names", "short block", "long block",
         "no header line", "nested header",
     ])
     def test_sealed_sidecar_that_does_not_fit_is_ignored(self, trained, change):
@@ -496,6 +504,8 @@ class TestSidecar:
             header["m"] -= 1
         elif change == "delta":
             header["delta"] += 1
+        elif change == "x_max":
+            header["x_max"] = 0
         elif change == "names":
             header["names"] = header["names"][:-1]
         elif change == "short block":

@@ -12,7 +12,7 @@ from steve.valuation import (
     MLPConfig,
     Task,
     _init_params,
-    _loss_and_grads,
+    _grads,
     _zero_params,
     compute_metrics,
     cross_validate,
@@ -28,10 +28,11 @@ from steve.valuation import (
 )
 
 
-def kernel_loss_and_grads(net, X, y, l2):
-    """Loss and gradients (order W1, b1, W2, b2, W3, b3) from the kernel ``mlp_train`` runs."""
+def kernel_grads(net, X, y, l2):
+    """Gradients (order W1, b1, W2, b2, W3, b3) from the kernel ``mlp_train`` runs."""
     grads = _zero_params([net.input_dim, *(W.shape[1] for W in net.weights)])
-    return _loss_and_grads(net, X, y, l2, grads, with_loss=True), grads
+    _grads(net, X, y, l2, grads)
+    return grads
 
 
 class TestLoadValues:
@@ -215,7 +216,7 @@ class TestMLP:
         out = 1 if task is Task.REGRESSION else 4
         weights, biases = _init_params([3, *MLPConfig.HIDDEN, out], 3)
         net = MLP(weights=weights, biases=biases, task=task)
-        _, grads = kernel_loss_and_grads(net, X, y, l2=1e-4)
+        grads = kernel_grads(net, X, y, l2=1e-4)
         params = [weights[0], biases[0], weights[1], biases[1], weights[2], biases[2]]
         h = 1e-4
         coord_rng = np.random.default_rng(9)
@@ -224,9 +225,9 @@ class TestMLP:
             for i in coord_rng.choice(flat.size, size=min(20, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                up, _ = kernel_loss_and_grads(net, X, y, l2=1e-4)
+                up, _ = reference_mlp_loss_and_grads(net, X, y, l2=1e-4)
                 flat[i] = orig - h
-                down, _ = kernel_loss_and_grads(net, X, y, l2=1e-4)
+                down, _ = reference_mlp_loss_and_grads(net, X, y, l2=1e-4)
                 flat[i] = orig
                 fd = (up - down) / (2 * h)
                 assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
@@ -380,17 +381,15 @@ class TestCrossValidate:
 
     def test_deterministic(self):
         X, y = self._toy()
-        cfg = MLPConfig(epochs=30)
-        a = cross_validate(X, y, Task.REGRESSION, seed=3, mlp_config=cfg)
-        b = cross_validate(X, y, Task.REGRESSION, seed=3, mlp_config=cfg)
+        a = cross_validate(X, y, Task.REGRESSION, seed=3)
+        b = cross_validate(X, y, Task.REGRESSION, seed=3)
         assert a.per_fold == b.per_fold
         assert a.mean == b.mean and a.std == b.std
 
     def test_target_scaling_scales_metrics_exactly(self):
         X, y = self._toy()
-        cfg = MLPConfig(epochs=30)
-        base = cross_validate(X, y, Task.REGRESSION, seed=3, mlp_config=cfg)
-        scaled = cross_validate(X, 4.0 * y, Task.REGRESSION, seed=3, mlp_config=cfg)
+        base = cross_validate(X, y, Task.REGRESSION, seed=3)
+        scaled = cross_validate(X, 4.0 * y, Task.REGRESSION, seed=3)
         for metric in ("rmse", "mae", "median_ae"):
             np.testing.assert_allclose(
                 scaled.per_fold[metric], 4.0 * np.asarray(base.per_fold[metric]), rtol=1e-12
@@ -398,7 +397,7 @@ class TestCrossValidate:
 
     def test_report_structure(self):
         X, y = self._toy()
-        report = cross_validate(X, y, Task.REGRESSION, seed=0, mlp_config=MLPConfig(epochs=5))
+        report = cross_validate(X, y, Task.REGRESSION, seed=0)
         assert set(report.per_fold) == {"rmse", "mae", "median_ae"}
         assert all(len(v) == 5 for v in report.per_fold.values())
         for metric, values in report.per_fold.items():
@@ -448,17 +447,13 @@ class TestCrossValidate:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((24, 4))
         labels = quartile_labels(X[:, 0] + 10.0)
-        report = cross_validate(
-            X, labels, Task.CLASSIFICATION, seed=2, mlp_config=MLPConfig(epochs=5)
-        )
+        report = cross_validate(X, labels, Task.CLASSIFICATION, seed=2)
         assert set(report.per_fold) == {"micro_f1", "macro_f1"}
         assert report.metadata["quartile_binning"] == "full dataset, before fold splits"
 
     def test_feature_standardization_flag_recorded(self):
         X, y = self._toy()
-        report = cross_validate(
-            X, y, Task.REGRESSION, seed=0, standardize_features=True, mlp_config=MLPConfig(epochs=5)
-        )
+        report = cross_validate(X, y, Task.REGRESSION, seed=0, standardize_features=True)
         assert report.metadata["standardize_features"] is True
 
 
@@ -477,9 +472,9 @@ class TestNonFiniteAndEmptyFeatures:
         with pytest.raises(ValueError, match="features must be finite; row 7"):
             mlp_train(X, y, Task.REGRESSION, cfg)
         with pytest.raises(ValueError, match="features must be finite; row 7"):
-            cross_validate(X, y, Task.REGRESSION, seed=0, mlp_config=cfg)
+            cross_validate(X, y, Task.REGRESSION, seed=0)
         with pytest.raises(ValueError, match="features must be finite; row 7"):
-            cross_validate(X, quartile_labels(y), Task.CLASSIFICATION, seed=0, mlp_config=cfg)
+            cross_validate(X, quartile_labels(y), Task.CLASSIFICATION, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_target_row_named(self, bad):
@@ -489,7 +484,7 @@ class TestNonFiniteAndEmptyFeatures:
         with pytest.raises(ValueError, match="targets must be finite; row 4"):
             mlp_train(X, y, Task.REGRESSION, cfg)
         with pytest.raises(ValueError, match="targets must be finite; row 4"):
-            cross_validate(X, y, Task.REGRESSION, seed=0, mlp_config=cfg)
+            cross_validate(X, y, Task.REGRESSION, seed=0)
 
     def test_prediction_on_a_non_finite_row_refused(self):
         X, y = self._data()
@@ -546,14 +541,13 @@ def test_mlp_train_matches_reference_loop_bit_for_bit(task, n, width, batch, l2)
 
 
 @pytest.mark.parametrize("task, n, width, batch, l2", MLP_ORACLE_CASES)
-def test_mlp_loss_and_grads_match_reference_bit_for_bit(task, n, width, batch, l2):
+def test_mlp_grads_match_reference_bit_for_bit(task, n, width, batch, l2):
     X, y = _oracle_data(task, n, width, seed=n * width)
     # Trained parameters, so no gradient is zero by the initialization.
     net = mlp_train(X, y, task, MLPConfig(epochs=2, batch_size=batch, learning_rate=0.01, seed=1))
     rows = np.arange(min(batch, n))
-    loss, grads = kernel_loss_and_grads(net, X[rows], y[rows], l2)
-    ref_loss, ref_grads = reference_mlp_loss_and_grads(net, X[rows], y[rows], l2)
-    assert loss == ref_loss
+    grads = kernel_grads(net, X[rows], y[rows], l2)
+    _, ref_grads = reference_mlp_loss_and_grads(net, X[rows], y[rows], l2)
     for ours, theirs in zip(grads, ref_grads):
         assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 
