@@ -30,10 +30,8 @@ _EXPORTS = {
         "sum_features",
     ),
     "valuation": (
-        "EvalReport", "MLP", "MLPConfig", "Standardizer", "Task", "compute_metrics",
-        "cross_validate", "cv_folds", "load_values", "mlp_predict", "mlp_train",
-        "quartile_labels", "standardize_apply", "standardize_fit", "standardize_invert",
-        "steve_features",
+        "EvalReport", "MLP", "Task", "compute_metrics", "cross_validate", "cv_folds",
+        "load_values", "mlp_predict", "mlp_train", "quartile_labels", "steve_features",
     ),
     "model_io": ("MODEL_FORMAT_VERSION", "load_model", "save_model"),
     "cli": (),

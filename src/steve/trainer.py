@@ -27,6 +27,18 @@ if TYPE_CHECKING:
 ProgressSink = Callable[[int, float], None]
 
 
+def _store_ints(obj, names: tuple[str, ...]) -> None:
+    """Store each named field of ``obj`` as a plain ``int``; a float or a bool is refused.
+
+    A numpy integer is accepted and converted, so that the field writes to JSON.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        setattr(obj, name, int(value))
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for :func:`train`.
@@ -44,10 +56,7 @@ class TrainConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("delta", "batch_size", "epochs", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _store_ints(self, ("delta", "batch_size", "epochs", "seed"))
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
         if self.batch_size < 1:
@@ -80,6 +89,7 @@ class EmbeddingModel:
     theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _store_ints(self, ("delta", "x_max"))
         phi = np.asarray(self.phi, dtype=np.float64)
         psi = np.asarray(self.psi, dtype=np.float64)
         expected = (self.registry.m, self.delta)

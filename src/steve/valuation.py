@@ -94,68 +94,24 @@ def quartile_labels(values: Sequence[float]) -> np.ndarray:
     return np.searchsorted(quartiles, v, side="left").astype(np.int64)
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-column centering/scaling fitted on a training split."""
-
-    mean: np.ndarray
-    scale: np.ndarray  # 1.0 where the column is constant
-
-
-def standardize_fit(train: np.ndarray) -> Standardizer:
-    """Fit per-column mean and standard deviation on training data only.
-
-    Columns with zero standard deviation are centered but not divided.
-    """
-    data = np.asarray(train, dtype=np.float64)
-    if data.size == 0:
-        raise ValueError("cannot fit a standardizer on empty data")
-    mean = data.mean(axis=0)
+def _mean_scale(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard deviation of a training split, the scale 1.0 where a column is constant."""
     std = data.std(axis=0)
-    scale = np.where(std == 0, 1.0, std)
-    return Standardizer(mean=mean, scale=scale)
+    return data.mean(axis=0), np.where(std == 0, 1.0, std)
 
 
-def standardize_apply(transform: Standardizer, data: np.ndarray) -> np.ndarray:
-    return (np.asarray(data, dtype=np.float64) - transform.mean) / transform.scale
-
-
-def standardize_invert(transform: Standardizer, data: np.ndarray) -> np.ndarray:
-    return np.asarray(data, dtype=np.float64) * transform.scale + transform.mean
-
-
-@dataclass
-class MLPConfig:
-    """Network and optimizer constants for :func:`mlp_train`.
-
-    The architecture is fixed: two hidden layers of 50 and 20 rectified
-    linear units.  Weights start uniform with fan-in scaling; the L2
-    penalty applies to weight matrices only.  ``batch_size`` is a cap; the
-    effective batch is ``min(batch_size, n_samples)``.
-    """
-
-    learning_rate: float = 0.001
-    l2: float = 1e-4
-    epochs: int = 200
-    batch_size: int = 200
-    seed: int = 0
-
-    HIDDEN = (50, 20)
-    BETA1 = 0.9
-    BETA2 = 0.999
-    EPS = 1e-8
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (np.isfinite(self.l2) and self.l2 >= 0):
-            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
+# The network is fixed: two hidden layers of 50 and 20 rectified linear
+# units, trained with mini-batch Adam.  Weights start uniform with fan-in
+# scaling; the L2 penalty applies to weight matrices only.  The batch is
+# ``min(_BATCH, n_samples)``.
+_HIDDEN = (50, 20)
+_LEARNING_RATE = 0.001
+_L2 = 1e-4
+_EPOCHS = 200
+_BATCH = 200
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass
@@ -209,14 +165,12 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _grads(
-    net: MLP, X: np.ndarray, y: np.ndarray, l2: float, grads: list[np.ndarray], work=(None,) * 7
-) -> None:
+def _grads(net: MLP, X: np.ndarray, y: np.ndarray, grads: list[np.ndarray], work=(None,) * 7) -> None:
     """Write the batch gradients into ``grads`` (order W1, b1, W2, b2, W3, b3).
 
     They are the gradients of the half mean squared error (regression) or
     the mean cross entropy of a 4-way softmax (classification), plus
-    ``l2 / (2 n) * sum|W|^2`` over the weight matrices; the loss itself is
+    ``_L2 / (2 n) * sum|W|^2`` over the weight matrices; the loss itself is
     not computed.  ``work`` holds buffers for z1, h1, z2, h2, z3, dz2 and
     dz1; without them the step allocates its own.
     """
@@ -233,17 +187,17 @@ def _grads(
         dz3 /= n
 
     np.matmul(h2.T, dz3, out=dW3)
-    dW3 += (l2 / n) * weights[2]
+    dW3 += (_L2 / n) * weights[2]
     dz3.sum(axis=0, out=db3)
     dz2 = np.matmul(dz3, weights[2].T, out=work[5])
     dz2 *= z2 > 0
     np.matmul(h1.T, dz2, out=dW2)
-    dW2 += (l2 / n) * weights[1]
+    dW2 += (_L2 / n) * weights[1]
     dz2.sum(axis=0, out=db2)
     dz1 = np.matmul(dz2, weights[1].T, out=work[6])
     dz1 *= z1 > 0
     np.matmul(X.T, dz1, out=dW1)
-    dW1 += (l2 / n) * weights[0]
+    dW1 += (_L2 / n) * weights[0]
     dz1.sum(axis=0, out=db1)
 
 
@@ -263,10 +217,8 @@ def _check_samples(X: np.ndarray, y: np.ndarray, task: Task) -> None:
         raise ValueError(f"classification targets must be integers in 0..{N_CLASSES - 1}")
 
 
-def mlp_train(
-    features: np.ndarray, targets: np.ndarray, task: Task, cfg: MLPConfig
-) -> MLP:
-    """Train the fixed 50/20 network with mini-batch Adam.
+def mlp_train(features: np.ndarray, targets: np.ndarray, task: Task, seed: int) -> MLP:
+    """Train the fixed 50/20 network with mini-batch Adam, seeded by ``seed``.
 
     Each batch takes one in-place Adam step over the flat parameter block,
     without computing the loss.  Its batch-sized arrays live in buffers made
@@ -284,8 +236,8 @@ def mlp_train(
         y = y.astype(np.int64)
 
     out_dim = 1 if task is Task.REGRESSION else N_CLASSES
-    dims = [X.shape[1], *MLPConfig.HIDDEN, out_dim]
-    init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    dims = [X.shape[1], *_HIDDEN, out_dim]
+    init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
     weights, biases = _init_params(dims, init_ss)
     net = MLP(weights=weights, biases=biases, task=task)
 
@@ -295,35 +247,35 @@ def mlp_train(
     mom, vel = np.zeros_like(theta), np.zeros_like(theta)
     step, denom = np.empty_like(theta), np.empty_like(theta)
     t = 0
-    batch = min(cfg.batch_size, n)
+    batch = min(_BATCH, n)
     d0, d1, d2, d3 = dims
     # The batch, z1, h1, z2, h2, z3, dz2 and dz1 of a step.
     work = [np.empty((batch, width)) for width in (d0, d1, d1, d2, d2, d3, d2, d1)]
     rng = np.random.default_rng(shuffle_ss)
-    for _ in range(cfg.epochs):
+    for _ in range(_EPOCHS):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
             xb, *buffers = work if len(idx) == batch else [w[: len(idx)] for w in work]
             np.take(X, idx, axis=0, out=xb)
-            _grads(net, xb, y[idx], cfg.l2, grads, work=buffers)
+            _grads(net, xb, y[idx], grads, work=buffers)
             t += 1
-            bc1 = 1.0 - MLPConfig.BETA1**t
-            bc2 = 1.0 - MLPConfig.BETA2**t
+            bc1 = 1.0 - _BETA1**t
+            bc2 = 1.0 - _BETA2**t
             # m += (1 - b1)(g - m); v += (1 - b2)(g g - v); p -= lr (m / bc1) / (sqrt(v / bc2) + eps),
             # in place but in that operand order, so every bit is that of the expressions.
             np.subtract(grad, mom, out=step)
-            step *= 1.0 - MLPConfig.BETA1
+            step *= 1.0 - _BETA1
             mom += step
             np.multiply(grad, grad, out=step)
             step -= vel
-            step *= 1.0 - MLPConfig.BETA2
+            step *= 1.0 - _BETA2
             vel += step
             np.divide(mom, bc1, out=step)
-            step *= cfg.learning_rate
+            step *= _LEARNING_RATE
             np.divide(vel, bc2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += MLPConfig.EPS
+            denom += _EPS
             step /= denom
             theta -= step
     return net
@@ -346,20 +298,14 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
-def compute_metrics(
-    predictions: np.ndarray,
-    targets: np.ndarray,
-    task: Task,
-    labels: Sequence[int] | None = None,
-) -> dict[str, float]:
+def compute_metrics(predictions: np.ndarray, targets: np.ndarray, task: Task) -> dict[str, float]:
     """Fold-level metrics.
 
     Regression: RMSE, MAE and the fold's median absolute error (the
     cross-fold mean of the latter is the reported MMAE).  Classification:
-    micro F1 (accuracy for single-label problems) and macro F1.  The macro
-    average runs over ``labels`` when given (a label absent from both truth
-    and prediction then contributes F1 = 0); otherwise over the classes
-    observed in either.
+    micro F1 (accuracy for single-label problems) and macro F1, averaged
+    over the four quartile classes (a class absent from both truth and
+    prediction contributes F1 = 0).
     """
     p = np.asarray(predictions)
     t = np.asarray(targets)
@@ -376,9 +322,8 @@ def compute_metrics(
             "median_ae": float(np.median(np.abs(err))),
         }
 
-    label_set = sorted(set(np.unique(t)) | set(np.unique(p))) if labels is None else list(labels)
     per_class = []
-    for c in label_set:
+    for c in range(N_CLASSES):
         tp = int(np.sum((p == c) & (t == c)))
         fp = int(np.sum((p == c) & (t != c)))
         fn = int(np.sum((p != c) & (t == c)))
@@ -465,13 +410,11 @@ def cross_validate(
     """5-fold cross-validation of MLP prediction quality.
 
     Samples are shuffled with ``seed`` and split into five near-equal folds;
-    each fold trains the network of the :class:`MLPConfig` defaults, seeded
-    from ``seed``.
+    each fold trains the fixed network, seeded from ``seed``.
     Regression targets are standardized on each training split and
     predictions are mapped back to original units before computing metrics;
     features are standardized per split only when ``standardize_features``
-    is set (the count-based representations).  Classification always uses
-    the full quartile label set 0..3 for the macro average.
+    is set (the count-based representations).
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets)
@@ -486,24 +429,20 @@ def cross_validate(
     fold_metrics = []
     for k, val_idx in enumerate(folds):
         train_idx = np.concatenate([f for i, f in enumerate(folds) if i != k])
-        X_tr, X_val = X[train_idx], X[val_idx]
+        X_tr, X_val, y_tr = X[train_idx], X[val_idx], y[train_idx]
         if standardize_features:
-            ft = standardize_fit(X_tr)
-            X_tr = standardize_apply(ft, X_tr)
-            X_val = standardize_apply(ft, X_val)
+            mean, scale = _mean_scale(X_tr)
+            X_tr, X_val = (X_tr - mean) / scale, (X_val - mean) / scale
 
-        cfg = MLPConfig(seed=int(fold_seeds[k].generate_state(1)[0]))
+        fold_seed = int(fold_seeds[k].generate_state(1)[0])
         if task is Task.REGRESSION:
-            tt = standardize_fit(y[train_idx].astype(np.float64))
-            net = mlp_train(X_tr, standardize_apply(tt, y[train_idx]), task, cfg)
-            predictions = standardize_invert(tt, mlp_predict(net, X_val))
-            fold_metrics.append(compute_metrics(predictions, y[val_idx], task))
+            y_tr = y_tr.astype(np.float64)
+            mean, scale = _mean_scale(y_tr)
+            net = mlp_train(X_tr, (y_tr - mean) / scale, task, fold_seed)
+            predictions = mlp_predict(net, X_val) * scale + mean
         else:
-            net = mlp_train(X_tr, y[train_idx], task, cfg)
-            predictions = mlp_predict(net, X_val)
-            fold_metrics.append(
-                compute_metrics(predictions, y[val_idx], task, labels=range(N_CLASSES))
-            )
+            predictions = mlp_predict(mlp_train(X_tr, y_tr, task, fold_seed), X_val)
+        fold_metrics.append(compute_metrics(predictions, y[val_idx], task))
 
     meta = {"n_samples": n, "standardize_features": standardize_features}
     if task is Task.CLASSIFICATION:

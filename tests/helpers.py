@@ -17,7 +17,7 @@ import numpy as np
 from steve.analytics import HeadToHead, Outcome, RankingEntry
 from steve.match_data import CSV_FIELDS, Competition, Dataset, MatchQuad, Matches, TeamRegistry
 from steve.trainer import EmbeddingModel, GradientUpdate, TrainConfig, _stacked_gradients, _unit_rows
-from steve.valuation import MLP, N_CLASSES, MLPConfig, Task
+from steve.valuation import MLP, N_CLASSES, Task
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -891,10 +891,12 @@ def reference_mlp_loss_and_grads(
     return loss, [dW1, db1, dW2, db2, dW3, db3]
 
 
-def reference_mlp_train(
-    features: np.ndarray, targets: np.ndarray, task: Task, cfg: MLPConfig
-) -> MLP:
-    """Train the fixed 50/20 network with mini-batch Adam."""
+def reference_mlp_train(features: np.ndarray, targets: np.ndarray, task: Task, seed: int) -> MLP:
+    """Train the fixed 50/20 network with mini-batch Adam.
+
+    Its constants are the README's, written out here so that a changed
+    constant in ``steve.valuation`` fails the bit-for-bit comparison.
+    """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d array")
@@ -912,26 +914,26 @@ def reference_mlp_train(
         raise ValueError("cannot train on empty data")
 
     out_dim = 1 if task is Task.REGRESSION else N_CLASSES
-    init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    weights, biases = _reference_init_params([X.shape[1], *MLPConfig.HIDDEN, out_dim], init_ss)
+    init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
+    weights, biases = _reference_init_params([X.shape[1], 50, 20, out_dim], init_ss)
     net = MLP(weights=weights, biases=biases, task=task)
 
     params = [weights[0], biases[0], weights[1], biases[1], weights[2], biases[2]]
     mom = [np.zeros_like(p) for p in params]
     vel = [np.zeros_like(p) for p in params]
     t = 0
-    batch = min(cfg.batch_size, n)
+    batch = min(200, n)
     rng = np.random.default_rng(shuffle_ss)
-    for _ in range(cfg.epochs):
+    for _ in range(200):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            _, grads = reference_mlp_loss_and_grads(net, X[idx], y[idx], cfg.l2)
+            _, grads = reference_mlp_loss_and_grads(net, X[idx], y[idx], 1e-4)
             t += 1
-            bc1 = 1.0 - MLPConfig.BETA1**t
-            bc2 = 1.0 - MLPConfig.BETA2**t
+            bc1 = 1.0 - 0.9**t
+            bc2 = 1.0 - 0.999**t
             for p, g, m_acc, v_acc in zip(params, grads, mom, vel):
-                m_acc += (1.0 - MLPConfig.BETA1) * (g - m_acc)
-                v_acc += (1.0 - MLPConfig.BETA2) * (g**2 - v_acc)
-                p -= cfg.learning_rate * (m_acc / bc1) / (np.sqrt(v_acc / bc2) + MLPConfig.EPS)
+                m_acc += (1.0 - 0.9) * (g - m_acc)
+                v_acc += (1.0 - 0.999) * (g**2 - v_acc)
+                p -= 0.001 * (m_acc / bc1) / (np.sqrt(v_acc / bc2) + 1e-8)
     return net

@@ -14,14 +14,12 @@ PUBLIC = [
     "EvalReport",
     "HeadToHead",
     "MLP",
-    "MLPConfig",
     "MODEL_FORMAT_VERSION",
     "MatchQuad",
     "Matches",
     "Outcome",
     "RankingEntry",
     "SEASON_STATS_COLUMNS",
-    "Standardizer",
     "Task",
     "TeamRegistry",
     "TrainConfig",
@@ -42,9 +40,6 @@ PUBLIC = [
     "rank_teams",
     "save_model",
     "season_stats",
-    "standardize_apply",
-    "standardize_fit",
-    "standardize_invert",
     "steve_features",
     "sum_features",
     "to_quads",
@@ -56,6 +51,10 @@ PUBLIC = [
 #: kernels in ``steve.trainer`` and ``steve.valuation``, a plain JSON read of the
 #: model file, or ``tests/helpers.py``.
 REMOVED = ["batch_gradients", "sample_loss", "init_model", "mlp_loss_and_grads", "read_model_file"]
+
+#: The network's settings and the feature standardizer, now fixed and
+#: private in ``steve.valuation``.
+REMOVED += ["MLPConfig", "Standardizer", "standardize_apply", "standardize_fit", "standardize_invert"]
 
 
 def test_all_is_pinned():

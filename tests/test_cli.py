@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     BROKEN_CASES,
@@ -699,3 +703,101 @@ def test_output_identical_without_the_sidecar(model_file, capsys, command, outpu
     assert main(argv) == 0
     assert capsys.readouterr() == with_sidecar
     assert not model_file.with_name("model.json.theta").exists()  # a load never writes
+
+
+# ---------------------------------------------------------------------------
+# Bad-input sweep: every subcommand, run in process on argvs drawn from a
+# small pool of good and damaged files, ends in exit 0, or in exit 1 or 2
+# with one ``steve: `` line on stderr.  Only small ``--delta`` and
+# ``--epochs`` are drawn; allocation failures are the capped tests' job.
+
+@pytest.fixture(scope="module")
+def input_pool(tmp_path_factory):
+    """The pool's directory, holding every file named in ``_POOL`` (and ``out/`` for outputs)."""
+    pool = tmp_path_factory.mktemp("pool")
+    (pool / "out").mkdir()
+    good = league_csv(n_teams=6, seasons=2, seed=0, rounds=1)
+    header, *rows = good.splitlines(keepends=True)
+    names = [f"Club {c}" for c in "ABCDEF"]
+    bad_row = "2010/2011,NationalLeague,Club A,Club A,1,0\n"
+    values = values_csv(names).splitlines(keepends=True)
+    for name, data in {
+        "matches.csv": good.encode(),
+        "header-only.csv": header.encode(),
+        "bad-row.csv": "".join([header, *rows[:3], bad_row, *rows[3:]]).encode(),
+        "bom.csv": b"\xef\xbb\xbf" + good.encode(),
+        "bad-utf8.csv": good.encode().replace(b"Club C", b"Club \xff", 1),
+        "values.csv": "".join(values).encode(),
+        "values-missing-team.csv": "".join(values[:-1]).encode(),
+        "values-nan.csv": "".join([*values[:2], "Club B,nan\n", *values[3:]]).encode(),
+        "teams.txt": b"Club A\nClub B\n",
+        "teams-bad-utf8.txt": b"Club A\n\xffClub B\n",
+    }.items():
+        (pool / name).write_bytes(data)
+    assert main(["train", str(pool / "matches.csv"), "-o", str(pool / "model.json"),
+                 "--delta", "8", "--epochs", "2", "--quiet"]) == 0
+    text = (pool / "model.json").read_bytes()
+    (pool / "truncated.json").write_bytes(text[: len(text) // 2])
+    (pool / "nested.json").write_text("[" * 200_000 + "]" * 200_000)
+    (pool / "corrupt").mkdir()
+    (pool / "corrupt" / "model.json").write_bytes(text)
+    sidecar = bytearray((pool / "model.json.theta").read_bytes())
+    sidecar[len(sidecar) // 2] ^= 0xFF
+    (pool / "corrupt" / "model.json.theta").write_bytes(sidecar)
+    return pool
+
+
+_POOL = {
+    "matches": ["matches.csv", "header-only.csv", "bad-row.csv", "bom.csv", "bad-utf8.csv", "missing.csv"],
+    "values": ["values.csv", "values-missing-team.csv", "values-nan.csv", "missing.csv"],
+    "model": ["model.json", "truncated.json", "nested.json", "corrupt/model.json", "missing.json"],
+}
+_REPRESENTATIONS = ["cat-1", "cat-3", "sum-2", "season-stats", "steve-16", "steve-32", "cat-0", "bogus"]
+
+
+def draw_argv(data, pool) -> list[str]:
+    def path(role):
+        return str(pool / data.draw(st.sampled_from(_POOL[role]), label=role))
+
+    def small(lo, hi):
+        return str(data.draw(st.integers(lo, hi)))
+
+    command = data.draw(st.sampled_from(["train", "similar", "rank", "evaluate", "summary", "export-features"]))
+    argv = [command]
+    if command == "train":
+        argv += [path("matches"), "-o", str(pool / "out" / "m.json"),
+                 "--delta", small(-1, 4), "--epochs", small(0, 2), "--batch-size", small(0, 8)]
+    elif command == "similar":
+        argv += [path("model"), "--team", data.draw(st.sampled_from(["Club A", "Club Z", ""])), "--k", small(-1, 6)]
+    elif command == "rank":
+        teams = st.sampled_from(["Club A,Club F", "Club A", "Club A,Nobody", ",", str(pool / "teams.txt"),
+                                 str(pool / "teams-bad-utf8.txt")])
+        argv += [path("model"), "--teams", data.draw(teams)]
+    elif command == "evaluate":
+        argv += [path("matches"), path("values"), "--representation", data.draw(st.sampled_from(_REPRESENTATIONS)),
+                 "--task", data.draw(st.sampled_from(["regression", "classification"]))]
+    elif command == "summary":
+        argv += [path("matches")]
+    else:
+        argv += [path("matches"), "-o", str(pool / "out" / "f.csv"),
+                 "--representation", data.draw(st.sampled_from(_REPRESENTATIONS))]
+        if data.draw(st.booleans(), label="with --model"):
+            argv += ["--model", path("model")]
+        if data.draw(st.booleans(), label="with --season"):
+            argv += ["--season", small(-1, 3)]
+    return argv + data.draw(st.sampled_from([[], ["--output", "json"], ["--quiet"]]), label="flags")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bad_input_sweep_ends_in_one_error_line(input_pool, data):
+    argv = draw_argv(data, input_pool)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("steve: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import BROKEN_CASES, broken_model_file, init_model, strength_league
 from steve import model_io
-from steve.match_data import TeamRegistry
+from steve.match_data import Dataset, TeamRegistry
 from steve.analytics import rank_teams
 from steve.model_io import MODEL_FORMAT_VERSION, load_model, save_model
 from steve.trainer import EmbeddingModel, TrainConfig, train
@@ -352,6 +352,29 @@ def test_model_load_would_refuse_cannot_be_built(delta, x_max, message):
     rows = np.ones((2, delta)) / np.sqrt(max(delta, 1))
     with pytest.raises(ValueError, match=message):
         EmbeddingModel(phi=rows, psi=rows, delta=delta, registry=TeamRegistry(["a", "b"]), x_max=x_max)
+
+
+@pytest.mark.parametrize("delta, x_max, name", [(2.0, 1, "delta"), (2, True, "x_max"), (2, 1.0, "x_max")])
+def test_non_integer_sizes_cannot_be_built(delta, x_max, name):
+    rows = np.ones((2, 2)) / np.sqrt(2)
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        EmbeddingModel(phi=rows, psi=rows, delta=delta, registry=TeamRegistry(["a", "b"]), x_max=x_max)
+
+
+@pytest.mark.parametrize("numpy_config, numpy_x_max, with_config", [
+    (True, False, True), (True, False, False), (False, True, True),
+])
+def test_numpy_integer_settings_save_the_plain_int_file(tmp_path, numpy_config, numpy_x_max, with_config):
+    ds, _ = strength_league(6, 2, 2, seed=0)
+    plain = TrainConfig(delta=4, epochs=2, seed=3)
+    cfg = TrainConfig(delta=np.int64(4), epochs=np.int64(2), seed=np.int64(3)) if numpy_config else plain
+    quads = list(zip(ds.a, ds.b, ds.s, ds.d))
+    league = Dataset.from_quads(quads, np.int64(ds.x_max), ds.registry) if numpy_x_max else ds
+    model = train(league, cfg)
+    assert (type(model.delta), type(model.x_max)) == (int, int)
+    want = saved_bytes(train(ds, plain), tmp_path / "plain.json", plain if with_config else None)
+    assert saved_bytes(model, tmp_path / "numpy.json", cfg if with_config else None) == want
+    assert load_model(tmp_path / "numpy.json").theta.tobytes() == model.theta.tobytes()
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -9,10 +9,11 @@ from steve import valuation
 from steve.valuation import (
     MLP,
     EvalReport,
-    MLPConfig,
     Task,
+    _HIDDEN,
     _init_params,
     _grads,
+    _mean_scale,
     _zero_params,
     compute_metrics,
     cross_validate,
@@ -21,17 +22,14 @@ from steve.valuation import (
     mlp_predict,
     mlp_train,
     quartile_labels,
-    standardize_apply,
-    standardize_fit,
-    standardize_invert,
     steve_features,
 )
 
 
-def kernel_grads(net, X, y, l2):
+def kernel_grads(net, X, y):
     """Gradients (order W1, b1, W2, b2, W3, b3) from the kernel ``mlp_train`` runs."""
     grads = _zero_params([net.input_dim, *(W.shape[1] for W in net.weights)])
-    _grads(net, X, y, l2, grads)
+    _grads(net, X, y, grads)
     return grads
 
 
@@ -167,28 +165,24 @@ class TestStandardize:
     def test_fit_apply_normalizes_training_data(self):
         rng = np.random.default_rng(0)
         data = rng.normal(5, 3, size=(40, 4))
-        tr = standardize_fit(data)
-        out = standardize_apply(tr, data)
+        mean, scale = _mean_scale(data)
+        out = (data - mean) / scale
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_centered_only(self):
         data = np.array([[1.0, 2.0], [1.0, 4.0], [1.0, 6.0]])
-        tr = standardize_fit(data)
-        out = standardize_apply(tr, data)
+        mean, scale = _mean_scale(data)
+        out = (data - mean) / scale
         np.testing.assert_allclose(out[:, 0], 0.0)
-        assert tr.scale[0] == 1.0
+        assert scale[0] == 1.0
 
     def test_invert_round_trip(self):
         rng = np.random.default_rng(1)
         targets = rng.uniform(10, 1200, size=50)
-        tr = standardize_fit(targets)
-        back = standardize_invert(tr, standardize_apply(tr, targets))
+        mean, scale = _mean_scale(targets)
+        back = (targets - mean) / scale * scale + mean
         np.testing.assert_allclose(back, targets, atol=1e-10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            standardize_fit(np.empty((0, 3)))
 
 
 class TestMLP:
@@ -196,7 +190,7 @@ class TestMLP:
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, size=(200, 1))
         y = 2.0 * X[:, 0]
-        net = mlp_train(X, y, Task.REGRESSION, MLPConfig(seed=1))
+        net = mlp_train(X, y, Task.REGRESSION, 1)
         X_val = rng.uniform(-1, 1, size=(100, 1))
         mae = np.mean(np.abs(mlp_predict(net, X_val) - 2.0 * X_val[:, 0]))
         assert mae < 0.1
@@ -205,7 +199,7 @@ class TestMLP:
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(-2, 0.3, size=(50, 2)), rng.normal(2, 0.3, size=(50, 2))])
         y = np.array([0] * 50 + [1] * 50)
-        net = mlp_train(X, y, Task.CLASSIFICATION, MLPConfig(seed=2))
+        net = mlp_train(X, y, Task.CLASSIFICATION, 2)
         assert np.mean(mlp_predict(net, X) == y) == 1.0
 
     @pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION])
@@ -214,9 +208,9 @@ class TestMLP:
         X = rng.standard_normal((5, 3))
         y = rng.standard_normal(5) if task is Task.REGRESSION else rng.integers(0, 4, 5)
         out = 1 if task is Task.REGRESSION else 4
-        weights, biases = _init_params([3, *MLPConfig.HIDDEN, out], 3)
+        weights, biases = _init_params([3, *_HIDDEN, out], 3)
         net = MLP(weights=weights, biases=biases, task=task)
-        grads = kernel_grads(net, X, y, l2=1e-4)
+        grads = kernel_grads(net, X, y)
         params = [weights[0], biases[0], weights[1], biases[1], weights[2], biases[2]]
         h = 1e-4
         coord_rng = np.random.default_rng(9)
@@ -233,55 +227,43 @@ class TestMLP:
                 assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
 
     def test_architecture_is_50_20(self):
-        net = mlp_train(np.zeros((6, 3)), np.zeros(6), Task.REGRESSION, MLPConfig(epochs=1))
+        net = mlp_train(np.zeros((6, 3)), np.zeros(6), Task.REGRESSION, 0)
         assert [w.shape for w in net.weights] == [(3, 50), (50, 20), (20, 1)]
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         X, y = rng.standard_normal((30, 4)), rng.standard_normal(30)
-        cfg = MLPConfig(epochs=20, seed=4)
-        a = mlp_train(X, y, Task.REGRESSION, cfg)
-        b = mlp_train(X, y, Task.REGRESSION, cfg)
+        a = mlp_train(X, y, Task.REGRESSION, 4)
+        b = mlp_train(X, y, Task.REGRESSION, 4)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
     def test_dimension_mismatch(self):
-        net = mlp_train(np.zeros((6, 3)), np.zeros(6), Task.REGRESSION, MLPConfig(epochs=1))
+        net = mlp_train(np.zeros((6, 3)), np.zeros(6), Task.REGRESSION, 0)
         with pytest.raises(ValueError):
             mlp_predict(net, np.zeros((2, 5)))
         with pytest.raises(ValueError):
-            mlp_train(np.zeros((6, 3)), np.zeros(5), Task.REGRESSION, MLPConfig(epochs=1))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"epochs": 0},
-            {"epochs": 2.5},
-            {"epochs": True},
-            {"batch_size": 0},
-            {"batch_size": np.True_},
-            {"batch_size": 20.0},
-            {"learning_rate": 0.0},
-            {"learning_rate": float("inf")},
-            {"learning_rate": float("nan")},
-            {"l2": -1e-4},
-            {"l2": float("inf")},
-            {"l2": float("nan")},
-        ],
-    )
-    def test_invalid_config(self, kwargs):
-        with pytest.raises(ValueError):
-            MLPConfig(**kwargs)
-
-    def test_numpy_int_config_accepted(self):
-        cfg = MLPConfig(epochs=np.int64(3), batch_size=np.int32(4))
-        assert (cfg.epochs, cfg.batch_size) == (3, 4)
+            mlp_train(np.zeros((6, 3)), np.zeros(5), Task.REGRESSION, 0)
 
     def test_classification_targets_validated(self):
         with pytest.raises(ValueError):
-            mlp_train(np.zeros((4, 2)), np.array([0, 1, 2, 9]), Task.CLASSIFICATION, MLPConfig(epochs=1))
+            mlp_train(np.zeros((4, 2)), np.array([0, 1, 2, 9]), Task.CLASSIFICATION, 0)
         with pytest.raises(ValueError):
-            mlp_train(np.zeros((4, 2)), np.array([0.5, 1, 2, 3]), Task.CLASSIFICATION, MLPConfig(epochs=1))
+            mlp_train(np.zeros((4, 2)), np.array([0.5, 1, 2, 3]), Task.CLASSIFICATION, 0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="cannot train on empty data"):
+            mlp_train(np.empty((0, 3)), np.empty(0), Task.REGRESSION, 0)
+
+    @pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION])
+    def test_numpy_int_seed_accepted(self, task):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((12, 3))
+        y = rng.standard_normal(12) if task is Task.REGRESSION else rng.integers(0, 4, 12)
+        a = mlp_train(X, y, task, np.int64(4))
+        b = mlp_train(X, y, task, 4)
+        for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
+            assert pa.tobytes() == pb.tobytes()
 
 
 def brute_regression_metrics(predictions, targets):
@@ -312,7 +294,7 @@ class TestComputeMetrics:
     def test_perfect_predictions(self):
         reg = compute_metrics(np.array([1.0, 2.0]), np.array([1.0, 2.0]), Task.REGRESSION)
         assert reg == {"rmse": 0.0, "mae": 0.0, "median_ae": 0.0}
-        cls = compute_metrics(np.array([0, 1, 2]), np.array([0, 1, 2]), Task.CLASSIFICATION)
+        cls = compute_metrics(np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]), Task.CLASSIFICATION)
         assert cls == {"micro_f1": 1.0, "macro_f1": 1.0}
 
     def test_unit_errors(self):
@@ -322,13 +304,15 @@ class TestComputeMetrics:
     def test_hand_confusion_example(self):
         out = compute_metrics(np.array([0, 1, 1, 1]), np.array([0, 0, 1, 1]), Task.CLASSIFICATION)
         assert out["micro_f1"] == 0.75
-        assert out["macro_f1"] == pytest.approx((2 / 3 + 4 / 5) / 2, abs=1e-12)
 
     def test_explicit_labels_include_absent_classes(self):
-        out = compute_metrics(
-            np.array([0, 1, 1, 1]), np.array([0, 0, 1, 1]), Task.CLASSIFICATION, labels=range(4)
-        )
+        out = compute_metrics(np.array([0, 1, 1, 1]), np.array([0, 0, 1, 1]), Task.CLASSIFICATION)
         assert out["macro_f1"] == pytest.approx((2 / 3 + 4 / 5 + 0.0 + 0.0) / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("cls", range(4))
+    def test_macro_f1_is_over_the_four_classes(self, cls):
+        out = compute_metrics(np.array([cls, cls]), np.array([cls, cls]), Task.CLASSIFICATION)
+        assert out == {"micro_f1": 1.0, "macro_f1": 0.25}
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -351,7 +335,7 @@ class TestComputeMetrics:
 
         cp = rng.integers(0, 4, n)
         ct = rng.integers(0, 4, n)
-        got = compute_metrics(cp, ct, Task.CLASSIFICATION, labels=range(4))
+        got = compute_metrics(cp, ct, Task.CLASSIFICATION)
         micro, macro = brute_f1_scores(cp.tolist(), ct.tolist(), range(4))
         assert got["micro_f1"] == pytest.approx(micro, abs=1e-12)
         assert got["macro_f1"] == pytest.approx(macro, abs=1e-12)
@@ -456,6 +440,16 @@ class TestCrossValidate:
         report = cross_validate(X, y, Task.REGRESSION, seed=0, standardize_features=True)
         assert report.metadata["standardize_features"] is True
 
+    @pytest.mark.parametrize("column", ["targets", "feature"])
+    def test_constant_column_gives_a_finite_report(self, column):
+        X, y = self._toy()
+        if column == "targets":
+            y = np.full_like(y, 50.0)
+        else:
+            X[:, 1] = 7.0
+        report = cross_validate(X, y, Task.REGRESSION, seed=0, standardize_features=True)
+        assert all(np.isfinite(v).all() for v in report.per_fold.values())
+
 
 class TestNonFiniteAndEmptyFeatures:
     """NaN or infinity in a feature or target is refused, naming its row."""
@@ -468,9 +462,8 @@ class TestNonFiniteAndEmptyFeatures:
     def test_feature_row_named(self, bad):
         X, y = self._data()
         X[7, 2] = bad
-        cfg = MLPConfig(epochs=1)
         with pytest.raises(ValueError, match="features must be finite; row 7"):
-            mlp_train(X, y, Task.REGRESSION, cfg)
+            mlp_train(X, y, Task.REGRESSION, 0)
         with pytest.raises(ValueError, match="features must be finite; row 7"):
             cross_validate(X, y, Task.REGRESSION, seed=0)
         with pytest.raises(ValueError, match="features must be finite; row 7"):
@@ -480,15 +473,14 @@ class TestNonFiniteAndEmptyFeatures:
     def test_target_row_named(self, bad):
         X, y = self._data()
         y[4] = bad
-        cfg = MLPConfig(epochs=1)
         with pytest.raises(ValueError, match="targets must be finite; row 4"):
-            mlp_train(X, y, Task.REGRESSION, cfg)
+            mlp_train(X, y, Task.REGRESSION, 0)
         with pytest.raises(ValueError, match="targets must be finite; row 4"):
             cross_validate(X, y, Task.REGRESSION, seed=0)
 
     def test_prediction_on_a_non_finite_row_refused(self):
         X, y = self._data()
-        net = mlp_train(X, quartile_labels(y), Task.CLASSIFICATION, MLPConfig(epochs=1))
+        net = mlp_train(X, quartile_labels(y), Task.CLASSIFICATION, 0)
         X[5, 0] = np.nan
         with pytest.raises(ValueError, match="features must be finite; row 5"):
             mlp_predict(net, X)
@@ -497,7 +489,7 @@ class TestNonFiniteAndEmptyFeatures:
         X = np.empty((12, 0))
         y = np.arange(12.0)
         with pytest.raises(ValueError, match="at least one column"):
-            mlp_train(X, y, Task.REGRESSION, MLPConfig(epochs=1))
+            mlp_train(X, y, Task.REGRESSION, 0)
         with pytest.raises(ValueError, match="at least one column"):
             cross_validate(X, y, Task.REGRESSION, seed=0, standardize_features=True)
 
@@ -507,17 +499,17 @@ class TestNonFiniteAndEmptyFeatures:
 # every parameter bit, every gradient bit and every loss must agree.
 
 MLP_ORACLE_CASES = [
-    # task, samples, feature width, batch_size, l2
-    (Task.REGRESSION, 40, 32, 8, 1e-4),  # batch divides n
-    (Task.CLASSIFICATION, 40, 54, 8, 1e-2),
-    (Task.REGRESSION, 37, 54, 10, 0.0),  # a last, partial batch
-    (Task.CLASSIFICATION, 37, 1, 10, 1e-4),
-    (Task.REGRESSION, 5, 1, 200, 1e-2),  # one batch, larger than n
-    (Task.CLASSIFICATION, 5, 32, 200, 0.0),
-    (Task.REGRESSION, 23, 32, 1, 1e-4),  # batch of one
-    (Task.CLASSIFICATION, 23, 54, 1, 1e-2),
-    (Task.REGRESSION, 378, 54, 200, 1e-4),  # a whole desk league, partial batch
-    (Task.CLASSIFICATION, 302, 32, 200, 0.0),  # a desk training split
+    # task, samples, feature width; the batch is min(200, samples)
+    (Task.REGRESSION, 40, 32),  # one batch
+    (Task.CLASSIFICATION, 40, 54),
+    (Task.REGRESSION, 37, 54),
+    (Task.CLASSIFICATION, 37, 1),
+    (Task.REGRESSION, 5, 1),  # one batch of the fewest samples cross_validate trains on
+    (Task.CLASSIFICATION, 5, 32),
+    (Task.REGRESSION, 23, 32),
+    (Task.CLASSIFICATION, 23, 54),
+    (Task.REGRESSION, 378, 54),  # a whole desk league: a full batch and a partial one
+    (Task.CLASSIFICATION, 302, 32),  # a desk training split
 ]
 
 
@@ -528,33 +520,32 @@ def _oracle_data(task, n, width, seed):
     return X, y
 
 
-@pytest.mark.parametrize("task, n, width, batch, l2", MLP_ORACLE_CASES)
-def test_mlp_train_matches_reference_loop_bit_for_bit(task, n, width, batch, l2):
+@pytest.mark.parametrize("task, n, width", MLP_ORACLE_CASES)
+def test_mlp_train_matches_reference_loop_bit_for_bit(task, n, width):
     X, y = _oracle_data(task, n, width, seed=n + width)
-    cfg = MLPConfig(l2=l2, epochs=4, batch_size=batch, learning_rate=0.01, seed=n)
-    got = mlp_train(X, y, task, cfg)
-    want = reference_mlp_train(X, y, task, cfg)
+    got = mlp_train(X, y, task, n)
+    want = reference_mlp_train(X, y, task, n)
     assert got.task is want.task
     for ours, theirs in zip(got.weights + got.biases, want.weights + want.biases):
         assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
     assert mlp_predict(got, X).tobytes() == mlp_predict(want, X).tobytes()
 
 
-@pytest.mark.parametrize("task, n, width, batch, l2", MLP_ORACLE_CASES)
-def test_mlp_grads_match_reference_bit_for_bit(task, n, width, batch, l2):
+@pytest.mark.parametrize("task, n, width", MLP_ORACLE_CASES)
+def test_mlp_grads_match_reference_bit_for_bit(task, n, width):
     X, y = _oracle_data(task, n, width, seed=n * width)
     # Trained parameters, so no gradient is zero by the initialization.
-    net = mlp_train(X, y, task, MLPConfig(epochs=2, batch_size=batch, learning_rate=0.01, seed=1))
-    rows = np.arange(min(batch, n))
-    grads = kernel_grads(net, X[rows], y[rows], l2)
-    _, ref_grads = reference_mlp_loss_and_grads(net, X[rows], y[rows], l2)
+    net = mlp_train(X, y, task, 1)
+    rows = np.arange(min(200, n))
+    grads = kernel_grads(net, X[rows], y[rows])
+    _, ref_grads = reference_mlp_loss_and_grads(net, X[rows], y[rows], 1e-4)
     for ours, theirs in zip(grads, ref_grads):
         assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 
 
 def test_parameters_are_views_of_one_block():
     X, y = _oracle_data(Task.CLASSIFICATION, 9, 5, seed=0)
-    net = mlp_train(X, y, Task.CLASSIFICATION, MLPConfig(epochs=1))
+    net = mlp_train(X, y, Task.CLASSIFICATION, 0)
     block = net.weights[0].base
     params = [net.weights[0], net.biases[0], net.weights[1], net.biases[1], net.weights[2], net.biases[2]]
     assert block.size == sum(p.size for p in params)
