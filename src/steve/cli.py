@@ -16,6 +16,7 @@ import csv
 import json
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -56,9 +57,15 @@ def _stage_seed(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(stage,)).generate_state(1)[0])
 
 
+@contextmanager
 def _open_text(path: str):
+    """The text file ``path``; a byte that is not UTF-8 raises ``ValueError`` naming it."""
     # "utf-8-sig" drops the byte-order mark that Excel's "CSV UTF-8" writes first.
-    return open(path, "r", encoding="utf-8-sig", newline="")
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not valid UTF-8 ({e})") from None
 
 
 def _load_dataset(path: str) -> Dataset:
@@ -81,9 +88,9 @@ def _resolve_team(registry: TeamRegistry, name: str) -> int:
 
 def _team_list(arg: str) -> list[str]:
     """Interpret --teams as a file of names (one per line) or a comma list."""
-    path = Path(arg)
-    if path.exists():
-        names = [line.strip() for line in path.read_text(encoding="utf-8-sig").splitlines()]
+    if Path(arg).exists():
+        with _open_text(arg) as f:
+            names = [line.strip() for line in f.read().splitlines()]
     else:
         names = [piece.strip() for piece in arg.split(",")]
     names = [n for n in names if n]

@@ -156,9 +156,12 @@ def save_model(
 
 
 def _json_parts(path, data: bytes):
-    """``(delta, x_max, names, blocks)`` of the model file's bytes; see :func:`_checked_model`."""
-    # Decoded as ``open(path, encoding="utf-8")`` would, so errors read the same.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    """``(x_max, names, theta)`` of the model file's bytes; see :func:`_checked_model`."""
+    try:
+        # Decoded as ``open(path, encoding="utf-8")`` would.
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not valid UTF-8 ({e})") from None
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -180,30 +183,28 @@ def _json_parts(path, data: bytes):
     if not all(isinstance(t, dict) and isinstance(t.get("name"), str) for t in teams):
         raise ValueError(f"{path}: every team record needs a name")
 
-    def blocks(delta: int):
-        for team in teams:
-            for key in ("phi", "psi"):
-                vec = team.get(key)
-                if not isinstance(vec, list):
-                    raise ValueError(f"{path}: team {team['name']!r} has no {key} vector")
-                if len(vec) != delta:
-                    raise ValueError(f"{path}: team {team['name']!r} has vectors of the wrong width")
+    for team in teams:
         for key in ("phi", "psi"):
-            rows = [t[key] for t in teams]
-            # numpy would also take a numeric string or a bool.
-            if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
-                raise ValueError(f"{path}: a {key} vector holds a non-numeric value")
-            try:
-                mat = np.array(rows, dtype=np.float64)
-            except OverflowError:
-                raise ValueError(f"{path}: a {key} vector holds a number too large for a float") from None
-            yield mat
-
-    return doc["delta"], doc["x_max"], [t["name"] for t in teams], blocks
+            vec = team.get(key)
+            if not isinstance(vec, list):
+                raise ValueError(f"{path}: team {team['name']!r} has no {key} vector")
+            if len(vec) != doc["delta"]:
+                raise ValueError(f"{path}: team {team['name']!r} has vectors of the wrong width")
+    blocks = []
+    for key in ("phi", "psi"):
+        rows = [t[key] for t in teams]
+        # numpy would also take a numeric string or a bool.
+        if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+            raise ValueError(f"{path}: a {key} vector holds a non-numeric value")
+        try:
+            blocks.append(np.array(rows, dtype=np.float64))
+        except OverflowError:
+            raise ValueError(f"{path}: a {key} vector holds a number too large for a float") from None
+    return doc["x_max"], [t["name"] for t in teams], np.concatenate(blocks)
 
 
 def _sidecar_parts(path: Path, data: bytes):
-    """``(delta, x_max, names, blocks)`` from the sidecar of ``path``, or ``None``.
+    """``(x_max, names, theta)`` from the sidecar of ``path``, or ``None``.
 
     ``None`` unless the sidecar is whole (its trailing CRC-32 matches), has
     this format's header with positive integer ``m``, ``delta`` and
@@ -233,37 +234,30 @@ def _sidecar_parts(path: Path, data: bytes):
     ):
         return None
     theta = np.frombuffer(raw, dtype="<f8", count=2 * m * delta, offset=end + 1).reshape(2 * m, delta)
-    return delta, x_max, names, lambda _: (theta[:m], theta[m:])
+    return x_max, names, theta
 
 
-def _checked_model(path, delta, x_max, names: list[str], blocks) -> EmbeddingModel:
+def _checked_model(path, x_max, names: list[str], theta: np.ndarray) -> EmbeddingModel:
     """The model of one file's parts, after the checks that both file kinds share.
 
-    ``blocks(delta)`` yields the ``phi`` block, then the ``psi`` block, each
-    of shape ``(m, delta)``; the JSON reader checks every vector's width and
-    entries as it builds them.  Anything wrong raises ``ValueError`` naming
-    ``path``.
+    ``theta`` is the stacked block ``[phi; psi]``, whose widths and entries
+    the JSON reader has checked as it built it.  The first row that is not
+    finite or off unit norm is named, ``phi`` rows first.  Anything wrong
+    raises ``ValueError`` naming ``path``.
     """
     try:
         registry = TeamRegistry(names)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    if registry.m != len(names):
-        repeated = next(name for i, name in enumerate(names) if registry.id_of(name) != i + 1)
-        raise ValueError(f"{path}: duplicate team names in model file: {repeated!r}")
-    vectors = {}
-    for key, mat in zip(("phi", "psi"), blocks(delta)):
-        finite = np.isfinite(mat).all(axis=1)
-        off = np.abs(np.linalg.norm(mat, axis=1) - 1.0)
-        bad = ~finite | (off > UNIT_NORM_TOL)
-        if bad.any():
-            i = int(np.argmax(bad))
-            problem = "non-finite values" if not finite[i] else f"a norm off 1 by {off[i]:.3g}"
-            raise ValueError(f"{path}: team {names[i]!r} has a {key} vector with {problem}")
-        vectors[key] = mat
-    return EmbeddingModel(
-        phi=vectors["phi"], psi=vectors["psi"], delta=delta, registry=registry, x_max=x_max
-    )
+    finite = np.isfinite(theta).all(axis=1)
+    off = np.abs(np.linalg.norm(theta, axis=1) - 1.0)
+    bad = ~finite | (off > UNIT_NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        key, team = ("psi", i - registry.m) if i >= registry.m else ("phi", i)
+        problem = "non-finite values" if not finite[i] else f"a norm off 1 by {off[i]:.3g}"
+        raise ValueError(f"{path}: team {names[team]!r} has a {key} vector with {problem}")
+    return EmbeddingModel(theta, registry, x_max)
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

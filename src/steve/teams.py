@@ -8,29 +8,20 @@ import numpy as np
 
 
 class TeamRegistry:
-    """Bidirectional map between team names and dense integer ids.
+    """Bidirectional map between team names and dense integer ids, fixed when built.
 
-    Ids are 1-based (``1..m``), assigned in first-appearance order, so
-    re-parsing the same input always yields the same ids.
+    Ids are 1-based (``1..m``), in the order of ``names``.  An empty name or
+    a repeated name raises ``ValueError``, naming the first repeat.
     """
 
-    def __init__(self, names: Iterable[str] = ()):
-        self._names: list[str] = []
+    def __init__(self, names: Iterable[str]):
+        self._names: list[str] = list(names)
         self._ids: dict[str, int] = {}
-        for name in names:
-            self.add(name)
-
-    def add(self, name: str) -> int:
-        """Register ``name`` if new and return its id."""
-        if not name:
-            raise ValueError("team name must be non-empty")
-        existing = self._ids.get(name)
-        if existing is not None:
-            return existing
-        team_id = len(self._names) + 1
-        self._names.append(name)
-        self._ids[name] = team_id
-        return team_id
+        for team_id, name in enumerate(self._names, 1):
+            if not name:
+                raise ValueError("team name must be non-empty")
+            if self._ids.setdefault(name, team_id) != team_id:
+                raise ValueError(f"duplicate team name: {name!r}")
 
     def id_of(self, name: str) -> int:
         try:

@@ -14,7 +14,7 @@ length after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -36,7 +36,7 @@ def _store_ints(obj, names: tuple[str, ...]) -> None:
         value = getattr(obj, name)
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
-        setattr(obj, name, int(value))
+        object.__setattr__(obj, name, int(value))
 
 
 @dataclass
@@ -71,42 +71,45 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EmbeddingModel:
     """Winner matrix ``phi`` and loser matrix ``psi``, one row per team.
 
     Rows are kept at unit L2 norm.  Row ``i`` of either matrix belongs to
-    the team with id ``i + 1`` (registry ids are 1-based).  Both matrices
-    are views of one stacked block ``theta = [phi; psi]`` of shape
-    ``(2m, delta)``, which the constructor copies them into.
+    the team with id ``i + 1`` (registry ids are 1-based).  The model stores
+    one stacked block ``theta = [phi; psi]`` of shape ``(2m, delta)``, which
+    the constructor copies.  No field can be rebound; ``phi`` and ``psi``
+    are views of ``theta``, so a write into their rows writes into it.
     """
 
-    phi: np.ndarray
-    psi: np.ndarray
-    delta: int
+    theta: np.ndarray
     registry: TeamRegistry
     x_max: int
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _store_ints(self, ("delta", "x_max"))
-        phi = np.asarray(self.phi, dtype=np.float64)
-        psi = np.asarray(self.psi, dtype=np.float64)
-        expected = (self.registry.m, self.delta)
-        if phi.shape != expected or psi.shape != expected:
-            raise ValueError(
-                f"phi/psi must have shape {expected}, got {phi.shape} and {psi.shape}"
-            )
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
+        _store_ints(self, ("x_max",))
+        theta = np.array(self.theta, dtype=np.float64)
+        if theta.ndim != 2 or theta.shape[0] != 2 * self.m or theta.shape[1] < 1:
+            raise ValueError(f"theta must have shape ({2 * self.m}, delta) with delta >= 1, got {theta.shape}")
         if self.x_max < 1:
             raise ValueError("x_max must be >= 1")
-        self.theta = np.concatenate([phi, psi])
-        self.phi, self.psi = self.theta[: self.m], self.theta[self.m :]
+        object.__setattr__(self, "theta", theta)
 
     @property
     def m(self) -> int:
         return self.registry.m
+
+    @property
+    def delta(self) -> int:
+        return self.theta.shape[1]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.theta[: self.m]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.theta[self.m :]
 
     def first_non_finite_team(self) -> int | None:
         """Id of the first team with a NaN or infinity in ``phi`` or ``psi``, else ``None``."""
@@ -115,12 +118,11 @@ class EmbeddingModel:
         return int(bad[0]) + 1 if bad.size else None
 
     def __eq__(self, other) -> bool:
-        """Same sizes, team names and every bit of ``theta``."""
+        """Same team names, ``x_max`` and every bit of ``theta``."""
         if not isinstance(other, EmbeddingModel):
             return NotImplemented
         return (
-            self.delta == other.delta
-            and self.x_max == other.x_max
+            self.x_max == other.x_max
             and self.registry.names == other.registry.names
             and np.array_equal(self.theta, other.theta)
         )
@@ -298,7 +300,7 @@ def train(
     m = ds.registry.m
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     phi = _unit_rows(np.random.default_rng(init_ss), m, cfg.delta)
-    model = EmbeddingModel(phi=phi, psi=phi, delta=cfg.delta, registry=ds.registry, x_max=ds.x_max)
+    model = EmbeddingModel(np.concatenate([phi, phi]), ds.registry, ds.x_max)
     theta = model.theta
     opt = AdamState.zeros(m, cfg.delta)
     mask = np.zeros(2 * m, dtype=bool)

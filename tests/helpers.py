@@ -90,7 +90,7 @@ def init_model(
     rng = np.random.default_rng(seed)
     phi = _unit_rows(rng, m, delta)
     psi = _unit_rows(rng, m, delta)
-    return EmbeddingModel(phi=phi, psi=psi, delta=delta, registry=registry, x_max=x_max)
+    return EmbeddingModel(np.concatenate([phi, psi]), registry, x_max)
 
 
 def kernel_gradients(
@@ -109,6 +109,31 @@ def kernel_gradients(
         np.zeros(2 * m, dtype=bool), np.empty(2 * m, dtype=np.int64), with_loss=True,
     )
     return loss, GradientUpdate.split(rows, grads, m)
+
+
+def brute_batch_loss(model: EmbeddingModel, batch: Sequence[MatchQuad], weight_decay: float) -> float:
+    """Plain-python reference for the batch loss, independent of the trainer.
+
+    The sum of the season-weighted sample losses, plus ``weight_decay`` times
+    the squared norm of each touched row.
+    """
+    total = 0.0
+    touched_phi, touched_psi = set(), set()
+    for q in batch:
+        w = q.s / model.x_max
+        if q.d == 1:
+            diff = model.phi[q.a - 1] - model.phi[q.b - 1]
+            touched_phi.update((q.a - 1, q.b - 1))
+        else:
+            diff = model.phi[q.a - 1] - model.psi[q.b - 1]
+            touched_phi.add(q.a - 1)
+            touched_psi.add(q.b - 1)
+        total += w * float(diff @ diff)
+    for r in touched_phi:
+        total += weight_decay * float(model.phi[r] @ model.phi[r])
+    for r in touched_psi:
+        total += weight_decay * float(model.psi[r] @ model.psi[r])
+    return total
 
 
 def gradients_by_row(update: GradientUpdate) -> dict[tuple[str, int], np.ndarray]:
@@ -609,7 +634,7 @@ def reference_ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, list[RawM
     col = {name: header.index(name) for name in CSV_FIELDS}
 
     competitions = {c.value: c for c in Competition}
-    registry = TeamRegistry()
+    ids: dict[str, int] = {}  # team name -> id, in first-appearance order
     staged = []  # (row_no, home_id, away_id, hg, ag, label, competition)
     for row_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -638,7 +663,8 @@ def reference_ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, list[RawM
             raise ValueError(f"row {row_no}: goals must be integers") from None
         if hg < 0 or ag < 0:
             raise ValueError(f"row {row_no}: goals must be non-negative")
-        staged.append((registry.add(home), registry.add(away), hg, ag, label, competitions[comp_tag]))
+        home_id, away_id = (ids.setdefault(name, len(ids) + 1) for name in (home, away))
+        staged.append((home_id, away_id, hg, ag, label, competitions[comp_tag]))
 
     if not staged:
         raise ValueError("empty input: no match rows")
@@ -656,7 +682,7 @@ def reference_ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, list[RawM
         )
         for home, away, hg, ag, label, comp in staged
     ]
-    return registry, raw
+    return TeamRegistry(ids), raw
 
 
 def reference_to_quads(raw: list[RawMatch], registry: TeamRegistry) -> ReferenceDataset:

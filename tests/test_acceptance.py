@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from helpers import (
+    brute_batch_loss,
     common_victims_dataset,
     draw_pair_dataset,
     gradients_by_row,
@@ -33,27 +34,6 @@ from steve.valuation import Task, compute_metrics, cross_validate, quartile_labe
 def report(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({name}): {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
-
-
-def brute_batch_loss(model, batch, weight_decay):
-    """Plain-python reference for the batch loss, independent of the trainer."""
-    total = 0.0
-    touched_phi, touched_psi = set(), set()
-    for q in batch:
-        w = q.s / model.x_max
-        if q.d == 1:
-            diff = model.phi[q.a - 1] - model.phi[q.b - 1]
-            touched_phi.update((q.a - 1, q.b - 1))
-        else:
-            diff = model.phi[q.a - 1] - model.psi[q.b - 1]
-            touched_phi.add(q.a - 1)
-            touched_psi.add(q.b - 1)
-        total += w * float(diff @ diff)
-    for r in touched_phi:
-        total += weight_decay * float(model.phi[r] @ model.phi[r])
-    for r in touched_psi:
-        total += weight_decay * float(model.psi[r] @ model.psi[r])
-    return total
 
 
 def test_criterion_1_gradient_oracle():

@@ -31,7 +31,7 @@ def manual_model(phi_rows, psi_rows=None, names=None):
     psi = phi.copy() if psi_rows is None else np.asarray(psi_rows, dtype=np.float64)
     names = names or [f"T{i}" for i in range(1, len(phi) + 1)]
     registry = TeamRegistry(names)
-    return EmbeddingModel(phi=phi, psi=psi, delta=phi.shape[1], registry=registry, x_max=1)
+    return EmbeddingModel(np.concatenate([phi, psi]), registry, 1)
 
 
 class TestWinnerDistance:

@@ -510,6 +510,46 @@ def test_byte_order_mark_is_ignored(matches_file, model_file, tmp_path, capsys, 
     assert capsys.readouterr() == without
 
 
+@pytest.mark.parametrize("kind", ["matches", "values", "teams", "model"])
+def test_byte_not_utf8_names_the_file(matches_file, model_file, tmp_path, capsys, kind):
+    names = team_names(model_file)
+    values, teams = tmp_path / "values.csv", tmp_path / "teams.txt"
+    values.write_text(values_csv(names, seed=1), encoding="utf-8")
+    teams.write_text("\n".join(names[:3]) + "\n", encoding="utf-8")
+    rank = ["rank", str(model_file), "--teams"]
+    path, argv = {
+        "matches": (matches_file, ["summary", str(matches_file)]),
+        "values": (values, ["evaluate", str(matches_file), str(values), "--representation", "cat-1"]),
+        "teams": (teams, rank + [str(teams)]),
+        "model": (model_file, rank + [",".join(names[:3])]),
+    }[kind]
+    head, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(head + b"\n\xff" + rest)  # the second line starts with a byte UTF-8 never uses
+    assert main(argv + ["--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"steve: error: {path}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("matches", "row 2: goals must be integers"), ("values", "row 2: non-numeric value 'x'"),
+])
+def test_bad_record_before_a_byte_not_utf8_is_named_first(matches_file, tmp_path, capsys, kind, message):
+    # The bad byte lies past the first block that the text reader decodes.
+    values = tmp_path / "values.csv"
+    values.write_text(values_csv([f"Club {c}" for c in "ABCDEFGH"], seed=1), encoding="utf-8")
+    path = matches_file if kind == "matches" else values
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",x"
+    lines += lines[2:] * (20_000 // len("\n".join(lines)) + 1)
+    path.write_bytes("\n".join(lines).encode() + b"\n\xff\n")
+    argv = ["summary", str(matches_file)] if kind == "matches" else [
+        "evaluate", str(matches_file), str(values), "--representation", "cat-1"]
+    assert main(argv + ["--quiet"]) == 1
+    assert capsys.readouterr().err == f"steve: error: {message}\n"
+
+
 class TestBaselineOutputsMatchReferenceScan:
     """``export-features`` bytes and ``evaluate`` JSON as the per-team scan gives them."""
 

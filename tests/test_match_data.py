@@ -37,6 +37,23 @@ def parse(text: str):
     return ingest_csv(io.StringIO(text))
 
 
+class TestTeamRegistry:
+    def test_repeated_name_refused_naming_the_first_repeat(self):
+        with pytest.raises(ValueError, match=r"^duplicate team name: 'b'$"):
+            TeamRegistry(["a", "b", "c", "b", "a"])
+
+    @pytest.mark.parametrize("names", [["a", ""], ["", "a", "a"]], ids=["last", "before a repeat"])
+    def test_empty_name_refused(self, names):
+        with pytest.raises(ValueError, match="^team name must be non-empty$"):
+            TeamRegistry(names)
+
+    def test_cannot_grow(self):
+        registry = TeamRegistry(["a"])
+        assert not hasattr(registry, "add")
+        registry.names.append("b")
+        assert registry.m == 1 and "b" not in registry
+
+
 class TestIngest:
     def test_direct_field_mapping(self):
         registry, matches = parse(HEADER + "\n2018/2019,NationalLeague,Liverpool,Arsenal,5,1\n")

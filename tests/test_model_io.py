@@ -130,7 +130,34 @@ class TestValidation:
         bad.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="duplicate") as err:
             load_model(bad)
-        assert str(err.value) == f"{bad}: duplicate team names in model file: {names[2]!r}"
+        assert str(err.value) == f"{bad}: duplicate team name: {names[2]!r}"
+
+    @pytest.mark.parametrize("faults, message", [
+        (("duplicate", "short phi"), "team 'team_6' has vectors of the wrong width"),
+        (("duplicate", "string in psi"), "a psi vector holds a non-numeric value"),
+        (("duplicate", "non-unit phi"), "duplicate team name: 'team_3'"),
+        (("non-unit phi", "string in psi"), "a psi vector holds a non-numeric value"),
+        (("nan psi", "non-unit phi"), "team 'team_1' has a phi vector with a norm off 1 by 1"),
+    ], ids=["name+width", "name+entry", "name+norm", "norm+entry", "nan+norm"])
+    def test_which_of_two_faults_is_named(self, trained, tmp_path, faults, message):
+        # Every vector is parsed before the names and then the rows are checked.
+        _, _, path = trained
+        doc = json.loads(path.read_text())
+        teams = doc["teams"]
+        edits = {
+            "duplicate": lambda: teams[4].update(name=teams[2]["name"]),
+            "short phi": lambda: teams[5]["phi"].pop(),
+            "string in psi": lambda: teams[5]["psi"].__setitem__(0, "0.5"),
+            "non-unit phi": lambda: teams[0].update(phi=[2 * v for v in teams[0]["phi"]]),
+            "nan psi": lambda: teams[0]["psi"].__setitem__(0, float("nan")),
+        }
+        for fault in faults:
+            edits[fault]()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_model(bad)
+        assert str(err.value) == f"{bad}: {message}"
 
     def test_no_teams(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -277,6 +304,17 @@ def saved_bytes(model, path, train_config=None):
 team_names = st.text(
     st.one_of(st.sampled_from('"\\/\n\t\x00é€😀 ,'), st.characters()), min_size=1, max_size=8
 )
+odd_names = st.lists(team_names, max_size=6, unique=True)
+
+
+def padded_registry(special: list[str], m: int) -> TeamRegistry:
+    """``m`` teams: the first of the odd names ``special``, then placeholders."""
+    names = special[:m] + [f"team {i}" for i in range(m - len(special[:m]))]
+    if len(set(names)) < m:  # a special name may repeat a placeholder
+        names = [f"{name}#{i}" for i, name in enumerate(names)]
+    return TeamRegistry(names)
+
+
 configs = st.one_of(
     st.none(),
     st.builds(
@@ -294,7 +332,7 @@ class TestWriterMatchesJsonDump:
     @given(
         m=st.one_of(st.integers(2, 12), st.sampled_from([255, 256, 257])),
         delta=st.integers(1, 64),
-        special=st.lists(team_names, max_size=6, unique=True),
+        special=odd_names,
         odd=st.lists(
             st.tuples(
                 st.integers(0, 2**31),
@@ -307,10 +345,7 @@ class TestWriterMatchesJsonDump:
         seed=st.integers(0, 2**32),
     )
     def test_bytes_equal_json_dump(self, tmp_path, m, delta, special, odd, config, x_max, seed):
-        names = special[:m] + [f"team {i}" for i in range(m - len(special[:m]))]
-        if len(set(names)) < m:  # a special name may repeat a placeholder
-            names = [f"{name}#{i}" for i, name in enumerate(names)]
-        model = init_model(m, delta, seed, registry=TeamRegistry(names), x_max=x_max)
+        model = init_model(m, delta, seed, registry=padded_registry(special, m), x_max=x_max)
         flat = model.theta.reshape(-1)
         for where, value in odd:
             flat[where % flat.size] = value
@@ -331,8 +366,7 @@ class TestSaveRefusesModelsLoadWouldRefuse:
     )
     def test_refused_and_earlier_file_kept(self, tmp_path, value):
         if value is None:
-            empty = np.zeros((0, 3))
-            model = EmbeddingModel(phi=empty, psi=empty, delta=3, registry=TeamRegistry(), x_max=1)
+            model = EmbeddingModel(np.zeros((0, 3)), TeamRegistry([]), 1)
             message = "model has no teams"
         else:
             model = init_model(4, 3, 0)
@@ -346,19 +380,21 @@ class TestSaveRefusesModelsLoadWouldRefuse:
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
-@pytest.mark.parametrize("delta, x_max, message", [(0, 1, "delta must be >= 1"), (3, 0, "x_max must be >= 1")])
+@pytest.mark.parametrize("delta, x_max, message", [
+    (0, 1, r"theta must have shape \(4, delta\) with delta >= 1, got \(4, 0\)"), (3, 0, "x_max must be >= 1"),
+])
 def test_model_load_would_refuse_cannot_be_built(delta, x_max, message):
     # So save_model never writes a file whose delta or x_max load_model refuses.
-    rows = np.ones((2, delta)) / np.sqrt(max(delta, 1))
+    rows = np.ones((4, delta)) / np.sqrt(max(delta, 1))
     with pytest.raises(ValueError, match=message):
-        EmbeddingModel(phi=rows, psi=rows, delta=delta, registry=TeamRegistry(["a", "b"]), x_max=x_max)
+        EmbeddingModel(rows, TeamRegistry(["a", "b"]), x_max)
 
 
-@pytest.mark.parametrize("delta, x_max, name", [(2.0, 1, "delta"), (2, True, "x_max"), (2, 1.0, "x_max")])
-def test_non_integer_sizes_cannot_be_built(delta, x_max, name):
-    rows = np.ones((2, 2)) / np.sqrt(2)
-    with pytest.raises(ValueError, match=f"{name} must be an int"):
-        EmbeddingModel(phi=rows, psi=rows, delta=delta, registry=TeamRegistry(["a", "b"]), x_max=x_max)
+@pytest.mark.parametrize("x_max", [True, 1.0])
+def test_non_integer_sizes_cannot_be_built(x_max):
+    rows = np.ones((4, 2)) / np.sqrt(2)
+    with pytest.raises(ValueError, match="x_max must be an int"):
+        EmbeddingModel(rows, TeamRegistry(["a", "b"]), x_max)
 
 
 @pytest.mark.parametrize("numpy_config, numpy_x_max, with_config", [
@@ -395,8 +431,7 @@ def test_save_load_keeps_every_bit_of_unit_rows(tmp_path, m, delta, odd, seed):
             tail[where % tail.size] = value
         theta[:, 1:] = tail.reshape(2 * m, delta - 1)
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)
-    model = EmbeddingModel(phi=theta[:m], psi=theta[m:], delta=delta, registry=TeamRegistry(
-        f"t{i}" for i in range(m)), x_max=2)
+    model = EmbeddingModel(theta, TeamRegistry(f"t{i}" for i in range(m)), 2)
     path = tmp_path / "m.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -465,12 +500,12 @@ class TestSidecar:
     @given(
         m=st.sampled_from([2, 3, 257]),
         delta=st.integers(1, 40),
-        names=st.lists(team_names, min_size=257, max_size=257, unique=True),
+        special=odd_names,
         x_max=st.integers(1, 30),
         seed=st.integers(0, 2**32),
     )
-    def test_same_model_with_and_without_it(self, tmp_path, m, delta, names, x_max, seed):
-        model = init_model(m, delta, seed, registry=TeamRegistry(names[:m]), x_max=x_max)
+    def test_same_model_with_and_without_it(self, tmp_path, m, delta, special, x_max, seed):
+        model = init_model(m, delta, seed, registry=padded_registry(special, m), x_max=x_max)
         path = tmp_path / "m.json"
         save_model(model, path)
         loaded = load_model(path)

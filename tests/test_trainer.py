@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    brute_batch_loss,
     gradients_by_row,
     hierarchy_dataset,
     init_model,
@@ -27,7 +28,7 @@ def manual_model(phi_rows, psi_rows, x_max=1):
     phi = np.asarray(phi_rows, dtype=np.float64)
     psi = np.asarray(psi_rows, dtype=np.float64)
     registry = TeamRegistry(f"T{i}" for i in range(1, len(phi) + 1))
-    return EmbeddingModel(phi=phi, psi=psi, delta=phi.shape[1], registry=registry, x_max=x_max)
+    return EmbeddingModel(np.concatenate([phi, psi]), registry, x_max)
 
 
 class TestTrainConfig:
@@ -66,6 +67,34 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+class TestEmbeddingModel:
+    @pytest.mark.parametrize("name", ["phi", "psi", "delta", "m", "theta", "registry", "x_max"])
+    def test_no_field_or_property_can_be_rebound(self, name):
+        model = init_model(3, 2, 0)
+        before = model.theta.copy()
+        with pytest.raises(AttributeError):
+            setattr(model, name, getattr(model, name))
+        assert np.array_equal(model.theta, before)
+
+    def test_phi_and_psi_are_views_of_theta(self):
+        model = init_model(3, 2, 0)
+        model.psi[2, 1] = 0.5
+        model.phi[0, 0] = -0.5
+        assert (model.theta[5, 1], model.theta[0, 0]) == (0.5, -0.5)
+
+    def test_constructor_copies_theta_as_float64(self):
+        theta = np.ones((4, 2), dtype=np.int64)
+        model = EmbeddingModel(theta, TeamRegistry(["a", "b"]), 1)
+        theta[0, 0] = 7
+        assert model.theta.dtype == np.float64 and model.theta[0, 0] == 1.0
+        assert (model.m, model.delta) == (2, 2)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4,), (4, 2, 1), (2, 2)], ids=["odd", "1-d", "3-d", "phi only"])
+    def test_theta_of_another_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"theta must have shape \(4, delta\) with delta >= 1"):
+            EmbeddingModel(np.ones(shape), TeamRegistry(["a", "b"]), 1)
+
+
 def sample_loss(model, q):
     """The kernel's loss of the single quadruple ``q``, without weight decay."""
     return kernel_gradients(model, [q])[0]
@@ -100,27 +129,6 @@ class TestSampleLoss:
             model = manual_model(phi, psi, x_max=2)
             for q in (MatchQuad(1, 2, 1, 0), MatchQuad(2, 3, 2, 1)):
                 assert sample_loss(model, q) > 0.0
-
-
-def brute_batch_loss(model, batch, weight_decay):
-    """Independent reference: plain-python sum of sample losses plus penalty."""
-    total = 0.0
-    touched_phi, touched_psi = set(), set()
-    for q in batch:
-        w = q.s / model.x_max
-        if q.d == 1:
-            diff = model.phi[q.a - 1] - model.phi[q.b - 1]
-            touched_phi.update((q.a - 1, q.b - 1))
-        else:
-            diff = model.phi[q.a - 1] - model.psi[q.b - 1]
-            touched_phi.add(q.a - 1)
-            touched_psi.add(q.b - 1)
-        total += w * float(diff @ diff)
-    for r in touched_phi:
-        total += weight_decay * float(model.phi[r] @ model.phi[r])
-    for r in touched_psi:
-        total += weight_decay * float(model.psi[r] @ model.psi[r])
-    return total
 
 
 class TestBatchGradients:
