@@ -62,6 +62,11 @@ def _block_rows(n: int, delta: int) -> int:
     return max(1, _BLOCK_ELEMENTS // (n * delta))
 
 
+def _prepass_rows(n: int) -> int:
+    """Rows per pre-pass block: an ``(rows, n)`` temporary fits the cap."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
 def _cross_block(phi: np.ndarray, psi: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Cross distances of rows ``lo:hi`` against every row, shape ``(hi - lo, n)``.
 
@@ -70,6 +75,58 @@ def _cross_block(phi: np.ndarray, psi: np.ndarray, lo: int, hi: int) -> tuple[np
     :func:`head_to_head` with ``lo + i`` as ``a`` and ``j`` as ``b``.
     """
     return _sqdist(phi[lo:hi, None], psi[None]), _sqdist(phi[None], psi[lo:hi, None])
+
+
+def _gamma(k: int) -> float:
+    """``k u / (1 - k u)``: the relative error of ``k`` roundings, ``u = 2**-53``."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def _margin_factors(phi: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(x, y, bound)``: ``x @ y.T`` holds every pair's margin ``beta - alpha``
+    up to ``bound``, where ``alpha``, ``beta`` are the floats of :func:`_cross_block`.
+
+    With ``R = |phi|^2 - |psi|^2``, rows ``x_i = [phi_i, psi_i, 1, R_i]`` and
+    ``y_j = [2 psi_j, -2 phi_j, R_j, -1]`` give in exact arithmetic
+    ``x_i . y_j = |phi_j - psi_i|^2 - |phi_i - psi_j|^2``.  The diagonal of
+    ``x @ y.T`` is 0 in exact arithmetic, and its ``alpha`` and ``beta`` are
+    the same expression: every diagonal pair is a tie.
+
+    When a row is not finite or so long that the product could overflow,
+    ``x @ y.T`` is zero and ``bound`` is ``inf``: no pair is decided by it.
+    Otherwise, with ``N = max|phi_i| + max|psi_j|`` and ``gamma_k`` as in
+    :func:`_gamma`: a dot product of length ``k``, summed in any order and
+    with or without fused multiply-add (as a BLAS ``dgemm`` or a numpy loop
+    computes each entry), is within ``gamma_k |x||y|`` of its exact value.
+    Hence:
+
+    - ``alpha`` rounds each difference once, then sums non-negative
+      squares: it is within ``gamma_(delta+2) N^2`` of ``|phi_i - psi_j|^2``,
+      and ``beta`` likewise;
+    - each computed ``R_i`` is within ``gamma_(delta+1) N^2`` of its exact
+      value, and ``|R_i| <= N^2``;
+    - ``x_i . y_j`` sums terms whose magnitudes add up to at most
+      ``2|phi_i||psi_j| + 2|psi_i||phi_j| + |R_i| + |R_j| <= 3 N^2``: the computed entry is within
+      ``3 gamma_(2 delta+2) N^2`` of its exact value, and within
+      ``2 gamma_(delta+1) N^2`` more of the exact ``beta - alpha``.
+
+    So an entry is within ``7 gamma_(2 delta+2) N^2`` of ``beta - alpha`` as
+    computed, and ``bound = 16 gamma_(2 delta+4) N^2`` also covers the
+    rounding of ``N``, of ``R`` and of ``bound`` itself.  The smallest normal
+    float is added for gradual underflow, where each of the ``O(delta)``
+    products adds at most ``2**-1075``.
+    """
+    sq_phi, sq_psi = np.vecdot(phi, phi), np.vecdot(psi, psi)
+    norm = np.sqrt(sq_phi.max()) + np.sqrt(sq_psi.max())
+    scale = norm * norm
+    if not np.isfinite(4 * scale):
+        return np.zeros((len(phi), 1)), np.zeros((len(psi), 1)), np.inf
+    r = (sq_phi - sq_psi)[:, None]
+    ones = np.ones_like(r)
+    x = np.hstack([phi, psi, ones, r])
+    y = np.hstack([2 * psi, -2 * phi, r, -ones])
+    return x, y, 16 * _gamma(2 * phi.shape[1] + 4) * scale + np.finfo(np.float64).tiny
 
 
 def winner_distance(model: EmbeddingModel, a: int, b: int) -> float:
@@ -124,7 +181,12 @@ def rank_teams(model: EmbeddingModel, teams: Sequence[int]) -> list[RankingEntry
     columns where ``alpha < beta``, plus half of those where neither
     ``alpha < beta`` nor ``alpha > beta`` holds (a tie, as in
     :func:`head_to_head`, also for NaN), minus the half from its own
-    diagonal tie.
+    diagonal tie.  A pair whose margin from one matrix product
+    (:func:`_margin_factors`) clears its rounding bound is decided by that
+    margin's sign, which is then the sign of ``beta - alpha``; a block of
+    :func:`_block_rows` rows that holds any other pair besides a diagonal
+    is scored by :func:`_cross_block`, which decides those pairs.  So every
+    decision is the difference form's, bit for bit.
     """
     if len(teams) < 2:
         raise ValueError("need at least 2 teams to rank")
@@ -138,13 +200,27 @@ def rank_teams(model: EmbeddingModel, teams: Sequence[int]) -> list[RankingEntry
     rows = np.asarray(teams) - 1
     phi, psi = model.phi[rows], model.psi[rows]
     n = len(teams)
+    x, y, bound = _margin_factors(phi, psi)
     victories = np.empty(n)
-    step = _block_rows(n, model.delta)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        alpha, beta = _cross_block(phi, psi, lo, hi)
-        won, lost = (alpha < beta).sum(1), (alpha > beta).sum(1)
-        victories[lo:hi] = won + 0.5 * (n - won - lost) - 0.5
+    step, prepass = _block_rows(n, model.delta), _prepass_rows(n)
+    for lo in range(0, n, prepass):
+        hi = min(lo + prepass, n)
+        margin = x[lo:hi] @ y.T
+        own = np.arange(hi - lo)
+        margin[own, lo + own] = 0.0
+        won, lost = margin > bound, margin < -bound
+        wins, losses = np.count_nonzero(won, axis=1), np.count_nonzero(lost, axis=1)
+        # A row's own diagonal tie is undecided; a row with another goes to the exact path.
+        recheck = wins + losses < n - 1
+        for sub in range(0, hi - lo, step):
+            part = slice(sub, sub + step)
+            if recheck[part].any():
+                alpha, beta = _cross_block(phi, psi, lo + sub, min(lo + sub + step, hi))
+                w, l = won[part], lost[part]
+                near = ~(w | l)
+                w[near], l[near] = (alpha < beta)[near], (alpha > beta)[near]
+                wins[part], losses[part] = np.count_nonzero(w, axis=1), np.count_nonzero(l, axis=1)
+        victories[lo:hi] = wins + 0.5 * (n - wins - losses) - 0.5
 
     score = dict(zip(teams, victories.tolist()))
     order = sorted(teams, key=lambda t: (-score[t], model.registry.name_of(t)))

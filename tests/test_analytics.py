@@ -23,6 +23,7 @@ from steve.analytics import (
     winner_distance,
 )
 from steve.match_data import TeamRegistry
+from steve.model_io import UNIT_NORM_TOL
 from steve.trainer import EmbeddingModel, TrainConfig, train
 
 
@@ -253,21 +254,28 @@ class TestRendering:
 # The array kernel against the one-pair-at-a-time loops it replaced
 # (``helpers.reference_*``), compared with ``==`` on every float.
 
-MODEL_KINDS = ("random", "psi equals phi", "duplicated rows", "coarse")
+MODEL_KINDS = (
+    "random", "psi equals phi", "duplicated rows", "coarse", "psi ulps from phi", "off unit norm", "underflow",
+)
 
 
 @st.composite
-def kernel_models(draw, min_teams=2, max_teams=12):
-    """A model of one of :data:`MODEL_KINDS`, with names out of id order.
+def kernel_models(draw, min_teams=2, max_teams=12, kinds=MODEL_KINDS):
+    """A model of one of ``kinds``, with names out of id order.
 
     "psi equals phi" sets ``psi = phi`` on some rows (pairs of such teams tie
     exactly), "duplicated rows" copies whole teams onto others (equal
     distances and equal victories), and "coarse" rounds rows onto a grid of
-    quarter steps before normalizing (many exact ties of every kind).
+    quarter steps before normalizing (many exact ties of every kind).  The
+    near ties: "psi ulps from phi" moves ``psi`` a few ulps from ``phi`` on
+    some rows, "off unit norm" sets ``psi = phi`` on some rows and then
+    scales rows by up to ``UNIT_NORM_TOL`` (as ``load_model`` accepts), and
+    "underflow" scales some or all rows to about 1e-160, whose squares are
+    subnormal.
     """
     m = draw(st.integers(min_teams, max_teams))
     delta = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(MODEL_KINDS))
+    kind = draw(st.sampled_from(kinds))
     names = draw(st.lists(st.text("abAB", min_size=1, max_size=4), min_size=m, max_size=m, unique=True))
     model = init_model(m, delta, draw(st.integers(0, 2**32 - 1)), registry=TeamRegistry(names))
     rows = st.lists(st.integers(0, m - 1), max_size=m)
@@ -281,6 +289,19 @@ def kernel_models(draw, min_teams=2, max_teams=12):
         grid = np.round(model.theta * 4) / 4
         grid[np.all(grid == 0, axis=1), 0] = 1.0
         model.theta[:] = grid / np.linalg.norm(grid, axis=1, keepdims=True)
+    elif kind == "psi ulps from phi":
+        picked = draw(rows)
+        ulps = draw(st.lists(st.integers(-4, 4), min_size=delta, max_size=delta))
+        model.psi[picked] = model.phi[picked] + np.array(ulps) * np.spacing(model.phi[picked])
+    elif kind == "off unit norm":
+        picked = draw(rows)
+        model.psi[picked] = model.phi[picked]
+        tol = UNIT_NORM_TOL
+        factors = st.sampled_from([1.0, 1 - tol, 1 + tol, 1 - 2**-52, 1 + 2**-52, 1 + tol / 3])
+        model.theta[:] *= np.array(draw(st.lists(factors, min_size=2 * m, max_size=2 * m)))[:, None]
+    elif kind == "underflow":
+        picked = slice(None) if draw(st.booleans()) else draw(st.lists(st.integers(0, 2 * m - 1)))
+        model.theta[picked] *= draw(st.sampled_from([1e-155, 1e-160, 1e-162]))
     return model
 
 
@@ -359,6 +380,47 @@ class TestKernelMatchesReferenceLoop:
         entries = rank_teams(model, teams)
         assert ranking_tuples(entries) == ranking_tuples(reference_rank_teams(model, teams))
         assert sum(e.victories for e in entries) == model.m * (model.m - 1) / 2
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_kind_through_prepass_and_recheck_blocks(self, kind, data):
+        # Several pre-pass blocks, each split into several recheck blocks.
+        model = data.draw(kernel_models(min_teams=2, max_teams=30, kinds=(kind,)))
+        teams = data.draw(st.permutations(range(1, model.m + 1)))
+        elements = data.draw(st.integers(1, 3 * len(teams) * model.delta), label="block elements")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytics, "_BLOCK_ELEMENTS", elements)
+            entries = rank_teams(model, teams)
+        assert ranking_tuples(entries) == ranking_tuples(reference_rank_teams(model, teams))
+        assert sum(e.victories for e in entries) == len(teams) * (len(teams) - 1) / 2
+
+    def test_all_tied_model_is_rechecked_in_every_block(self, monkeypatch):
+        model = init_model(40, 8, 5)
+        model.psi[:] = model.phi
+        teams = list(range(1, 41))
+        calls = []
+        cross_block = analytics._cross_block
+        monkeypatch.setattr(analytics, "_cross_block", lambda *a: calls.append(a[2:]) or cross_block(*a))
+        monkeypatch.setattr(analytics, "_BLOCK_ELEMENTS", 3 * 40 * 8)
+        assert [e.victories for e in rank_teams(model, teams)] == [19.5] * 40
+        assert calls == [(lo, min(lo + 3, 40)) for lo in range(0, 40, 3)]
+
+    def test_desk_shaped_trained_model_needs_no_recheck(self, monkeypatch):
+        # The ranking of test_desk_shaped_trained_model, decided by the pre-pass alone.
+        model = train(random_league(378, 12_000, 9, seed=41), TrainConfig())
+        teams = list(range(1, model.m + 1))
+        expected = ranking_tuples(reference_rank_teams(model, teams))
+        calls = []
+        monkeypatch.setattr(analytics, "_cross_block", lambda *a: calls.append(a[2:]))
+        assert ranking_tuples(rank_teams(model, teams)) == expected
+        assert calls == []
+
+    def test_prepass_temporaries_stay_under_the_cap(self):
+        for n in (378, 500, 3780, 2, 20_000, analytics._BLOCK_ELEMENTS + 1):
+            rows = analytics._prepass_rows(n)
+            assert rows >= 1
+            assert rows == 1 or rows * n <= analytics._BLOCK_ELEMENTS
 
     def test_block_temporaries_stay_under_the_cap(self):
         for n, delta in ((378, 16), (500, 16), (3780, 16), (2, 1), (20_000, 64)):
