@@ -64,8 +64,11 @@ def _open_text(path: str):
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         try:
             yield f
-        except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: not valid UTF-8 ({e})") from None
+        except UnicodeDecodeError:
+            from .model_io import not_utf8
+
+            with open(path, "rb") as raw:
+                raise not_utf8(path, iter(lambda: raw.read(1 << 20), b"")) from None
 
 
 def _load_dataset(path: str) -> Dataset:

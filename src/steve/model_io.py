@@ -20,6 +20,7 @@ the target, so a failed save leaves any earlier model loading as before.
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import os
@@ -155,13 +156,41 @@ def save_model(
         raise
 
 
+def not_utf8(path, blocks) -> ValueError:
+    """The error for a file, read as byte ``blocks``, that is not UTF-8.
+
+    It names the first byte that does not decode by its offset in the file
+    and its line, which a text reader's error does not: it counts from the
+    start of the block the reader was decoding.
+    """
+    offset = lines = 0
+    pending = b""
+    for block in chain(blocks, [b""]):
+        data = pending + block
+        try:
+            used = codecs.utf_8_decode(data, "strict", not block)[1]
+        except UnicodeDecodeError as e:
+            bad = data[e.start:e.end]
+            what = ("byte " if len(bad) == 1 else "bytes ") + " ".join(f"0x{b:02x}" for b in bad)
+            line = lines + data.count(b"\n", 0, e.start) + 1
+            return ValueError(
+                f"{path}: not valid UTF-8 ('utf-8' codec can't decode {what} "
+                f"at byte offset {offset + e.start}, line {line}: {e.reason})"
+            )
+        lines += data.count(b"\n", 0, used)
+        offset += used
+        pending = data[used:]
+    # The file decoded this time: it changed since it was read.
+    return ValueError(f"{path}: not valid UTF-8")
+
+
 def _json_parts(path, data: bytes):
     """``(x_max, names, theta)`` of the model file's bytes; see :func:`_checked_model`."""
     try:
         # Decoded as ``open(path, encoding="utf-8")`` would.
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not valid UTF-8 ({e})") from None
+    except UnicodeDecodeError:
+        raise not_utf8(path, [data]) from None
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:

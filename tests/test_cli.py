@@ -532,6 +532,51 @@ def test_byte_not_utf8_names_the_file(matches_file, model_file, tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("bom", [False, True])
+@pytest.mark.parametrize("kind", ["matches", "values", "teams", "model"])
+def test_byte_not_utf8_past_the_first_block_is_named_by_file_offset(
+    matches_file, model_file, tmp_path, capsys, kind, bom
+):
+    # A text reader decodes 8 KB blocks; the error names the byte's place in the file.
+    names = team_names(model_file)
+    values, teams = tmp_path / "values.csv", tmp_path / "teams.txt"
+    padding = [f"Extra Club {i:04},{i + 1}" for i in range(800)]
+    values.write_text(values_csv(names, seed=1) + "\n".join(padding) + "\n", encoding="utf-8")
+    teams.write_text("\n".join(names * 200) + "\n", encoding="utf-8")
+    matches = matches_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    matches_file.write_text("".join(matches + matches[1:] * (10_000 // len("".join(matches)))), encoding="utf-8")
+    if kind == "model":  # wide enough to pass 8 KB
+        assert main(["train", str(matches_file), "-o", str(model_file), "--delta", "64", "--epochs", "1", "--quiet"]) == 0
+    rank = ["rank", str(model_file), "--teams"]
+    path, argv = {
+        "matches": (matches_file, ["summary", str(matches_file)]),
+        "values": (values, ["evaluate", str(matches_file), str(values), "--representation", "cat-1"]),
+        "teams": (teams, rank + [str(teams)]),
+        "model": (model_file, rank + [",".join(names[:3])]),
+    }[kind]
+    data = b"\xef\xbb\xbf" * bom + path.read_bytes()
+    offset = data.index(b"\n", 9_000) + 1
+    assert offset < len(data) - 1
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    assert main(argv + ["--quiet"]) == 1
+    line = data.count(b"\n", 0, offset) + 1
+    assert capsys.readouterr().err == (
+        f"steve: error: {path}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
+        f"at byte offset {offset}, line {line}: invalid start byte)\n"
+    )
+
+
+def test_truncated_character_at_the_end_is_named_by_file_offset(matches_file, capsys):
+    data = matches_file.read_bytes() + b"\xe2\x82"
+    matches_file.write_bytes(data)
+    assert main(["summary", str(matches_file)]) == 1
+    line = data.count(b"\n") + 1
+    assert capsys.readouterr().err == (
+        f"steve: error: {matches_file}: not valid UTF-8 ('utf-8' codec can't decode bytes 0xe2 0x82 "
+        f"at byte offset {len(data) - 2}, line {line}: unexpected end of data)\n"
+    )
+
+
 @pytest.mark.parametrize("kind, message", [
     ("matches", "row 2: goals must be integers"), ("values", "row 2: non-numeric value 'x'"),
 ])
