@@ -89,9 +89,9 @@ def _margin_factors(phi: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.nd
 
     With ``R = |phi|^2 - |psi|^2``, rows ``x_i = [phi_i, psi_i, 1, R_i]`` and
     ``y_j = [2 psi_j, -2 phi_j, R_j, -1]`` give in exact arithmetic
-    ``x_i . y_j = |phi_j - psi_i|^2 - |phi_i - psi_j|^2``.  The diagonal of
-    ``x @ y.T`` is 0 in exact arithmetic, and its ``alpha`` and ``beta`` are
-    the same expression: every diagonal pair is a tie.
+    ``x_i . y_j = |phi_j - psi_i|^2 - |phi_i - psi_j|^2``.  On the diagonal
+    ``alpha`` and ``beta`` are the same expression, so every diagonal pair
+    is a tie and its entry lies within ``bound``.
 
     When a row is not finite or so long that the product could overflow,
     ``x @ y.T`` is zero and ``bound`` is ``inf``: no pair is decided by it.
@@ -183,10 +183,10 @@ def rank_teams(model: EmbeddingModel, teams: Sequence[int]) -> list[RankingEntry
     :func:`head_to_head`, also for NaN), minus the half from its own
     diagonal tie.  A pair whose margin from one matrix product
     (:func:`_margin_factors`) clears its rounding bound is decided by that
-    margin's sign, which is then the sign of ``beta - alpha``; a block of
+    margin's sign, which is then the sign of ``beta - alpha``.  A block of
     :func:`_block_rows` rows that holds any other pair besides a diagonal
-    is scored by :func:`_cross_block`, which decides those pairs.  So every
-    decision is the difference form's, bit for bit.
+    is scored by :func:`_cross_block` as a whole.  So every decision is the
+    difference form's, bit for bit.
     """
     if len(teams) < 2:
         raise ValueError("need at least 2 teams to rank")
@@ -206,20 +206,16 @@ def rank_teams(model: EmbeddingModel, teams: Sequence[int]) -> list[RankingEntry
     for lo in range(0, n, prepass):
         hi = min(lo + prepass, n)
         margin = x[lo:hi] @ y.T
-        own = np.arange(hi - lo)
-        margin[own, lo + own] = 0.0
-        won, lost = margin > bound, margin < -bound
-        wins, losses = np.count_nonzero(won, axis=1), np.count_nonzero(lost, axis=1)
-        # A row's own diagonal tie is undecided; a row with another goes to the exact path.
+        wins = np.count_nonzero(margin > bound, axis=1)
+        losses = np.count_nonzero(margin < -bound, axis=1)
+        # A row's own diagonal tie lies within the bound; a row with another
+        # undecided pair is scored again with the rest of its ``step``-row block.
         recheck = wins + losses < n - 1
         for sub in range(0, hi - lo, step):
             part = slice(sub, sub + step)
             if recheck[part].any():
                 alpha, beta = _cross_block(phi, psi, lo + sub, min(lo + sub + step, hi))
-                w, l = won[part], lost[part]
-                near = ~(w | l)
-                w[near], l[near] = (alpha < beta)[near], (alpha > beta)[near]
-                wins[part], losses[part] = np.count_nonzero(w, axis=1), np.count_nonzero(l, axis=1)
+                wins[part], losses[part] = (alpha < beta).sum(1), (alpha > beta).sum(1)
         victories[lo:hi] = wins + 0.5 * (n - wins - losses) - 0.5
 
     score = dict(zip(teams, victories.tolist()))

@@ -395,6 +395,16 @@ class TestKernelMatchesReferenceLoop:
         assert ranking_tuples(entries) == ranking_tuples(reference_rank_teams(model, teams))
         assert sum(e.victories for e in entries) == len(teams) * (len(teams) - 1) / 2
 
+    def test_subnormal_products_are_not_decided_by_the_prepass(self):
+        # Products of rows near 1e-160 round on the subnormal grid, where only
+        # the bound's absolute term holds (seed 4 at 1e-160 needs it).
+        teams = list(range(1, 13))
+        for seed in range(40):
+            for scale in (1e-160, 1e-162):
+                model = init_model(12, 2, seed)
+                model.theta[:] *= scale
+                assert ranking_tuples(rank_teams(model, teams)) == ranking_tuples(reference_rank_teams(model, teams))
+
     def test_all_tied_model_is_rechecked_in_every_block(self, monkeypatch):
         model = init_model(40, 8, 5)
         model.psi[:] = model.phi
