@@ -10,10 +10,14 @@ because the count-based baseline features need them.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import os
 import pickle
+import signal
+import stat
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -45,9 +49,13 @@ CSV_FIELDS = ("season_label", "competition", "home", "away", "home_goals", "away
 #: Lines of a plain chunk, or CSV records, parsed and checked together by
 #: :func:`ingest_csv`.
 _CHUNK_ROWS = 1 << 12
-#: Chunks after the header from which :func:`ingest_csv` parses a file
-#: with no quotes in two processes, where two CPUs are usable.
-_SPLIT_CHUNKS = 8
+#: Bytes after the header from which :func:`ingest_csv` parses a file in
+#: two processes, where two CPUs are usable: about 21,000 lines of the
+#: benchmark's leagues.  In fresh processes the two parses of a 1 MiB file
+#: took the same time (about 43 ms), and of a 2 MiB file 71 against 112 ms.
+_SPLIT_BYTES = 1 << 20
+#: Bytes read at a time to find a line end; a longer line is not split at.
+_PROBE_BYTES = 1 << 16
 _COMPETITION_CODE = {c.value: code for code, c in enumerate(Competition)}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: The common spellings of goal counts, read without ``int``.
@@ -276,10 +284,10 @@ def _record_fields(rows: list[list[str]], row_no: int, col: list[int]) -> tuple[
     raise AssertionError("records that fail a check together hold one that fails it alone")
 
 
-def _then_raise(lines: list[str], error: Exception) -> Iterator[str]:
-    """``lines``, then ``error`` where the line after them would be."""
-    yield from lines
+def _raising(error: Exception) -> Iterator[str]:
+    """Lines that raise ``error`` where the first would be."""
     raise error
+    yield
 
 
 def _checked_chunks(lines: Iterator[str], col: list[int]) -> Iterator[tuple[list, ...]]:
@@ -310,7 +318,7 @@ def _checked_chunks(lines: Iterator[str], col: list[int]) -> Iterator[tuple[list
             yield checked
             row_no += len(chunk)
         else:
-            rest = lines if unreadable is None else _then_raise([], unreadable)
+            rest = lines if unreadable is None else _raising(unreadable)
             rows, error = csv_records(chain(chunk, rest), row_no, len(chunk))
             yield _record_fields(rows, row_no, col)
             if error or unreadable:
@@ -342,21 +350,70 @@ def _id_block(checked: Iterable[tuple[list, ...]]) -> tuple[dict[str, int], dict
     return team_ids, label_codes, np.concatenate(blocks, axis=1)
 
 
-def _split_id_blocks(lines: list[str], col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
-    """What ``_id_block(_checked_chunks(iter(lines), col))`` returns, from two processes.
+def _one_record_a_line(data: bytes) -> bool:
+    """Whether ``data`` holds no ``"`` and no ``\\r`` but in ``\\r\\n``.
 
-    ``lines`` hold no ``"``, so every line is one record.  They are cut at
-    the chunk boundary nearest the middle; one forked child parses the
-    second half and pickles its :func:`_id_block` (names and labels in
-    order) back through a pipe, while this process parses the first, and
-    the child's ids and codes are renumbered to follow on from the first
-    half's.  A bad record in the first half raises as in a serial parse.
-    ``None`` if the pipe, the fork or the child fails, or the second half
-    holds a bad record; the caller then parses all of ``lines`` serially,
-    for the error text.  The child is always waited for.
+    Then ``csv`` reads each line as one record, and a text stream with
+    universal newlines ends its lines exactly where ``data`` has ``\\n``.
     """
-    cut = _CHUNK_ROWS * round(len(lines) / (2 * _CHUNK_ROWS))
+    return b'"' not in data and (b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
+
+
+def _line_end(fd: int, at: int) -> int | None:
+    """The offset just past the first ``\\n`` at or after ``at`` in file ``fd``.
+
+    ``None`` if the next :data:`_PROBE_BYTES` bytes hold none.
+    """
+    end = os.pread(fd, _PROBE_BYTES, at).find(b"\n")
+    return None if end < 0 else at + end + 1
+
+
+def _parse_range(
+    fd: int, start: int, stop: int, col: list[int]
+) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
+    """``_id_block(_checked_chunks(...))`` of the lines in bytes ``start:stop`` of file ``fd``.
+
+    ``None`` if they hold a ``"``, a lone ``\\r`` or a byte that is not
+    UTF-8, or if fewer bytes are read; a bad record raises as in a serial
+    parse of these lines alone.
+    """
+    data = os.pread(fd, stop - start, start)
+    if len(data) != stop - start or not _one_record_a_line(data):
+        return None
     try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # Decoded again a block at a time, which holds less than all of the text.
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    return _id_block(_checked_chunks(lines, col))
+
+
+def _split_id_blocks(fd: int, col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
+    """What the serial parse returns for the records after the header of file ``fd``, from two processes.
+
+    The file holds the header on its first line, and :data:`_SPLIT_BYTES`
+    or more after it.  Its bytes after the header are cut at the first line
+    end at or after their middle, and one child is forked before any of
+    them is read.  Each process reads its own half with ``os.pread`` and
+    parses it (see :func:`_parse_range`); the child pickles its
+    :func:`_id_block` (names and labels in order) back through a pipe, and
+    its ids and codes are renumbered to follow on from the first half's.  A
+    bad record in the first half raises as in a serial parse.  ``None`` if
+    the file is smaller, either half is not one record a line or not UTF-8,
+    a read, the pipe, the fork or the child fails, or the second half holds
+    a bad record; the caller then parses the file serially from its text
+    stream, which ``os.pread`` does not move.  The child is always waited
+    for, and killed first if the first half does not parse.
+    """
+    try:
+        info = os.fstat(fd)
+        start = _line_end(fd, 0) if stat.S_ISREG(info.st_mode) else None
+        if start is None or info.st_size - start < _SPLIT_BYTES or not _one_record_a_line(os.pread(fd, start, 0)):
+            return None
+        cut = _line_end(fd, start + (info.st_size - start) // 2)
+        if cut is None:
+            return None
         r, w = os.pipe()
     except OSError:
         return None
@@ -378,29 +435,50 @@ def _split_id_blocks(lines: list[str], col: list[int]) -> tuple[dict[str, int], 
         status = 1
         try:
             os.close(r)
-            with os.fdopen(w, "wb") as pipe:
-                names, labels, block = _id_block(_checked_chunks(iter(lines[cut:]), col))
-                pickle.dump((list(names), list(labels), block), pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
+            parsed = _parse_range(fd, cut, info.st_size, col)
+            if parsed is not None:
+                names, labels, block = parsed
+                with os.fdopen(w, "wb") as pipe:
+                    pickle.dump((list(names), list(labels), block), pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
         finally:
             os._exit(status)
 
     os.close(w)
+    first = sent = None
     try:
         with os.fdopen(r, "rb") as pipe:
-            team_ids, label_codes, block = _id_block(_checked_chunks(iter(lines[:cut]), col))
-            sent = pipe.read()
+            first = _parse_range(fd, start, cut, col)
+            if first is not None:
+                sent = pipe.read()
+    except OSError:
+        pass
     finally:
+        if sent is None:
+            os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
+    if sent is None or os.waitstatus_to_exitcode(status) != 0:
         return None
 
+    team_ids, label_codes, block = first
     names, labels, child = pickle.loads(sent)
     team = np.array([0, *map(team_ids.__getitem__, names)], dtype=np.int64)
     code = np.array([0, *map(label_codes.__getitem__, labels)], dtype=np.int64)
     child[:2] = team[child[:2]]
     child[4] = code[child[4]]
     return team_ids, label_codes, np.concatenate([block, child], axis=1)
+
+
+def _unread_utf8_file(stream) -> int | None:
+    """The descriptor of ``stream`` if it is a UTF-8 text file not yet read from, else ``None``."""
+    if not isinstance(stream, io.TextIOWrapper) or stream.errors != "strict":
+        return None
+    try:
+        if codecs.lookup(stream.encoding).name in ("utf-8", "utf-8-sig") and stream.tell() == 0:
+            return stream.fileno()
+    except (LookupError, OSError, ValueError):
+        pass
+    return None
 
 
 def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
@@ -415,11 +493,14 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
     named by its record number (the header is record 1; a quoted field may
     span lines).  Goal counts must fit a 64-bit integer.
 
-    Where at least two CPUs are usable, the lines after the header are read
-    whole first, and a file of :data:`_SPLIT_CHUNKS` chunks or more with no
-    ``"`` after the header is parsed in two processes (see
+    Where at least two CPUs are usable and ``stream`` is a UTF-8 text file
+    with universal newlines, opened at its start (as :func:`open` gives
+    one), a file with :data:`_SPLIT_BYTES` or more after the header is
+    parsed in two processes from its descriptor (see
     :func:`_split_id_blocks`), with the same result and the same errors.
     """
+    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    fd = _unread_utf8_file(stream) if two_cpus else None
     lines = iter(stream)
     rows, error = csv_records(lines, until_line=1)
     if error:
@@ -433,19 +514,9 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
         )
     col = [header.index(name) for name in CSV_FIELDS]
 
-    parsed = None
-    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-        read: list[str] = []
-        try:
-            read.extend(lines)
-        except (OSError, ValueError) as e:
-            lines = _then_raise(read, e)
-        else:
-            lines = iter(read)
-            if len(read) >= _SPLIT_CHUNKS * _CHUNK_ROWS and not any(
-                '"' in "".join(read[i : i + _CHUNK_ROWS]) for i in range(0, len(read), _CHUNK_ROWS)
-            ):
-                parsed = _split_id_blocks(read, col)
+    # Universal newlines (``newlines`` is set once a line end is read) end
+    # the stream's lines at each "\n" of a file with no lone "\r".
+    parsed = fd is not None and stream.newlines is not None and _split_id_blocks(fd, col)
     team_ids, label_codes, block = parsed or _id_block(_checked_chunks(lines, col))
 
     home, away, hg, ag, label_code, comp = block

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from helpers import (
     run_python,
     values_csv,
 )
-from steve import valuation
+from steve import match_data, valuation
 from steve.baselines import SEASON_STATS_COLUMNS, cat_feature_columns
 from steve.cli import _stage_seed, main
 
@@ -873,12 +875,16 @@ def draw_argv(data, pool) -> list[str]:
     return argv + data.draw(st.sampled_from([[], ["--output", "json"], ["--quiet"]]), label="flags")
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_bad_input_sweep_ends_in_one_error_line(input_pool, data):
+def test_bad_input_sweep_ends_in_one_error_line(input_pool, cpus, data):
+    # On two CPUs every matches file with a byte after its header is split.
     argv = draw_argv(data, input_pool)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True), \
+            mock.patch.object(match_data, "_SPLIT_BYTES", 1):
         code = main(argv)
     assert code in (0, 1, 2)
     if code:

@@ -3,7 +3,9 @@ import io
 import os
 import pickle
 import signal
-from contextlib import ExitStack
+import tempfile
+from contextlib import ExitStack, contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,7 @@ from helpers import (
     reference_ingest_csv,
     reference_to_quads,
 )
-from steve import match_data
+from steve import cli, match_data
 from steve.match_data import (
     CSV_FIELDS,
     Competition,
@@ -364,8 +366,31 @@ def stream_of(source):
     return io.StringIO(source) if isinstance(source, str) else iter(source)
 
 
+@contextmanager
+def written(data: bytes):
+    """The path of a temporary file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "matches.csv")
+        path.write_bytes(data)
+        yield path
+
+
+def columns_of(parsed):
+    """An ``ingest_csv`` result as registry names, season labels and every column."""
+    if parsed is None:
+        return None
+    registry, matches = parsed
+    return (registry.names, matches.season_labels,
+            [getattr(matches, c).tolist() for c in ("home", "away", "home_goals", "away_goals",
+                                                     "season", "competition")])
+
+
 def outcome(parse_fn, source):
+    """``parse_fn``'s result or error text; a ``Path`` is opened as the CLI opens a matches file."""
     try:
+        if isinstance(source, Path):
+            with cli._open_text(source) as f:
+                return None, parse_fn(f)
         return None, parse_fn(stream_of(source))
     except ValueError as e:
         return f"{type(e).__name__}: {e}", None
@@ -398,6 +423,11 @@ def assert_same_as_reference(text, chunk):
     ref_error, ref = reference_outcome(text)
     with mock.patch.object(match_data, "_CHUNK_ROWS", chunk):
         error, got = outcome(ingest_csv, text)
+        if isinstance(text, str):
+            # The same text read from a file, which two CPUs may split.
+            with written(text.encode()) as path:
+                error_from_file, from_file = outcome(ingest_csv, path)
+            assert (error_from_file, columns_of(from_file)) == (error, columns_of(got))
     assert error == ref_error
     if ref_error is not None:
         return ref_error
@@ -437,9 +467,14 @@ def plain_lines(n, seed=5):
 
 @pytest.fixture(scope="class", params=[1, 2], ids=["1cpu", "2cpus"])
 def usable_cpus(request):
-    """Run a test class once as if on one CPU (serial parse), once on two (split parse)."""
+    """Run a test class once as if on one CPU (serial parse), once on two.
+
+    On two, a file with a byte or more after its header is split (see
+    :class:`TestSplitIngest`); other sources are parsed serially.
+    """
     cpus = set(range(request.param))
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True), \
+            mock.patch.object(match_data, "_SPLIT_BYTES", 1):
         yield request.param
 
 
@@ -450,8 +485,8 @@ class TestIngestMatchesReferenceParser:
     def test_valid_files(self, text, chunk):
         assert_same_as_reference(text, chunk)
 
-    # Files with no quotes and at least _SPLIT_CHUNKS chunks after the
-    # header are parsed in two processes where two CPUs are usable.
+    # Files with no quotes are parsed in two processes where two CPUs are
+    # usable.
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=csv_texts(quoted=False), chunk=st.integers(1, 3))
@@ -654,51 +689,83 @@ class TestIngestMatchesReferenceParser:
         assert csv_reader_records == expected
 
 
-def ingest_on(cpus, source, chunk=4, **patches):
+def ingest_on(cpus, source, chunk=4, split_bytes=2048, **patches):
     """``outcome`` of ``ingest_csv`` with ``cpus`` usable CPUs, and the forks it made.
 
-    The result is compared as registry names, every column and the season
-    labels.  ``patches`` replace attributes of ``os`` during the parse.
+    A list of lines or ``bytes`` is written to a temporary file, opened as
+    the CLI opens it, and named ``<file>`` in the error text; any other
+    source is parsed as it is.  The result is compared as registry names,
+    every column and the season labels.  ``patches`` replace attributes of
+    ``os`` during the parse.
     """
     patches = {"fork": mock.Mock(wraps=os.fork), "sched_getaffinity": lambda pid: set(range(cpus)), **patches}
     fds = len(os.listdir("/proc/self/fd"))
-    with ExitStack() as patched, mock.patch.object(match_data, "_CHUNK_ROWS", chunk):
+    with ExitStack() as patched:
+        if isinstance(source, (list, bytes)):
+            source = patched.enter_context(written(source if isinstance(source, bytes) else "".join(source).encode()))
+        patched.enter_context(mock.patch.object(match_data, "_CHUNK_ROWS", chunk))
+        patched.enter_context(mock.patch.object(match_data, "_SPLIT_BYTES", split_bytes))
         for name, value in patches.items():
             patched.enter_context(mock.patch.object(os, name, value, create=True))
         error, got = outcome(ingest_csv, source)
+        if error is not None:
+            error = error.replace(str(source), "<file>")
     assert len(os.listdir("/proc/self/fd")) == fds
-    if got is not None:
-        registry, matches = got
-        got = (registry.names, matches.season_labels,
-               [getattr(matches, c).tolist() for c in ("home", "away", "home_goals", "away_goals",
-                                                        "season", "competition")])
-    return error, got, patches["fork"].call_count
+    return error, columns_of(got), patches["fork"].call_count
 
 
 @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
                     reason="needs os.fork and /proc/self/fd")
 class TestSplitIngest:
-    """Two processes parse a large unquoted file with the serial parse's result and errors.
+    """Two processes parse a large file with the serial parse's result and errors.
 
-    With chunks of 4 lines, a file of 32 records or more after the header
-    is split; the 60 records below are cut after record 33 (``lines()[32]``),
-    the chunk boundary nearest the middle.
+    With the 2,048 bytes ``ingest_on`` takes as the split size, a file of
+    about 50 records or more after the header is split.  The 60 records of
+    ``lines()`` (2,474 bytes after the header) are cut at the first line
+    end at or after the middle of those bytes: the first half ends with
+    record 31 (``lines()[30]``), and the child parses records 32 to 61.  A
+    fault in either half gives the error of the serial parse.
     """
 
     def lines(self):
         return [line + "\n" for line in plain_lines(60, seed=7)]  # the header, then records 2..61
 
-    def assert_serial(self, source, forks):
-        serial = ingest_on(1, source)
+    def assert_serial(self, source, forks, **patches):
+        serial = ingest_on(1, source, **patches)
         assert serial[2] == 0
-        split = ingest_on(2, source)
+        split = ingest_on(2, source, **patches)
         assert split == (*serial[:2], forks)
-        assert_same_as_reference(source, 4)
+        if isinstance(source, list):
+            assert_same_as_reference(source, 4)
         return serial[0]
+
+    def test_cut_is_the_first_line_end_after_the_middle(self):
+        lines = self.lines()
+        data = "".join(lines).encode()
+        start, size = len(lines[0]), len(data)
+        with written(data) as path, open(path, "rb") as f:
+            assert match_data._line_end(f.fileno(), 0) == start
+            assert match_data._line_end(f.fileno(), start + (size - start) // 2) == len("".join(lines[:31]))
 
     def test_clean_file_is_split(self):
         assert self.assert_serial(self.lines(), forks=1) is None
-        assert self.assert_serial(self.lines()[:31], forks=0) is None  # below 8 chunks
+        assert self.assert_serial(self.lines()[:31], forks=0) is None  # below the split size
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_file_at_the_split_size(self, over):
+        # Split from exactly the split size after the header on.
+        lines = self.lines()
+        body = len("".join(lines[1:]).encode())
+        assert self.assert_serial(lines, forks=1 - over, split_bytes=body + over) is None
+
+    def test_crlf_line_ends_are_split(self):
+        lines = [line.replace("\n", "\r\n") for line in self.lines()]
+        assert self.assert_serial(lines, forks=1) is None
+        assert ingest_on(2, lines)[1] == ingest_on(2, self.lines())[1]
+
+    def test_byte_order_mark_is_split(self):
+        data = "".join(self.lines()).encode()
+        assert ingest_on(2, b"\xef\xbb\xbf" + data) == (*ingest_on(1, data)[:2], 1)
 
     @pytest.mark.parametrize("bad,message", [
         ("NationalLeague,Club 3,Club 3,1,0", "home and away team are both 'Club 3'"),
@@ -708,7 +775,7 @@ class TestSplitIngest:
         ("Cup,,Club 4,1,0", "unknown competition tag 'Cup' "
                             "(expected one of ['ChampionsLeague', 'EuropaLeague', 'NationalLeague'])"),
     ])
-    @pytest.mark.parametrize("at", [1, 32, 33, 60])
+    @pytest.mark.parametrize("at", [1, 30, 31, 60])
     def test_bad_record(self, at, bad, message):
         lines = self.lines()
         lines[at] = f"2011/x,{bad}\n"
@@ -721,34 +788,97 @@ class TestSplitIngest:
         lines[45] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
         assert self.assert_serial(lines, forks=1) == "ValueError: row 11: goals must be integers"
 
+    def test_first_half_error_reaps_the_child(self):
+        lines = self.lines()
+        lines[10] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        kill, waitpid = mock.Mock(wraps=os.kill), mock.Mock(wraps=os.waitpid)
+        error, _, forks = ingest_on(2, lines, kill=kill, waitpid=waitpid)
+        assert (error, forks) == ("ValueError: row 11: home and away team are both 'Club 3'", 1)
+        (pid, sig), = [c.args for c in kill.call_args_list]
+        assert sig == signal.SIGKILL and [c.args for c in waitpid.call_args_list if c.args[0] == pid] == [(pid, 0)]
+
+    @pytest.mark.parametrize("at", [10, 45])
     @pytest.mark.parametrize("odd", ["\n", "  \r\n", "crlf", "no line end", "lone cr"])
-    def test_odd_line_in_the_second_half(self, odd):
+    def test_odd_line(self, odd, at):
         lines = self.lines()
         if odd == "crlf":
-            lines[45] = lines[45].replace("\n", "\r\n")
+            lines[at] = lines[at].replace("\n", "\r\n")
         elif odd == "no line end":
             lines[-1] = lines[-1].rstrip("\n")
         elif odd == "lone cr":
-            lines[45] = lines[45].replace("Club ", "Club\r", 1)
+            lines[at] = lines[at].replace("Club ", "Club\r", 1)
         else:
-            lines.insert(45, odd)
+            lines.insert(at, odd)
         error = self.assert_serial(lines, forks=1)
         if odd == "lone cr":
-            assert error.startswith("ValueError: row 46: new-line character seen in unquoted field")
+            # The file's text stream ends a line at a lone "\r".
+            assert error == f"ValueError: row {at + 1}: expected 6 fields, got 3"
         else:
             assert error is None
 
-    def test_quoted_field_is_not_split(self):
+    @pytest.mark.parametrize("at,forks", [(10, 0), (250, 1), (450, 1)])
+    def test_byte_not_utf8(self, at, forks):
+        # The text stream decodes 8 KB at a time, so a byte in the first
+        # 8 KB is met with the header, before the fork.  Of these 600
+        # records (26 KB), line 250 is in the first half, past 8 KB.
+        lines = [line + "\n" for line in plain_lines(600, seed=7)]
+        data = "".join(lines).encode()
+        offset = len("".join(lines[:at]).encode()) + 5
+        data = data[:offset] + b"\xff" + data[offset + 1:]
+        error = ingest_on(1, data)[0]
+        assert ingest_on(2, data) == (error, None, forks)
+        assert error == (f"ValueError: <file>: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
+                         f"at byte offset {offset}, line {at + 1}: invalid start byte)")
+
+    @pytest.mark.parametrize("at", [10, 45])
+    def test_quoted_field_parses_serially(self, at):
+        # The child is forked before either half is read, so a quote in
+        # either half costs one fork.
         lines = self.lines()
-        lines[45] = lines[45].replace("Club 1,", '"Club 1",')
+        lines[at] = lines[at].replace("Club 1,", '"Club 1",')
+        assert self.assert_serial(lines, forks=1) is None
+        lines[at + 5:at + 6] = ['2011/x,NationalLeague,"Club\n', ' 1",Club 2,1,0\n']
+        assert self.assert_serial(lines, forks=1) is None
+
+    def test_quoted_header_parses_serially(self):
+        lines = self.lines()
+        lines[0] = lines[0].replace("home,", '"home",')
         assert self.assert_serial(lines, forks=0) is None
-        lines[50:51] = ['2011/x,NationalLeague,"Club\n', ' 1",Club 2,1,0\n']
-        assert self.assert_serial(lines, forks=0) is None
+
+    @pytest.mark.parametrize("quote_at", [2, 45])
+    def test_quoted_file_is_parsed_while_streaming(self, quote_at):
+        # A bad record in the first block is raised before more than one
+        # block after the header is read from the text stream: by the serial
+        # parse, which streams, where the first half holds the quote, and by
+        # the first half's own parse where the second does.
+        lines = self.lines()
+        fields = lines[quote_at].split(",")
+        fields[2] = f'"{fields[2]}"'
+        lines[quote_at] = ",".join(fields)
+        lines[3] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        assert self.assert_serial(lines, forks=1) == "ValueError: row 4: home and away team are both 'Club 3'"
+
+        class Counting(io.TextIOWrapper):
+            lines_read = 0
+
+            def __next__(self):
+                line = super().__next__()
+                self.lines_read += 1
+                return line
+
+        with written("".join(lines).encode()) as path, \
+                Counting(open(path, "rb"), encoding="utf-8-sig", newline="") as stream, \
+                mock.patch.object(match_data, "_CHUNK_ROWS", 4), \
+                mock.patch.object(match_data, "_SPLIT_BYTES", 2048), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            with pytest.raises(ValueError, match="^row 4: home and away team are both 'Club 3'$"):
+                ingest_csv(stream)
+            assert stream.lines_read <= 1 + 4
 
     @pytest.mark.parametrize("bad_at", [None, 10])
     def test_read_error_in_the_second_half(self, bad_at):
-        # The whole file is read before the cut, so nothing is split, and a
-        # bad record in the first half still comes before the read error.
+        # A stream that is not a file is parsed serially, and a bad record
+        # in the first half still comes before the read error.
         lines = self.lines()
         if bad_at is not None:
             lines[bad_at] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
@@ -764,6 +894,60 @@ class TestSplitIngest:
         assert error == ("ValueError: row 11: home and away team are both 'Club 3'" if bad_at else
                          "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: "
                          "invalid start byte")
+
+    def test_list_and_pipe_parse_serially(self):
+        lines = self.lines()
+        serial = ingest_on(1, lines)
+        assert ingest_on(2, iter(lines)) == (*serial[:2], 0)
+        assert ingest_on(2, io.StringIO("".join(lines))) == (*serial[:2], 0)
+        r, w = os.pipe()
+        try:
+            os.write(w, "".join(lines).encode())  # less than a pipe holds
+            os.close(w)
+            assert ingest_on(2, Path(f"/dev/fd/{r}")) == (*serial[:2], 0)
+        finally:
+            os.close(r)
+
+    @pytest.mark.parametrize("how", ["latin-1", "lines end at \\r", "read from"])
+    def test_other_text_files_parse_serially(self, how, tmp_path):
+        # Split halves are read as UTF-8, cut at "\n", after the file's first line.
+        lines = [line.replace("\n", "\r\n") for line in self.lines()]
+        lines[5] = lines[5].replace("Club 1,", "Émile,")
+        path = tmp_path / "matches.csv"
+        path.write_bytes((("# made by hand\n" if how == "read from" else "") + "".join(lines)).encode())
+
+        def opened():
+            f = open(path, encoding="latin-1" if how == "latin-1" else "utf-8",
+                     newline="\r" if how == "lines end at \\r" else "")
+            if how == "read from":
+                f.readline()
+            return f
+
+        with opened() as f:
+            serial = ingest_on(1, f)
+        with opened() as f:
+            assert ingest_on(2, f) == (*serial[:2], 0)
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_failed_read_parses_serially(self, which):
+        lines = self.lines()
+        start = len(lines[0])
+        pread = os.pread
+
+        def failing(fd, n, offset):
+            if n != match_data._PROBE_BYTES and offset and (offset == start) == (which == "first"):
+                raise OSError(5, "Input/output error")
+            return pread(fd, n, offset)
+
+        serial = ingest_on(1, lines)
+        assert ingest_on(2, lines, pread=failing) == (*serial[:2], 1)
+        assert ingest_on(2, lines, pread=mock.Mock(side_effect=OSError(5, "Input/output error"))) \
+            == (*serial[:2], 0)
+
+    def test_line_longer_than_the_probe_is_not_split_at(self):
+        serial = ingest_on(1, self.lines())
+        with mock.patch.object(match_data, "_PROBE_BYTES", 8):
+            assert ingest_on(2, self.lines()) == (*serial[:2], 0)
 
     def test_failed_fork_parses_serially(self):
         lines = self.lines()
