@@ -15,19 +15,17 @@ import csv
 import io
 import math
 import os
-import pickle
-import signal
 import stat
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from collections import defaultdict
 from contextlib import suppress
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .teams import TeamRegistry
 
@@ -46,24 +44,22 @@ class Competition(Enum):
 #: Required CSV columns, in canonical order.
 CSV_FIELDS = ("season_label", "competition", "home", "away", "home_goals", "away_goals")
 
-#: Lines of a plain chunk, or CSV records, parsed and checked together by
+#: Lines of a text stream, or CSV records, parsed and checked together by
 #: :func:`ingest_csv`.
 _CHUNK_ROWS = 1 << 12
-#: Bytes after the header from which :func:`ingest_csv` parses a file in
-#: two processes, where two CPUs are usable: about 21,000 lines of the
-#: benchmark's leagues.  In fresh processes the two parses of a 1 MiB file
-#: took the same time (about 43 ms), and of a 2 MiB file 71 against 112 ms.
-_SPLIT_BYTES = 1 << 20
-#: Bytes read at a time to find a line end; a longer line is not split at.
-_PROBE_BYTES = 1 << 16
+#: Bytes of a file that :func:`ingest_csv` reads and parses together, cut
+#: back to their last line end: about 10,000 lines of the benchmark's
+#: leagues.  Blocks of 1 MiB parsed the wide league no faster, and raised
+#: the process's peak RSS by 4 MB.
+_BLOCK_BYTES = 1 << 19
 _COMPETITION_CODE = {c.value: code for code, c in enumerate(Competition)}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: The common spellings of goal counts, read without ``int``.
 _GOALS = {str(goals): goals for goals in range(100)}
-#: A plain line's commas and line end, and the NUL :func:`_plain_fields`
-#: puts after it; every other byte.
-_PLAIN_SEPARATORS = b"," * (len(CSV_FIELDS) - 1) + b"\n\0"
-_NOT_SEPARATORS = bytes(set(range(256)) - set(_PLAIN_SEPARATORS))
+#: ``_WORD_MASKS[k]`` keeps the first ``k`` bytes of a little-endian 8-byte word.
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+#: A plain record's separators: five commas, then its line end.
+_RECORD_ENDS = np.array([False] * (len(CSV_FIELDS) - 1) + [True])
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,33 +184,24 @@ def _blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _plain_fields(lines: list[str]) -> list[str] | None:
-    """The fields of ``lines``, six a line in file order, if the chunk is plain.
+def _stripped(column: list[str], empty: str) -> list[str]:
+    """The raw fields ``column`` stripped; an empty one raises ``ValueError(empty)``."""
+    stripped = list(map(str.strip, column))
+    if not all(stripped):
+        raise ValueError(empty)
+    return stripped
 
-    Plain means what :mod:`csv` would read as one record a line, each field
-    the text between the commas: no quote, no NUL, no ``\\r`` but in a
-    trailing ``\\r\\n``, exactly five commas and a ``\\n`` end on every line,
-    and no line longer than the field size limit.  Otherwise ``None``.
-    """
-    # Joined by NULs, a plain chunk's commas, line ends and NULs come in a
-    # fixed order (compared as UTF-8 bytes, which keep ASCII as it is), and
-    # no line end is left once the last character is dropped and each line
-    # end before a NUL is turned into a comma.
-    text = "\0".join(lines)
-    if '"' in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    if (
-        text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
-        != (_PLAIN_SEPARATORS * len(lines))[:-1]
-        or max(map(len, lines)) > csv.field_size_limit()
-    ):
-        return None
-    text = text[:-1].replace("\n\0", ",")
-    return None if "\n" in text else text.split(",")
+
+def _codes(column: list[str]) -> list[int]:
+    """The :class:`Competition` codes of the raw fields ``column``."""
+    comp = list(map(str.strip, column))
+    codes = list(map(_COMPETITION_CODE.get, comp))
+    if None in codes:
+        raise ValueError(
+            f"unknown competition tag {comp[codes.index(None)]!r} "
+            f"(expected one of {sorted(_COMPETITION_CODE)})"
+        )
+    return codes
 
 
 def _goals(columns: list[list[str]]) -> list[list[int]]:
@@ -241,19 +228,11 @@ def _fields(columns: list[list[str]]) -> tuple[list, ...]:
     away goals.  Raises ``ValueError`` with the message of the first check
     that any record fails, checked in this order: empty season label,
     unknown competition tag, empty team name, equal teams, then the goals.
-    For one record that is its first failing check.
+    For one record that is its first failing check.  Every check but equal
+    teams depends only on the field's own text.
     """
-    label, comp, home, away = (list(map(str.strip, column)) for column in columns[:4])
-    codes = list(map(_COMPETITION_CODE.get, comp))
-    if not all(label):
-        raise ValueError("empty season_label")
-    if None in codes:
-        raise ValueError(
-            f"unknown competition tag {comp[codes.index(None)]!r} "
-            f"(expected one of {sorted(_COMPETITION_CODE)})"
-        )
-    if not all(home) or not all(away):
-        raise ValueError("empty team name")
+    label, codes = _stripped(columns[0], "empty season_label"), _codes(columns[1])
+    home, away = (_stripped(column, "empty team name") for column in columns[2:4])
     if any(map(eq, home, away)):
         raise ValueError(f"home and away team are both {home[list(map(eq, home, away)).index(True)]!r}")
     return label, codes, home, away, *_goals(columns[4:])
@@ -284,22 +263,182 @@ def _record_fields(rows: list[list[str]], row_no: int, col: list[int]) -> tuple[
     raise AssertionError("records that fail a check together hold one that fails it alone")
 
 
+def _id_rows(fields: tuple[list, ...], team_ids: dict[str, int], label_codes: dict[str, int]) -> np.ndarray:
+    """The int64 rows home id, away id, home goals, away goals, label code and competition code of checked fields.
+
+    A name or label new to ``team_ids`` or ``label_codes`` gets the next
+    number when it is looked up: home before away, row by row.
+    """
+    label, comp, home, away, hg, ag = fields
+    names = [None] * (2 * len(home))
+    names[::2], names[1::2] = home, away
+    ids = list(map(team_ids.__getitem__, names))
+    codes = list(map(label_codes.__getitem__, label))
+    return np.array([ids[::2], ids[1::2], hg, ag, codes, comp], dtype=np.int64)
+
+
+def _mix(words: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each field from its byte length and its masked 8-byte words."""
+    key = lengths.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for word in words:
+        key ^= word
+        key *= np.uint64(0xBF58476D1CE4E5B9)
+        key ^= key >> np.uint64(31)
+    return key
+
+
+def _first_appearances(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct key's first entry, in entry order, and the position of each entry's key among them.
+
+    Keys that differ only in their low bits, which hold the entry's index
+    in one sort, count as one.
+    """
+    bits = len(keys).bit_length()
+    shift, low = np.uint64(bits), np.uint64((1 << bits) - 1)
+    ordered = keys & ~low | np.arange(len(keys), dtype=np.uint64)
+    ordered.sort()
+    order = (ordered & low).astype(np.intp)
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    ordered >>= shift
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = order[new]
+    by_appearance = np.argsort(first)
+    position = np.empty_like(by_appearance)
+    position[by_appearance] = np.arange(len(first))
+    inverse = np.empty_like(order)
+    inverse[order] = position[np.cumsum(new) - 1]
+    return first[by_appearance], inverse
+
+
+def _distinct(words_at: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_first_appearances` of the fields at ``starts`` of ``lengths`` bytes, by their bytes.
+
+    ``words_at[i]`` is the 8-byte word at byte ``i`` of the text, which
+    ends in at least as many zero bytes as the longest field has.  No field
+    holds a NUL, so its words with the bytes past its end masked to zero
+    give its bytes and its length.  Each field's words are compared with
+    those of the first field of its key; ``None`` if two fields of one key
+    differ.
+    """
+    words = []
+    for at in range(0, int(lengths.max()), 8):
+        word = words_at[starts + at]
+        if lengths.min() < at + 8:
+            word &= _WORD_MASKS[np.clip(lengths - at, 0, 8)]
+        words.append(word)
+    first, inverse = _first_appearances(_mix(words, lengths))
+    same = first[inverse]
+    if any((word != word[same]).any() for word in words):
+        return None
+    return first, inverse
+
+
+def _texts(text: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The fields at ``starts`` of ``lengths`` bytes of the UTF-8 ``text``, each followed there by a separator."""
+    # The fields with the byte after each, as one text with a line end after each field.
+    ends = np.cumsum(lengths + 1)
+    joined = text[np.arange(ends[-1]) + np.repeat(starts + lengths + 1 - ends, lengths + 1)]
+    joined[ends - 1] = ord("\n")
+    return joined.tobytes().decode("utf-8").split("\n")[:-1]
+
+
+def _plain_block(
+    data: bytes, col: list[int], team_ids: dict[str, int], label_codes: dict[str, int]
+) -> np.ndarray | None:
+    """The :func:`_id_rows` of the records ``data``, UTF-8 lines that each end in a line end, if plain.
+
+    Plain means what :mod:`csv` would read as one record a line, each field
+    the bytes between the commas: no quote, no NUL, no ``\\r`` but in
+    ``\\r\\n``, and on each line five commas, or none and only white space
+    (a blank line), with no field longer than the field size limit.  The
+    checks of :func:`_fields` but equal teams run once on each distinct
+    field text, the names and labels are numbered in ``team_ids`` and
+    ``label_codes`` in first-appearance order, and equal teams are found by
+    their ids.  ``None`` if the lines are not plain or not UTF-8, or hold a
+    record that fails a check; where that is a record with equal teams, the
+    lines' new names are already numbered.
+    """
+    if b'"' in data or b"\0" in data:
+        return None
+    if b"\r" in data:
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
+    text = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    line_end = text[seps] == ord("\n")
+    starts = np.zeros_like(seps)
+    starts[1:] = seps[:-1] + 1
+    lengths = seps - starts
+    longest = int(lengths.max(initial=0))
+    if longest > csv.field_size_limit():
+        return None
+    # With zero bytes after the lines, an 8-byte word starts at each byte of every field.
+    padded = np.frombuffer(data + bytes(longest + 8), dtype=np.uint8)
+    words_at = as_strided(padded, shape=(len(padded) - 7, 8), strides=(1, 1)).view(np.uint64)[:, 0]
+    try:
+        # A line with no comma is a blank line, or not a record of six fields.
+        blank = line_end.copy()
+        blank[1:] &= line_end[:-1]
+        if blank.any():
+            if any(map(str.strip, _texts(text, starts[blank], lengths[blank]))):
+                return None
+            starts, lengths, line_end = starts[~blank], lengths[~blank], line_end[~blank]
+        if len(starts) % len(CSV_FIELDS) or not (line_end.reshape(-1, len(CSV_FIELDS)) == _RECORD_ENDS).all():
+            return None
+        n = len(starts) // len(CSV_FIELDS)
+        if not n:
+            return np.zeros((len(CSV_FIELDS), 0), dtype=np.int64)
+        # Label, competition, names and goals: home and away names share
+        # their distinct texts, as do the goals.
+        texts, inverse = [], []
+        for fields in ([col[0]], [col[1]], col[2:4], col[4:]):
+            field_starts, field_lengths = (column.reshape(n, len(CSV_FIELDS))[:, fields].ravel()
+                                           for column in (starts, lengths))
+            distinct = _distinct(words_at, field_starts, field_lengths)
+            if distinct is None:
+                return None
+            texts.append(_texts(text, field_starts[distinct[0]], field_lengths[distinct[0]]))
+            inverse.append(distinct[1])
+        labels, codes = _stripped(texts[0], "empty season_label"), _codes(texts[1])
+        names, (goals,) = _stripped(texts[2], "empty team name"), _goals(texts[3:])
+    except ValueError:
+        return None
+    teams = np.array(list(map(team_ids.__getitem__, names)), dtype=np.int64)[inverse[2]].reshape(n, 2)
+    if (teams[:, 0] == teams[:, 1]).any():
+        return None
+    seasons = np.array(list(map(label_codes.__getitem__, labels)), dtype=np.int64)
+    return np.stack([
+        *teams.T,
+        *np.array(goals, dtype=np.int64)[inverse[3]].reshape(n, 2).T,
+        seasons[inverse[0]],
+        np.array(codes, dtype=np.int64)[inverse[1]],
+    ])
+
+
 def _raising(error: Exception) -> Iterator[str]:
     """Lines that raise ``error`` where the first would be."""
     raise error
     yield
 
 
-def _checked_chunks(lines: Iterator[str], col: list[int]) -> Iterator[tuple[list, ...]]:
-    """What :func:`_fields` returns for the records after the header, by chunk.
+def _stream_id_block(lines: Iterator[str], col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
+    """Team ids, season label codes and rows of the records after the header, read :data:`_CHUNK_ROWS` lines at a time.
 
-    Plain chunks (see :func:`_plain_fields`) are split as text, one record a
-    line.  A chunk that is not plain, or that holds a bad record, goes to
-    ``csv.reader``, which names the first bad record and reads on past the
-    chunk only to the end of a record that spans its last line.  A line or
-    record that cannot be read is raised after the records before it are
-    checked, as a row-by-row parse would.
+    Returns the id of each team name and the code of each season label,
+    both numbered 1, 2, ... in first-appearance order (home before away,
+    row by row), and the int64 rows of :func:`_id_rows`.  A chunk of lines
+    that each end in a line end is parsed as its UTF-8 text by
+    :func:`_plain_block`.  A chunk it refuses goes to ``csv.reader``, which
+    names the first bad record and reads on past the chunk only to the end
+    of a record that spans its last line.  A line or record that cannot be
+    read is raised after the records before it are checked, as a row-by-row
+    parse would.
     """
+    team_ids: dict[str, int] = defaultdict(count(1).__next__)
+    label_codes: dict[str, int] = defaultdict(count(1).__next__)
+    blocks = [np.zeros((len(CSV_FIELDS), 0), dtype=np.int64)]
     row_no = 2
     while True:
         chunk, unreadable = [], None
@@ -308,165 +447,74 @@ def _checked_chunks(lines: Iterator[str], col: list[int]) -> Iterator[tuple[list
         except (OSError, ValueError) as e:
             unreadable = e
         if not chunk and unreadable is None:
-            return
-        fields = unreadable is None and _plain_fields(chunk)
-        try:
-            checked = fields and _fields([fields[i::len(CSV_FIELDS)] for i in col])
-        except ValueError:
-            checked = None
-        if checked:
-            yield checked
-            row_no += len(chunk)
-        else:
+            break
+        text, block = "".join(chunk), None
+        if unreadable is None and text.count("\n") == len(chunk) and all(map(str.endswith, chunk, repeat("\n"))):
+            with suppress(UnicodeEncodeError):
+                block = _plain_block(text.encode("utf-8"), col, team_ids, label_codes)
+        if block is None:
             rest = lines if unreadable is None else _raising(unreadable)
             rows, error = csv_records(chain(chunk, rest), row_no, len(chunk))
-            yield _record_fields(rows, row_no, col)
+            block = _id_rows(_record_fields(rows, row_no, col), team_ids, label_codes)
             if error or unreadable:
                 raise error or unreadable
             row_no += len(rows)
+        else:
+            row_no += len(chunk)
+        blocks.append(block)
         if len(chunk) < _CHUNK_ROWS:
-            return
-
-
-def _id_block(checked: Iterable[tuple[list, ...]]) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
-    """Team ids and season label codes for checked fields, by first appearance.
-
-    Returns the id of each team name and the code of each season label,
-    both numbered 1, 2, ... in first-appearance order (home before away,
-    row by row), and the int64 rows home id, away id, home goals, away
-    goals, label code and competition code.  A name or label new to the
-    returned dicts gets the next number when it is looked up.
-    """
-    # A key seen for the first time gets the next number: 1, 2, ...
-    team_ids: dict[str, int] = defaultdict(count(1).__next__)
-    label_codes: dict[str, int] = defaultdict(count(1).__next__)
-    blocks = [np.zeros((len(CSV_FIELDS), 0), dtype=np.int64)]
-    for label, comp, home, away, hg, ag in checked:
-        names = [None] * (2 * len(home))
-        names[::2], names[1::2] = home, away
-        ids = list(map(team_ids.__getitem__, names))
-        codes = list(map(label_codes.__getitem__, label))
-        blocks.append(np.array([ids[::2], ids[1::2], hg, ag, codes, comp], dtype=np.int64))
+            break
     return team_ids, label_codes, np.concatenate(blocks, axis=1)
 
 
-def _one_record_a_line(data: bytes) -> bool:
-    """Whether ``data`` holds no ``"`` and no ``\\r`` but in ``\\r\\n``.
+def _file_id_block(fd: int, col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
+    """What :func:`_stream_id_block` returns for the records after the header of file ``fd``, read from its bytes.
 
-    Then ``csv`` reads each line as one record, and a text stream with
-    universal newlines ends its lines exactly where ``data`` has ``\\n``.
-    """
-    return b'"' not in data and (b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
-
-
-def _line_end(fd: int, at: int) -> int | None:
-    """The offset just past the first ``\\n`` at or after ``at`` in file ``fd``.
-
-    ``None`` if the next :data:`_PROBE_BYTES` bytes hold none.
-    """
-    end = os.pread(fd, _PROBE_BYTES, at).find(b"\n")
-    return None if end < 0 else at + end + 1
-
-
-def _parse_range(
-    fd: int, start: int, stop: int, col: list[int]
-) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
-    """``_id_block(_checked_chunks(...))`` of the lines in bytes ``start:stop`` of file ``fd``.
-
-    ``None`` if they hold a ``"``, a lone ``\\r`` or a byte that is not
-    UTF-8, or if fewer bytes are read; a bad record raises as in a serial
-    parse of these lines alone.
-    """
-    data = os.pread(fd, stop - start, start)
-    if len(data) != stop - start or not _one_record_a_line(data):
-        return None
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    # Decoded again a block at a time, which holds less than all of the text.
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
-    return _id_block(_checked_chunks(lines, col))
-
-
-def _split_id_blocks(fd: int, col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
-    """What the serial parse returns for the records after the header of file ``fd``, from two processes.
-
-    The file holds the header on its first line, and :data:`_SPLIT_BYTES`
-    or more after it.  Its bytes after the header are cut at the first line
-    end at or after their middle, and one child is forked before any of
-    them is read.  Each process reads its own half with ``os.pread`` and
-    parses it (see :func:`_parse_range`); the child pickles its
-    :func:`_id_block` (names and labels in order) back through a pipe, and
-    its ids and codes are renumbered to follow on from the first half's.  A
-    bad record in the first half raises as in a serial parse.  ``None`` if
-    the file is smaller, either half is not one record a line or not UTF-8,
-    a read, the pipe, the fork or the child fails, or the second half holds
-    a bad record; the caller then parses the file serially from its text
-    stream, which ``os.pread`` does not move.  The child is always waited
-    for, and killed first if the first half does not parse.
+    The file's first line is its header.  Its bytes are first scanned for
+    ``"``, NUL and a ``\\r`` not in ``\\r\\n``.  Then the bytes after the
+    header are read :data:`_BLOCK_BYTES` at a time with ``os.pread``, each
+    block cut back to its last line end, and parsed by
+    :func:`_plain_block`.  ``None`` if the file is not a regular file, the
+    scan finds one of those bytes, a read fails or falls short, a line is
+    longer than a block, or a block is refused; the caller then parses the
+    file from its text stream, which ``os.pread`` does not move.
     """
     try:
         info = os.fstat(fd)
-        start = _line_end(fd, 0) if stat.S_ISREG(info.st_mode) else None
-        if start is None or info.st_size - start < _SPLIT_BYTES or not _one_record_a_line(os.pread(fd, start, 0)):
+        if not stat.S_ISREG(info.st_mode):
             return None
-        cut = _line_end(fd, start + (info.st_size - start) // 2)
-        if cut is None:
+        start = 0  # just past the header
+        for at in range(0, info.st_size, _BLOCK_BYTES):
+            # One byte more shows a "\r\n" across the end of the block.
+            data = os.pread(fd, _BLOCK_BYTES + 1, at)
+            if (
+                len(data) != min(_BLOCK_BYTES + 1, info.st_size - at)
+                or b'"' in data
+                or b"\0" in data
+                or b"\r" in data and data.count(b"\r", 0, _BLOCK_BYTES) != data.count(b"\r\n")
+            ):
+                return None
+            if not at:
+                start = data.find(b"\n") + 1
+        if not start:
             return None
-        r, w = os.pipe()
+        team_ids: dict[str, int] = defaultdict(count(1).__next__)
+        label_codes: dict[str, int] = defaultdict(count(1).__next__)
+        blocks = [np.zeros((len(CSV_FIELDS), 0), dtype=np.int64)]
+        while start < info.st_size:
+            data = os.pread(fd, _BLOCK_BYTES, start)
+            cut = len(data) if start + len(data) >= info.st_size else data.rfind(b"\n") + 1
+            if not cut:
+                return None
+            start += cut
+            lines = data[:cut]
+            block = _plain_block(lines if lines.endswith(b"\n") else lines + b"\n", col, team_ids, label_codes)
+            if block is None:
+                return None
+            blocks.append(block)
     except OSError:
         return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with other threads forks.
-            # The child is safe with them (an idle OpenBLAS pool, say): it
-            # calls no BLAS, takes no lock such a thread can hold, and ends
-            # through os._exit.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning
-            )
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            parsed = _parse_range(fd, cut, info.st_size, col)
-            if parsed is not None:
-                names, labels, block = parsed
-                with os.fdopen(w, "wb") as pipe:
-                    pickle.dump((list(names), list(labels), block), pipe, pickle.HIGHEST_PROTOCOL)
-                status = 0
-        finally:
-            os._exit(status)
-
-    os.close(w)
-    first = sent = None
-    try:
-        with os.fdopen(r, "rb") as pipe:
-            first = _parse_range(fd, start, cut, col)
-            if first is not None:
-                sent = pipe.read()
-    except OSError:
-        pass
-    finally:
-        if sent is None:
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-    if sent is None or os.waitstatus_to_exitcode(status) != 0:
-        return None
-
-    team_ids, label_codes, block = first
-    names, labels, child = pickle.loads(sent)
-    team = np.array([0, *map(team_ids.__getitem__, names)], dtype=np.int64)
-    code = np.array([0, *map(label_codes.__getitem__, labels)], dtype=np.int64)
-    child[:2] = team[child[:2]]
-    child[4] = code[child[4]]
-    return team_ids, label_codes, np.concatenate([block, child], axis=1)
+    return team_ids, label_codes, np.concatenate(blocks, axis=1)
 
 
 def _unread_utf8_file(stream) -> int | None:
@@ -493,14 +541,16 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
     named by its record number (the header is record 1; a quoted field may
     span lines).  Goal counts must fit a 64-bit integer.
 
-    Where at least two CPUs are usable and ``stream`` is a UTF-8 text file
-    with universal newlines, opened at its start (as :func:`open` gives
-    one), a file with :data:`_SPLIT_BYTES` or more after the header is
-    parsed in two processes from its descriptor (see
-    :func:`_split_id_blocks`), with the same result and the same errors.
+    Where ``stream`` is a UTF-8 text file with universal newlines, opened
+    at its start (as :func:`open` gives one), the records are read from
+    the file's bytes :data:`_BLOCK_BYTES` at a time (see
+    :func:`_file_id_block`).  If any block is refused, or the file holds a
+    quote, a NUL or a lone ``\\r``, the whole file is parsed from
+    ``stream`` instead, :data:`_CHUNK_ROWS` lines at a time (see
+    :func:`_stream_id_block`), which gives every other stream's result and
+    errors.
     """
-    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-    fd = _unread_utf8_file(stream) if two_cpus else None
+    fd = _unread_utf8_file(stream)
     lines = iter(stream)
     rows, error = csv_records(lines, until_line=1)
     if error:
@@ -516,8 +566,8 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
 
     # Universal newlines (``newlines`` is set once a line end is read) end
     # the stream's lines at each "\n" of a file with no lone "\r".
-    parsed = fd is not None and stream.newlines is not None and _split_id_blocks(fd, col)
-    team_ids, label_codes, block = parsed or _id_block(_checked_chunks(lines, col))
+    parsed = fd is not None and stream.newlines is not None and _file_id_block(fd, col)
+    team_ids, label_codes, block = parsed or _stream_id_block(lines, col)
 
     home, away, hg, ag, label_code, comp = block
     if not home.size:

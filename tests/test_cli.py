@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 from unittest import mock
 
 import numpy as np
@@ -875,16 +874,15 @@ def draw_argv(data, pool) -> list[str]:
     return argv + data.draw(st.sampled_from([[], ["--output", "json"], ["--quiet"]]), label="flags")
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("block_bytes", [match_data._BLOCK_BYTES, 64])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_bad_input_sweep_ends_in_one_error_line(input_pool, cpus, data):
-    # On two CPUs every matches file with a byte after its header is split.
+def test_bad_input_sweep_ends_in_one_error_line(input_pool, block_bytes, data):
+    # Matches files are read in one block, and in blocks of one or two lines.
     argv = draw_argv(data, input_pool)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True), \
-            mock.patch.object(match_data, "_SPLIT_BYTES", 1):
+            mock.patch.object(match_data, "_BLOCK_BYTES", block_bytes):
         code = main(argv)
     assert code in (0, 1, 2)
     if code:

@@ -1,8 +1,6 @@
 import csv
 import io
 import os
-import pickle
-import signal
 import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -361,6 +359,41 @@ def csv_texts(draw, bad_kind=None, quoted=True):
     return out.getvalue()
 
 
+#: White space that ``str.strip`` takes off a field: U+00A0 and U+3000 too.
+PADS = ["", " ", "  ", "\t", "\u00a0", "\u3000"]
+#: Goal spellings that ``int`` reads, most of them not in ``match_data._GOALS``.
+SPELLED_GOALS = ["05", " 1", "+1", "1_0", "\u0661", "100", "0", "3", "12", "00", "1 ", "9223372036854775807"]
+#: Names that differ only in padding, and names longer than 8 and 16 bytes.
+PLAIN_NAMES = ["Ajax", " Ajax", "Ajax\u00a0", "PSV", "Émile", "Club 0123", "Sporting Clube de Portugal", "a"]
+
+
+@st.composite
+def plain_texts(draw, bad_kind=None):
+    """Files with no quote: padded fields, goals in any spelling ``int`` reads, blank lines.
+
+    Every field may carry white space on either side, so distinct field
+    texts strip to one name, label, tag or goal count.  Lines end in LF or
+    CRLF, and the last may have no line end.
+    """
+    header = draw(st.permutations(CSV_FIELDS))
+    record = rows(PLAIN_NAMES, ["2018/2019", "2019/2020 ", "s"])
+    records = draw(st.lists(record, min_size=1, max_size=40))
+    for good in records:
+        if draw(st.booleans()):
+            good["home_goals"], good["away_goals"] = draw(st.lists(st.sampled_from(SPELLED_GOALS), min_size=2, max_size=2))
+    if bad_kind is not None:
+        records.insert(draw(st.integers(0, len(records))), BAD_ROWS[bad_kind](draw(record), draw(st.booleans())))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for record in records:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\u00a0"])))  # a blank line
+        if isinstance(record, dict):
+            record = [draw(st.sampled_from(PADS)) + record[name] + draw(st.sampled_from(PADS)) for name in header]
+        lines.append(",".join(record))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
 def stream_of(source):
     """A file's text as a text stream; a list of lines as it is."""
     return io.StringIO(source) if isinstance(source, str) else iter(source)
@@ -424,7 +457,7 @@ def assert_same_as_reference(text, chunk):
     with mock.patch.object(match_data, "_CHUNK_ROWS", chunk):
         error, got = outcome(ingest_csv, text)
         if isinstance(text, str):
-            # The same text read from a file, which two CPUs may split.
+            # The same text read from a file, whose bytes are parsed a block at a time.
             with written(text.encode()) as path:
                 error_from_file, from_file = outcome(ingest_csv, path)
             assert (error_from_file, columns_of(from_file)) == (error, columns_of(got))
@@ -465,33 +498,42 @@ def plain_lines(n, seed=5):
     return lines
 
 
-@pytest.fixture(scope="class", params=[1, 2], ids=["1cpu", "2cpus"])
-def usable_cpus(request):
-    """Run a test class once as if on one CPU (serial parse), once on two.
+#: A block size that cuts the test files into blocks of a few lines.
+SMALL_BLOCK = 128
 
-    On two, a file with a byte or more after its header is split (see
-    :class:`TestSplitIngest`); other sources are parsed serially.
-    """
-    cpus = set(range(request.param))
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True), \
-            mock.patch.object(match_data, "_SPLIT_BYTES", 1):
+
+@pytest.fixture(scope="class", params=[match_data._BLOCK_BYTES, SMALL_BLOCK], ids=["whole", "small blocks"])
+def block_bytes(request):
+    """Run a test class once with each file read in one block, once in blocks of a few lines."""
+    with mock.patch.object(match_data, "_BLOCK_BYTES", request.param):
         yield request.param
 
 
-@pytest.mark.usefixtures("usable_cpus")
+@pytest.mark.usefixtures("block_bytes")
 class TestIngestMatchesReferenceParser:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=csv_texts(), chunk=CHUNKS)
     def test_valid_files(self, text, chunk):
         assert_same_as_reference(text, chunk)
 
-    # Files with no quotes are parsed in two processes where two CPUs are
-    # usable.
+    # Files with no quotes are parsed from their bytes.
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=csv_texts(quoted=False), chunk=st.integers(1, 3))
     def test_valid_unquoted_files(self, text, chunk):
         assert_same_as_reference(text, chunk)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=plain_texts(), chunk=st.integers(1, 3))
+    def test_valid_padded_files(self, text, chunk):
+        assert_same_as_reference(text, chunk)
+
+    @pytest.mark.parametrize("kind", list(BAD_ROWS))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), chunk=st.integers(1, 3))
+    def test_first_bad_row_in_a_padded_file(self, kind, data, chunk):
+        text = data.draw(plain_texts(bad_kind=kind), label="text")
+        assert assert_same_as_reference(text, chunk) is not None
 
     @pytest.mark.parametrize("kind", list(BAD_ROWS))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -564,8 +606,8 @@ class TestIngestMatchesReferenceParser:
         assert errors[0] == errors[1]
         assert (errors[1][0] is UnicodeDecodeError) == (failing_at <= 3)
 
-    # Plain chunks (one record a line, no quotes) are split as text; any
-    # other chunk goes with the rest of the file to csv.reader.
+    # Plain chunks (one record a line, no quotes) are parsed from their
+    # UTF-8 text; any other chunk goes with the rest of the file to csv.reader.
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 2**12])
     @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
@@ -603,8 +645,8 @@ class TestIngestMatchesReferenceParser:
     @pytest.mark.parametrize("after", ["X", "Club 3,Club 4,1,0", "\0"])
     def test_list_item_with_text_after_its_line_end(self, after, chunk):
         # The item's commas and line end are in a plain line's order, but
-        # csv.reader refuses what follows the line end.  A text split of
-        # the last two items would read a good record shifted by one field.
+        # csv.reader refuses what follows the line end.  A parse of the last
+        # two items as one text would read a good record shifted by one field.
         lines = ["season_label,competition,home_goals,away_goals,home,away\n"]
         lines += [f"2010/x,NationalLeague,1,0,Club {i},Club {i + 1}\n" for i in range(11)]
         lines += ["2010/x,2010/x,NationalLeague,1,0,Club 12\n"]
@@ -676,7 +718,7 @@ class TestIngestMatchesReferenceParser:
         assert csv_reader_records == [list(CSV_FIELDS)]
 
     def test_text_split_resumes_after_a_chunk_that_is_not_plain(self, csv_reader_records):
-        # The text split takes over again at the first record end at or past
+        # The text parse takes over again at the first record end at or past
         # the last line of a chunk csv.reader read: here the end of the
         # quoted record 5, which spans lines 5 and 6.
         lines = [line + "\n" for line in plain_lines(30)]
@@ -689,8 +731,8 @@ class TestIngestMatchesReferenceParser:
         assert csv_reader_records == expected
 
 
-def ingest_on(cpus, source, chunk=4, split_bytes=2048, **patches):
-    """``outcome`` of ``ingest_csv`` with ``cpus`` usable CPUs, and the forks it made.
+def ingest_on(source, chunk=4, block_bytes=256, **patches):
+    """``outcome`` of ``ingest_csv``, and whether it parsed ``source`` from its text stream.
 
     A list of lines or ``bytes`` is written to a temporary file, opened as
     the CLI opens it, and named ``<file>`` in the error text; any other
@@ -698,74 +740,89 @@ def ingest_on(cpus, source, chunk=4, split_bytes=2048, **patches):
     every column and the season labels.  ``patches`` replace attributes of
     ``os`` during the parse.
     """
-    patches = {"fork": mock.Mock(wraps=os.fork), "sched_getaffinity": lambda pid: set(range(cpus)), **patches}
+    streamed = mock.Mock(wraps=match_data._stream_id_block)
     fds = len(os.listdir("/proc/self/fd"))
     with ExitStack() as patched:
         if isinstance(source, (list, bytes)):
             source = patched.enter_context(written(source if isinstance(source, bytes) else "".join(source).encode()))
         patched.enter_context(mock.patch.object(match_data, "_CHUNK_ROWS", chunk))
-        patched.enter_context(mock.patch.object(match_data, "_SPLIT_BYTES", split_bytes))
+        patched.enter_context(mock.patch.object(match_data, "_BLOCK_BYTES", block_bytes))
+        patched.enter_context(mock.patch.object(match_data, "_stream_id_block", streamed))
         for name, value in patches.items():
-            patched.enter_context(mock.patch.object(os, name, value, create=True))
+            patched.enter_context(mock.patch.object(os, name, value))
         error, got = outcome(ingest_csv, source)
         if error is not None:
             error = error.replace(str(source), "<file>")
     assert len(os.listdir("/proc/self/fd")) == fds
-    return error, columns_of(got), patches["fork"].call_count
+    return error, columns_of(got), streamed.call_count
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
-                    reason="needs os.fork and /proc/self/fd")
-class TestSplitIngest:
-    """Two processes parse a large file with the serial parse's result and errors.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestBlockIngest:
+    """A file is parsed from its bytes a block at a time, with the result and errors of its text.
 
-    With the 2,048 bytes ``ingest_on`` takes as the split size, a file of
-    about 50 records or more after the header is split.  The 60 records of
-    ``lines()`` (2,474 bytes after the header) are cut at the first line
-    end at or after the middle of those bytes: the first half ends with
-    record 31 (``lines()[30]``), and the child parses records 32 to 61.  A
-    fault in either half gives the error of the serial parse.
+    With the 256 bytes ``ingest_on`` takes as the block size, the 60
+    records of ``lines()`` (2,474 bytes after the header) take ten
+    blocks of six lines.  A file the blocks refuse is parsed from
+    its text stream, as any other stream is.
     """
 
     def lines(self):
         return [line + "\n" for line in plain_lines(60, seed=7)]  # the header, then records 2..61
 
-    def assert_serial(self, source, forks, **patches):
-        serial = ingest_on(1, source, **patches)
-        assert serial[2] == 0
-        split = ingest_on(2, source, **patches)
-        assert split == (*serial[:2], forks)
-        if isinstance(source, list):
-            assert_same_as_reference(source, 4)
-        return serial[0]
+    def assert_as_text(self, lines, streamed, **patches):
+        """The file of ``lines`` gives the outcome of their text as a ``StringIO``, and the list the reference's.
 
-    def test_cut_is_the_first_line_end_after_the_middle(self):
+        ``streamed``: whether the file is parsed from its text stream.
+        Returns the error text.
+        """
+        from_text = ingest_on(io.StringIO("".join(lines), newline=""), **patches)
+        assert from_text[2] == 1
+        assert ingest_on(lines, **patches) == (*from_text[:2], streamed)
+        assert_same_as_reference(lines, 4)
+        return from_text[0]
+
+    def test_blocks_end_at_line_ends(self):
         lines = self.lines()
-        data = "".join(lines).encode()
-        start, size = len(lines[0]), len(data)
-        with written(data) as path, open(path, "rb") as f:
-            assert match_data._line_end(f.fileno(), 0) == start
-            assert match_data._line_end(f.fileno(), start + (size - start) // 2) == len("".join(lines[:31]))
+        blocks = []
+        plain_block = match_data._plain_block
 
-    def test_clean_file_is_split(self):
-        assert self.assert_serial(self.lines(), forks=1) is None
-        assert self.assert_serial(self.lines()[:31], forks=0) is None  # below the split size
+        def recorded(data, *args):
+            blocks.append(data)
+            return plain_block(data, *args)
 
-    @pytest.mark.parametrize("over", [0, 1])
-    def test_file_at_the_split_size(self, over):
-        # Split from exactly the split size after the header on.
+        with mock.patch.object(match_data, "_plain_block", recorded):
+            assert ingest_on(lines)[2] == 0
+        assert b"".join(blocks) == "".join(lines[1:]).encode()
+        assert all(block.endswith(b"\n") and len(block) <= 256 for block in blocks) and len(blocks) == 10
+
+    def test_clean_file_is_read_in_blocks(self):
+        assert self.assert_as_text(self.lines(), streamed=0) is None
+        assert self.assert_as_text(self.lines()[:31], streamed=0) is None
+
+    @pytest.mark.parametrize("over", [-1, 0, 1])
+    def test_file_at_the_block_size(self, over):
+        # One block holds every byte after the header from the block size on.
         lines = self.lines()
         body = len("".join(lines[1:]).encode())
-        assert self.assert_serial(lines, forks=1 - over, split_bytes=body + over) is None
+        assert self.assert_as_text(lines, streamed=0, block_bytes=body + over) is None
 
-    def test_crlf_line_ends_are_split(self):
+    def test_several_blocks_of_many_lines(self):
+        # As many blocks as chunks of _CHUNK_ROWS lines, each with a bad record in reach.
+        lines = [line + "\n" for line in plain_lines(3 * 4096 + 17, seed=3)]
+        for block_bytes in (4096, match_data._BLOCK_BYTES):
+            assert ingest_on(lines, chunk=4096, block_bytes=block_bytes) \
+                == (*ingest_on(io.StringIO("".join(lines)), chunk=4096)[:2], 0)
+        lines[2 * 4096 + 5] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        error = ingest_on(lines, chunk=4096, block_bytes=4096)
+        assert error == ("ValueError: row 8198: home and away team are both 'Club 3'", None, 1)
+
+    def test_crlf_line_ends_and_a_byte_order_mark(self):
         lines = [line.replace("\n", "\r\n") for line in self.lines()]
-        assert self.assert_serial(lines, forks=1) is None
-        assert ingest_on(2, lines)[1] == ingest_on(2, self.lines())[1]
-
-    def test_byte_order_mark_is_split(self):
+        assert self.assert_as_text(lines, streamed=0) is None
+        assert ingest_on(lines)[1] == ingest_on(self.lines())[1]
         data = "".join(self.lines()).encode()
-        assert ingest_on(2, b"\xef\xbb\xbf" + data) == (*ingest_on(1, data)[:2], 1)
+        assert ingest_on(b"\xef\xbb\xbf" + data) == (*ingest_on(data)[:2], 0)
 
     @pytest.mark.parametrize("bad,message", [
         ("NationalLeague,Club 3,Club 3,1,0", "home and away team are both 'Club 3'"),
@@ -774,32 +831,28 @@ class TestSplitIngest:
         ("NationalLeague,Club 3,Club 4,-1,x", "goals must be integers"),
         ("Cup,,Club 4,1,0", "unknown competition tag 'Cup' "
                             "(expected one of ['ChampionsLeague', 'EuropaLeague', 'NationalLeague'])"),
+        ("NationalLeague, \u00a0,Club 4,1,0", "empty team name"),
+        ("NationalLeague,Club 3\u00a0, Club 3,1,0", "home and away team are both 'Club 3'"),
     ])
     @pytest.mark.parametrize("at", [1, 30, 31, 60])
     def test_bad_record(self, at, bad, message):
         lines = self.lines()
         lines[at] = f"2011/x,{bad}\n"
-        error = self.assert_serial(lines, forks=1)
+        error = self.assert_as_text(lines, streamed=1)
         assert error == f"ValueError: row {at + 1}: {message}"
 
-    def test_bad_records_in_both_halves(self):
+    def test_bad_records_in_two_blocks(self):
         lines = self.lines()
         lines[10] = "2011/x,NationalLeague,Club 3,Club 4,x,0\n"
         lines[45] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
-        assert self.assert_serial(lines, forks=1) == "ValueError: row 11: goals must be integers"
-
-    def test_first_half_error_reaps_the_child(self):
-        lines = self.lines()
-        lines[10] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
-        kill, waitpid = mock.Mock(wraps=os.kill), mock.Mock(wraps=os.waitpid)
-        error, _, forks = ingest_on(2, lines, kill=kill, waitpid=waitpid)
-        assert (error, forks) == ("ValueError: row 11: home and away team are both 'Club 3'", 1)
-        (pid, sig), = [c.args for c in kill.call_args_list]
-        assert sig == signal.SIGKILL and [c.args for c in waitpid.call_args_list if c.args[0] == pid] == [(pid, 0)]
+        assert self.assert_as_text(lines, streamed=1) == "ValueError: row 11: goals must be integers"
 
     @pytest.mark.parametrize("at", [10, 45])
-    @pytest.mark.parametrize("odd", ["\n", "  \r\n", "crlf", "no line end", "lone cr"])
-    def test_odd_line(self, odd, at):
+    @pytest.mark.parametrize("odd,streamed", [
+        ("\n", 0), ("  \r\n", 0), (" \n", 0), ("\u00a0\n", 0), ("X\n", 1), ("crlf", 0), ("no line end", 0),
+        ("lone cr", 1), ("nul", 1),
+    ])
+    def test_odd_line(self, odd, streamed, at):
         lines = self.lines()
         if odd == "crlf":
             lines[at] = lines[at].replace("\n", "\r\n")
@@ -807,56 +860,107 @@ class TestSplitIngest:
             lines[-1] = lines[-1].rstrip("\n")
         elif odd == "lone cr":
             lines[at] = lines[at].replace("Club ", "Club\r", 1)
+        elif odd == "nul":
+            lines[at] = lines[at].replace("Club ", "Club\0", 1)
         else:
             lines.insert(at, odd)
-        error = self.assert_serial(lines, forks=1)
+        error = self.assert_as_text(lines, streamed=streamed)
         if odd == "lone cr":
             # The file's text stream ends a line at a lone "\r".
             assert error == f"ValueError: row {at + 1}: expected 6 fields, got 3"
+        elif odd == "X\n":
+            assert error == f"ValueError: row {at + 1}: expected 6 fields, got 1"
         else:
             assert error is None
 
-    @pytest.mark.parametrize("at,forks", [(10, 0), (250, 1), (450, 1)])
-    def test_byte_not_utf8(self, at, forks):
+    def test_padded_fields(self):
+        # Fields that differ only in white space str.strip takes off, U+00A0
+        # and U+3000 too, are one team, label, tag or goal count.
+        lines = self.lines()
+        lines[5] = " 2011/x ,\tNationalLeague , Ajax,Club 2 , 1 ,0\n"
+        lines[6] = "2011/x,NationalLeague,Ajax\u00a0,\u3000Club 2,01,+0\n"
+        lines[7] = "2011/x,NationalLeague,Club 2,Ajax,1,0\n"
+        assert self.assert_as_text(lines, streamed=0) is None
+        names, labels, columns = ingest_on(lines)[1]
+        assert names.count("Ajax") == 1 and not {" Ajax", "Ajax\u00a0", "Club 2 "} & set(names)
+        ajax, club_2 = names.index("Ajax") + 1, names.index("Club 2") + 1
+        assert columns[0][4:7] == [ajax, ajax, club_2] and columns[1][4:7] == [club_2, club_2, ajax]
+        assert columns[2][4:6] == [1, 1] and len(set(columns[4][4:7])) == 1
+
+    @pytest.mark.parametrize("goals", ["05", " 1", "\u00a01", "+1", "1_0", "\u0661", "100", "1 "])
+    def test_goal_spellings(self, goals):
+        lines = self.lines()
+        lines[7] = f"2011/x,NationalLeague,Club 1,Club 2,{goals},{goals}\n"
+        assert self.assert_as_text(lines, streamed=0) is None
+        assert ingest_on(lines)[1][2][2][6] == int(goals)
+
+    @pytest.mark.parametrize("keys", ["every key", "labels"])
+    def test_colliding_keys(self, monkeypatch, keys):
+        # Fields of one key are compared byte for byte, so no two are taken
+        # as one. With keys from the first word without its fourth byte,
+        # the labels 2010/x, 2011/x and 2012/x share one, the names do not.
+        mix = {"every key": lambda words, lengths: np.zeros(len(lengths), dtype=np.uint64),
+               "labels": lambda words, lengths: (words[0] & ~np.uint64(0xFF << 24)) * np.uint64(0x9E3779B97F4A7C15)}
+        monkeypatch.setattr(match_data, "_mix", mix[keys])
+        assert self.assert_as_text(self.lines(), streamed=1) is None
+
+    @pytest.mark.parametrize("at,streamed", [(10, 0), (250, 1), (450, 1)])
+    def test_byte_not_utf8(self, at, streamed):
         # The text stream decodes 8 KB at a time, so a byte in the first
-        # 8 KB is met with the header, before the fork.  Of these 600
-        # records (26 KB), line 250 is in the first half, past 8 KB.
+        # 8 KB is met with the header, before any block is read.  Of these
+        # 600 records (26 KB), line 250 is past the first 8 KB.
         lines = [line + "\n" for line in plain_lines(600, seed=7)]
         data = "".join(lines).encode()
         offset = len("".join(lines[:at]).encode()) + 5
         data = data[:offset] + b"\xff" + data[offset + 1:]
-        error = ingest_on(1, data)[0]
-        assert ingest_on(2, data) == (error, None, forks)
+        error = ingest_on(data, block_bytes=match_data._BLOCK_BYTES)[0]
+        assert ingest_on(data) == (error, None, streamed)
         assert error == (f"ValueError: <file>: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
                          f"at byte offset {offset}, line {at + 1}: invalid start byte)")
 
     @pytest.mark.parametrize("at", [10, 45])
-    def test_quoted_field_parses_serially(self, at):
-        # The child is forked before either half is read, so a quote in
-        # either half costs one fork.
+    def test_quoted_field_parses_from_the_text_stream(self, at):
         lines = self.lines()
-        lines[at] = lines[at].replace("Club 1,", '"Club 1",')
-        assert self.assert_serial(lines, forks=1) is None
+        fields = lines[at].split(",")
+        fields[2] = f'"{fields[2]}"'
+        lines[at] = ",".join(fields)
+        assert self.assert_as_text(lines, streamed=1) is None
         lines[at + 5:at + 6] = ['2011/x,NationalLeague,"Club\n', ' 1",Club 2,1,0\n']
-        assert self.assert_serial(lines, forks=1) is None
+        assert self.assert_as_text(lines, streamed=1) is None
 
-    def test_quoted_header_parses_serially(self):
+    def test_quoted_header_parses_from_the_text_stream(self):
         lines = self.lines()
         lines[0] = lines[0].replace("home,", '"home",')
-        assert self.assert_serial(lines, forks=0) is None
+        assert self.assert_as_text(lines, streamed=1) is None
+
+    @pytest.mark.parametrize("odd", ['"', "\r", "\0"])
+    @pytest.mark.parametrize("at", [10, 45, 60])
+    def test_scan_finds_a_quote_a_lone_cr_or_a_nul_before_any_block_is_parsed(self, at, odd):
+        # The file is read a block and a byte at a time, and no block is
+        # read again to be parsed.
+        lines = self.lines()
+        lines[at] = lines[at].replace("Club ", f"Club{odd}", 1)
+        reads = []
+        pread = os.pread
+
+        def recorded(fd, n, offset):
+            reads.append(n)
+            return pread(fd, n, offset)
+
+        assert ingest_on(lines, pread=recorded)[2] == 1
+        assert reads and set(reads) == {257}
 
     @pytest.mark.parametrize("quote_at", [2, 45])
     def test_quoted_file_is_parsed_while_streaming(self, quote_at):
-        # A bad record in the first block is raised before more than one
-        # block after the header is read from the text stream: by the serial
-        # parse, which streams, where the first half holds the quote, and by
-        # the first half's own parse where the second does.
+        # A bad record in the first chunk is raised before more than one
+        # chunk after the header is read from the text stream, wherever the
+        # quote is.
         lines = self.lines()
         fields = lines[quote_at].split(",")
         fields[2] = f'"{fields[2]}"'
         lines[quote_at] = ",".join(fields)
         lines[3] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
-        assert self.assert_serial(lines, forks=1) == "ValueError: row 4: home and away team are both 'Club 3'"
+        assert self.assert_as_text(lines, streamed=1) == "ValueError: row 4: home and away team are both 'Club 3'"
 
         class Counting(io.TextIOWrapper):
             lines_read = 0
@@ -869,16 +973,15 @@ class TestSplitIngest:
         with written("".join(lines).encode()) as path, \
                 Counting(open(path, "rb"), encoding="utf-8-sig", newline="") as stream, \
                 mock.patch.object(match_data, "_CHUNK_ROWS", 4), \
-                mock.patch.object(match_data, "_SPLIT_BYTES", 2048), \
-                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+                mock.patch.object(match_data, "_BLOCK_BYTES", 256):
             with pytest.raises(ValueError, match="^row 4: home and away team are both 'Club 3'$"):
                 ingest_csv(stream)
             assert stream.lines_read <= 1 + 4
 
     @pytest.mark.parametrize("bad_at", [None, 10])
-    def test_read_error_in_the_second_half(self, bad_at):
-        # A stream that is not a file is parsed serially, and a bad record
-        # in the first half still comes before the read error.
+    def test_read_error_in_a_stream(self, bad_at):
+        # A stream that is not a file is parsed from its lines, and a bad
+        # record before the read error still comes first.
         lines = self.lines()
         if bad_at is not None:
             lines[bad_at] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
@@ -890,27 +993,28 @@ class TestSplitIngest:
                         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
                     yield line
 
-        error = self.assert_serial(Stream(), forks=0)
+        error = ingest_on(Stream())
         assert error == ("ValueError: row 11: home and away team are both 'Club 3'" if bad_at else
                          "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: "
-                         "invalid start byte")
+                         "invalid start byte", None, 1)
 
-    def test_list_and_pipe_parse_serially(self):
+    def test_list_and_pipe_parse_from_their_lines(self):
         lines = self.lines()
-        serial = ingest_on(1, lines)
-        assert ingest_on(2, iter(lines)) == (*serial[:2], 0)
-        assert ingest_on(2, io.StringIO("".join(lines))) == (*serial[:2], 0)
+        from_file = ingest_on(lines)
+        assert from_file[2] == 0
+        assert ingest_on(iter(lines)) == (*from_file[:2], 1)
+        assert ingest_on(io.StringIO("".join(lines))) == (*from_file[:2], 1)
         r, w = os.pipe()
         try:
             os.write(w, "".join(lines).encode())  # less than a pipe holds
             os.close(w)
-            assert ingest_on(2, Path(f"/dev/fd/{r}")) == (*serial[:2], 0)
+            assert ingest_on(Path(f"/dev/fd/{r}")) == (*from_file[:2], 1)
         finally:
             os.close(r)
 
     @pytest.mark.parametrize("how", ["latin-1", "lines end at \\r", "read from"])
-    def test_other_text_files_parse_serially(self, how, tmp_path):
-        # Split halves are read as UTF-8, cut at "\n", after the file's first line.
+    def test_other_text_files_parse_from_their_lines(self, how, tmp_path):
+        # Blocks are read as UTF-8, cut at "\n", after the file's first line.
         lines = [line.replace("\n", "\r\n") for line in self.lines()]
         lines[5] = lines[5].replace("Club 1,", "Émile,")
         path = tmp_path / "matches.csv"
@@ -924,53 +1028,28 @@ class TestSplitIngest:
             return f
 
         with opened() as f:
-            serial = ingest_on(1, f)
+            from_lines = ingest_on(iter(list(f)))
         with opened() as f:
-            assert ingest_on(2, f) == (*serial[:2], 0)
+            assert ingest_on(f) == (*from_lines[:2], 1)
 
-    @pytest.mark.parametrize("which", ["first", "second"])
-    def test_failed_read_parses_serially(self, which):
+    @pytest.mark.parametrize("which,streamed", [("scan", 1), ("parse", 1), ("short scan", 1), ("short parse", 0)])
+    def test_failed_read_parses_from_the_text_stream(self, which, streamed):
+        # A short parse read is cut at its last line end, and the next read
+        # starts there; a short scan read is a file that changed.
         lines = self.lines()
-        start = len(lines[0])
         pread = os.pread
 
         def failing(fd, n, offset):
-            if n != match_data._PROBE_BYTES and offset and (offset == start) == (which == "first"):
+            kind = {257: "scan", 256: "parse"}[n] if offset > 1000 else None
+            if kind == which:
                 raise OSError(5, "Input/output error")
-            return pread(fd, n, offset)
+            return pread(fd, n - (f"short {kind}" == which), offset)
 
-        serial = ingest_on(1, lines)
-        assert ingest_on(2, lines, pread=failing) == (*serial[:2], 1)
-        assert ingest_on(2, lines, pread=mock.Mock(side_effect=OSError(5, "Input/output error"))) \
-            == (*serial[:2], 0)
+        from_lines = ingest_on(iter(lines))
+        assert ingest_on(lines, pread=failing) == (*from_lines[:2], streamed)
+        assert ingest_on(lines, pread=mock.Mock(side_effect=OSError(5, "Input/output error"))) \
+            == (*from_lines[:2], 1)
 
-    def test_line_longer_than_the_probe_is_not_split_at(self):
-        serial = ingest_on(1, self.lines())
-        with mock.patch.object(match_data, "_PROBE_BYTES", 8):
-            assert ingest_on(2, self.lines()) == (*serial[:2], 0)
-
-    def test_failed_fork_parses_serially(self):
-        lines = self.lines()
-        serial = ingest_on(1, lines)
-        failing = mock.Mock(side_effect=OSError(11, "Resource temporarily unavailable"))
-        assert ingest_on(2, lines, fork=failing) == (*serial[:2], 1)
-        lines[45] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
-        assert ingest_on(2, lines, fork=failing)[0] == "ValueError: row 46: home and away team are both 'Club 3'"
-
-    def test_failed_pipe_parses_serially(self):
-        serial = ingest_on(1, self.lines())
-        assert ingest_on(2, self.lines(), pipe=mock.Mock(side_effect=OSError(24, "Too many open files"))) \
-            == (*serial[:2], 0)
-
-    @pytest.mark.parametrize("how", ["raises", "dies"])
-    def test_failed_child_parses_serially(self, how):
-        # Only the child pickles; it fails, or dies by a signal, before it writes.
-        def dump(*args):
-            if how == "raises":
-                raise pickle.PicklingError("cannot pickle")
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        lines = self.lines()
-        serial = ingest_on(1, lines)
-        with mock.patch.object(match_data.pickle, "dump", dump):
-            assert ingest_on(2, lines) == (*serial[:2], 1)
+    def test_line_longer_than_a_block(self):
+        from_lines = ingest_on(iter(self.lines()))
+        assert ingest_on(self.lines(), block_bytes=8) == (*from_lines[:2], 1)
