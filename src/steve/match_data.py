@@ -374,9 +374,10 @@ def _plain_block(
     longest = int(lengths.max(initial=0))
     if longest > csv.field_size_limit():
         return None
-    # With zero bytes after the lines, an 8-byte word starts at each byte of every field.
+    # With zero bytes after the lines, an 8-byte word starts at each byte of every
+    # field, read little-endian so that its first bytes are its low bytes.
     padded = np.frombuffer(data + bytes(longest + 8), dtype=np.uint8)
-    words_at = as_strided(padded, shape=(len(padded) - 7, 8), strides=(1, 1)).view(np.uint64)[:, 0]
+    words_at = as_strided(padded, shape=(len(padded) - 7, 8), strides=(1, 1)).view("<u8")[:, 0]
     try:
         # A line with no comma is a blank line, or not a record of six fields.
         blank = line_end.copy()

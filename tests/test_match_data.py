@@ -1012,6 +1012,17 @@ class TestBlockIngest:
         finally:
             os.close(r)
 
+    def test_file_named_by_its_descriptor_is_read_in_blocks(self, tmp_path):
+        # As /dev/stdin is when redirected from a file.
+        lines = self.lines()
+        path = tmp_path / "matches.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            assert ingest_on(Path(f"/dev/fd/{fd}")) == (*ingest_on(lines)[:2], 0)
+        finally:
+            os.close(fd)
+
     @pytest.mark.parametrize("how", ["latin-1", "lines end at \\r", "read from"])
     def test_other_text_files_parse_from_their_lines(self, how, tmp_path):
         # Blocks are read as UTF-8, cut at "\n", after the file's first line.
