@@ -34,6 +34,7 @@ _EXPORTS = {
         "load_values", "mlp_predict", "mlp_train", "quartile_labels", "steve_features",
     ),
     "model_io": ("MODEL_FORMAT_VERSION", "load_model", "save_model"),
+    "float_text": (),
     "cli": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -3,7 +3,11 @@
 The file keeps one record per team (name plus winner and loser vector) in
 registry order.  Floats are written as Python's shortest round-tripping
 decimal representation, so a save/load cycle reproduces every vector
-bit-exactly.
+bit-exactly.  The file holds the bytes ``json.dump(indent=1)`` would write,
+but the team records are formatted a slab of teams at a time, their floats
+by :func:`steve.float_text.row_texts`: an array kernel writes every vector
+whose values all lie in 1e-4 <= |v| < 1, as almost every value of a unit
+vector does, and ``float.__repr__`` every other vector.
 
 A save also writes the sidecar ``<model file>.theta``: one JSON header line
 (a format tag, the model file's byte length and CRC-32, ``m``, ``delta``,
@@ -41,7 +45,8 @@ MODEL_FORMAT_VERSION = 1
 UNIT_NORM_TOL = 1e-6
 
 
-#: Teams per chunk of text written by :func:`save_model`.
+#: Teams per chunk of text written by :func:`save_model`: 4,096 values at
+#: delta 16, whose float text is made in arrays that stay in the cache.
 _SLAB_TEAMS = 256
 
 #: The ``format`` tag of a sidecar's header line.
@@ -52,31 +57,26 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".theta")
 
 
-def _float_texts(block: np.ndarray) -> list[str]:
-    """Each finite value of ``block`` (row-major) as ``json`` writes a float."""
-    return list(map(float.__repr__, block.ravel().tolist()))
-
-
 def _team_slabs(model: EmbeddingModel):
     """The ``teams`` records as ``json.dump(indent=1)`` writes them, a slab of teams at a time.
 
     Each record starts with its separator: a newline for the first team,
     a comma and a newline for every later one.
     """
-    names, delta = model.registry.names, model.delta
-    vector_sep = ",\n    "
+    # Imported here: the commands that only load a model do not need it.
+    from .float_text import row_texts
+
+    names = model.registry.names
     for start in range(0, len(names), _SLAB_TEAMS):
         stop = start + _SLAB_TEAMS
-        phi = _float_texts(model.phi[start:stop])
-        psi = _float_texts(model.psi[start:stop])
+        rows = zip(names[start:stop], row_texts(model.phi[start:stop]), row_texts(model.psi[start:stop]))
         slab = []
-        for i, name in enumerate(names[start:stop]):
-            cols = slice(i * delta, (i + 1) * delta)
+        for i, (name, phi, psi) in enumerate(rows):
             lead = ",\n" if start + i else "\n"
             slab.append(
                 f'{lead}  {{\n   "name": {json.dumps(name)},\n'
-                f'   "phi": [\n    {vector_sep.join(phi[cols])}\n   ],\n'
-                f'   "psi": [\n    {vector_sep.join(psi[cols])}\n   ]\n  }}'
+                f'   "phi": [\n    {phi}\n   ],\n'
+                f'   "psi": [\n    {psi}\n   ]\n  }}'
             )
         yield "".join(slab)
 

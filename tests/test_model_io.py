@@ -268,7 +268,9 @@ def test_save_without_config(tmp_path):
 # replaced, with ``created_at`` pinned.
 
 STAMP = datetime(2021, 3, 4, 5, 6, 7, 890123, tzinfo=timezone.utc)
-ODD_FLOATS = [-0.0, 5e-324, 1e-300, 1 - 2**-53, 1e16]
+ODD_FLOATS = [-0.0, 5e-324, 1e-300, 1 - 2**-53, 1e16, 1e-4, float(np.nextafter(1e-4, 0)), 1.0, -1.0, 0.5]
+#: Values the float-text kernel writes and values ``repr`` writes, in turn.
+MIXED_FLOATS = [0.5, -1.0, -0.123, 1e-5, 1e-4, 2.5, 0.999, 0.0]
 
 
 class _PinnedClock:
@@ -353,10 +355,23 @@ class TestWriterMatchesJsonDump:
 
     @pytest.mark.parametrize("m", [2, 255, 256, 257, 513])
     def test_every_odd_float_at_slab_edges(self, tmp_path, m):
-        model = init_model(m, 8, m)
+        delta = len(ODD_FLOATS)
+        model = init_model(m, delta, m)
         for row in (0, m - 1, m, 2 * m - 1, min(255, m - 1), min(256, m - 1)):
-            model.theta[row, : len(ODD_FLOATS)] = ODD_FLOATS
-        config = TrainConfig(delta=8)
+            model.theta[row] = ODD_FLOATS
+        config = TrainConfig(delta=delta)
+        assert saved_bytes(model, tmp_path / "m.json", config) == json_dump_bytes(model, config)
+
+    @pytest.mark.parametrize("delta", [1, 64])
+    def test_rows_of_kernel_and_repr_values_at_slab_edges(self, tmp_path, delta):
+        # Teams 255 | 256 straddle the first slab boundary; at delta 1 the
+        # rows take kernel and repr values in turn, at 64 each row holds both.
+        m = 513
+        model = init_model(m, delta, m)
+        for team in (255, 256, 257):
+            for row in (team, m + team):
+                model.theta[row] = np.resize(np.roll(MIXED_FLOATS, row), delta)
+        config = TrainConfig(delta=delta)
         assert saved_bytes(model, tmp_path / "m.json", config) == json_dump_bytes(model, config)
 
 
