@@ -83,7 +83,7 @@ _QUADS[:, :, 0], _QUADS[:, :, 1] = _PAIRS[:, None], _PAIRS
 #: The four digits of 0 ... 9999, one uint32 each.
 _QUADS = _QUADS.view(np.uint32).ravel()
 #: The trailing zeros of those four digits.
-_QUAD_ZEROS = np.zeros(10_000, dtype=np.intp)
+_QUAD_ZEROS = np.zeros(10_000, dtype=np.uint8)
 for _step in (10, 100, 1000, 10_000):
     _QUAD_ZEROS[::_step] += 1
 #: The first word for each leading digit, and the last word.
@@ -118,13 +118,13 @@ def _rop(g, cp):
     return (_mul_high(g1_hi, g1_lo, cp_hi, cp_lo) + (z >> 63)) | (z << 1 != 0)
 
 
-def row_texts(block: np.ndarray) -> list[str]:
-    """The text of each row of the finite 2-D ``block``: its values as ``repr`` writes them, joined by :data:`SEP`."""
-    rows, cols = block.shape
-    v = block.ravel()
-    size = np.abs(v)
-    fast = (size >= 1e-4) & (size < 1.0)
-    bits = np.where(fast, size, 0.5).view(np.uint64)
+def _shortest(size):
+    """The shortest decimal of each value of 1e-4 <= ``size`` < 1, as ``(d, zeros)``.
+
+    ``d`` holds its digits, padded with trailing zeros to 17, and ``zeros``
+    the zeros between "0." and them.
+    """
+    bits = size.view(np.uint64)
     row = ((bits >> 52) - _EXP_LO).astype(np.intp)
     g, shift = _G.take(row, axis=1), _SHIFT.take(row)
     c = (bits & (1 << 52) - 1) | 1 << 52
@@ -142,13 +142,20 @@ def row_texts(block: np.ndarray) -> list[str]:
     pick_s = np.where(u_in != w_in, u_in, (vb & 3) + (s & 1) < 3)
     d = np.where(up_in != wp_in, np.where(up_in, sp10, sp10 + 10), s + 1 - pick_s)
     short = d < 10**16
-    d = np.where(short, d * 10, d).astype(np.intp)
-    zeros = _ZEROS.take(row) + short
+    return np.where(short, d * 10, d).astype(np.intp), _ZEROS.take(row) + short
+
+
+def _text(d, zeros, negative, cols):
+    """The text of the values ``(d, zeros)`` of :func:`_shortest`, negative where ``negative`` is.
+
+    Each value is followed by :data:`SEP`, or by a NUL when it ends a row of
+    ``cols`` values.
+    """
     # The 17 digits: a leading one, which is never 0, and four quads.
     lead = d // 10**16
     rest = d - lead * 10**16
     high = rest // 10**8
-    quads = np.empty((v.size, 4), dtype=np.intp)
+    quads = np.empty((d.size, 4), dtype=np.intp)
     for i, half in enumerate((high, rest - high * 10**8)):
         quads[:, 2 * i] = half // 10**4
         quads[:, 2 * i + 1] = half - quads[:, 2 * i] * 10**4
@@ -156,14 +163,24 @@ def row_texts(block: np.ndarray) -> list[str]:
     trail = _QUAD_ZEROS.take(quads[:, 3])
     for i in (2, 1, 0):
         trail += (trail == 4 * (3 - i)) * _QUAD_ZEROS.take(quads[:, i])
-    layout = np.empty((v.size, 4), dtype=np.uint64)
+    layout = np.empty((d.size, 4), dtype=np.uint64)
     layout[:, 0] = _LEADS.take(lead)
     layout[:, 1:3] = _QUADS.take(quads).view(np.uint64)
     layout[:, 3] = _TAIL
-    end = np.zeros((rows, cols), dtype=np.intp)
+    end = np.zeros((d.size // cols, cols), dtype=np.intp)
     end[:, -1] = 2 * 4 * 17
-    keep = _MASKS.take(end.ravel() + (v < 0) * (4 * 17) + zeros * 17 + 16 - trail, axis=0)
-    texts = np.compress(keep.ravel(), layout.view(np.uint8)).tobytes().decode("ascii").split("\0")[:-1]
+    keep = _MASKS.take(end.ravel() + negative * (4 * 17) + zeros * 17 + 16 - trail, axis=0)
+    # A boolean index, not np.compress, which builds an index array of 8 bytes per character.
+    return str(layout.view(np.uint8).ravel()[keep.ravel()].data, "ascii")
+
+
+def row_texts(block: np.ndarray) -> list[str]:
+    """The text of each row of the finite 2-D ``block``: its values as ``repr`` writes them, joined by :data:`SEP`."""
+    rows, cols = block.shape
+    v = block.ravel()
+    size = np.abs(v)
+    fast = (size >= 1e-4) & (size < 1.0)
+    texts = _text(*_shortest(np.where(fast, size, 0.5)), v < 0, cols).split("\0")[:-1]
     for i in np.flatnonzero(~fast.reshape(rows, cols).all(axis=1)).tolist():
         texts[i] = SEP.join(map(float.__repr__, block[i].tolist()))
     return texts

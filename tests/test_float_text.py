@@ -65,6 +65,7 @@ def test_seeded_sweep_of_the_range_binary_exponents():
 
 
 def test_every_power_of_two_in_the_range():
+    # The kernel gives these no interval of their own (see _power_rows).
     powers = np.ldexp(1.0, np.arange(-14, 0))
     assert_matches_repr(np.concatenate([powers, -powers]).reshape(-1, 1))
 
