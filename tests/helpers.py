@@ -23,16 +23,22 @@ from steve.valuation import MLP, N_CLASSES, Task
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args: str, env: dict | None = None, timeout: float = 120, cwd=None):
+def run_python(*args: str, env: dict | None = None, timeout: float = 120, cwd=None,
+               stdout=subprocess.PIPE, **popen):
     """``python *args`` in a fresh interpreter that imports ``steve`` from this tree.
 
-    ``env`` adds to the environment.  Returns the ``CompletedProcess``, with
-    its output as text.
+    The child sees the runner's environment, thread variables included, less
+    ``PYTHONUNBUFFERED``: its stdout is block-buffered, as a user's shell
+    leaves it.  ``env`` adds to the environment, so a test that needs a
+    stdout mode sets it there.  ``stdout`` and ``popen`` go to
+    :func:`subprocess.run`.  Returns the ``CompletedProcess``, with its output
+    as text.
     """
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    inherited = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **(env or {})},
-        cwd=cwd, capture_output=True, text=True, timeout=timeout,
+        [sys.executable, *args], env={**inherited, "PYTHONPATH": path, **(env or {})},
+        cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout, **popen,
     )
 
 

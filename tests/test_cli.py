@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -691,6 +692,126 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"steve: error: {message}")
         assert len(err.splitlines()) == 1
+
+
+def steve_argv(command, matches_file, model_file, tmp_path):
+    """The arguments of ``command`` on the small league, printing what it prints by default."""
+    names = team_names(model_file)
+    values = tmp_path / "values.csv"
+    values.write_text(values_csv(names, seed=1), encoding="utf-8")
+    return {
+        "summary": ["summary", str(matches_file)],
+        "train": ["train", str(matches_file), "-o", str(tmp_path / "m.json"), "--epochs", "2", "--delta", "4"],
+        "rank": ["rank", str(model_file), "--teams", ",".join(names)],
+        "similar": ["similar", str(model_file), "--team", names[0], "--k", "2"],
+        "evaluate": ["evaluate", str(matches_file), str(values), "--representation", "cat-1"],
+        "export-features": ["export-features", str(matches_file), "-o", str(tmp_path / "f.csv"),
+                            "--representation", "cat-1"],
+        "--help": ["--help"],
+    }[command]
+
+
+def run_steve_into(into, argv, unbuffered):
+    """``python -m steve.cli *argv`` with stdout a closed pipe, ``/dev/full`` or a closed fd 1."""
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else None
+    if into == "closed pipe":  # as `steve ... | (exec 0<&-; true)`: the reader is gone
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return run_python("-m", "steve.cli", *argv, env=env, stdout=write_end)
+        finally:
+            os.close(write_end)
+    if into == "/dev/full":
+        with open("/dev/full", "wb") as full:
+            return run_python("-m", "steve.cli", *argv, env=env, stdout=full)
+    # `steve ... >&-`: fd 1 is closed when the interpreter starts.
+    return run_python("-m", "steve.cli", *argv, env=env, stdout=None, preexec_fn=lambda: os.close(1))
+
+
+_COMMANDS = ["summary", "train", "rank", "similar", "evaluate", "export-features", "--help"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("into", ["closed pipe", "/dev/full", "closed fd"])
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_output_that_cannot_be_written(matches_file, model_file, tmp_path, command, into, unbuffered):
+    # A failed write of the output is an I/O error in either stdout mode,
+    # never "Exception ignored" and exit 120 from the interpreter's teardown.
+    proc = run_steve_into(into, steve_argv(command, matches_file, model_file, tmp_path), unbuffered)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
+    if into == "closed fd":
+        # No stdout: print writes nothing, and the command succeeds (argparse
+        # writes the help to stderr instead).
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("usage: steve") if command == "--help" else proc.stderr == ""
+    else:
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("steve: I/O error: ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_main_with_argv_returns_the_code_and_leaves_the_process(matches_file, capsys):
+    with mock.patch("os._exit", side_effect=AssertionError("os._exit called")):
+        assert main(["summary", str(matches_file)]) == 0
+        assert main(["summary", str(matches_file) + ".missing"]) == 2
+        assert main(["summary", str(matches_file), "--seed", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["teams"] == 8
+    assert err.startswith("steve: I/O error: ") and len(err.splitlines()) == 2
+
+
+def test_main_with_argv_help_raises_system_exit(capsys):
+    with mock.patch("os._exit", side_effect=AssertionError("os._exit called")), \
+            pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: steve")
+
+
+class _Failing(io.StringIO):
+    """A text stream whose ``write`` or ``flush`` raises ``BrokenPipeError``."""
+
+    def __init__(self, method):
+        super().__init__()
+        self.method = method
+
+    def write(self, text):
+        self._fail("write")
+        return super().write(text)
+
+    def flush(self):
+        self._fail("flush")
+
+    def _fail(self, method):
+        if method == self.method:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+_PROGRAM_CASES = [
+    # case, argv (M: the matches file), stdout, stderr, exit code, stderr text
+    ("no stdout", ["summary", "M"], None, None, 0, ""),
+    ("stdout flush fails", ["summary", "M"], "flush", None, 2, "steve: I/O error: [Errno 32] Broken pipe\n"),
+    ("stdout flush fails after an error", ["summary", "M", "--seed", "-1"], "flush", None, 1,
+     "steve: error: argument --seed"),
+    ("stderr write fails", ["summary", "M", "--seed", "-1"], "", "write", 2, None),
+    ("stderr flush fails", ["summary", "M"], "", "flush", 2, None),
+    ("--help", ["--help"], "", None, 0, ""),
+]
+
+
+@pytest.mark.parametrize("case, argv, stdout, stderr, code, err", _PROGRAM_CASES, ids=[c[0] for c in _PROGRAM_CASES])
+def test_main_as_the_program_flushes_then_exits(matches_file, case, argv, stdout, stderr, code, err):
+    # Without argv, main flushes both streams and ends the process through os._exit.
+    stdout = None if stdout is None else _Failing(stdout)
+    stderr = _Failing(stderr)
+    argv = ["steve"] + [str(matches_file) if a == "M" else a for a in argv]
+    with mock.patch("sys.argv", argv), mock.patch("sys.stdout", stdout), mock.patch("sys.stderr", stderr), \
+            mock.patch("os._exit", side_effect=SystemExit) as exit_, pytest.raises(SystemExit):
+        main()
+    exit_.assert_called_once_with(code)
+    if err is not None:
+        assert stderr.getvalue().startswith(err) and len(stderr.getvalue().splitlines()) == bool(err)
 
 
 #: Prints the exit code of ``main(argv)`` and the ``steve.*`` modules it loaded.

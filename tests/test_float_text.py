@@ -6,7 +6,7 @@
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,7 +30,9 @@ fast_range = st.floats(1e-4, 1.0, exclude_max=True)
 values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), fast_range, fast_range.map(lambda x: -x))
 
 
-@settings(max_examples=40, deadline=None)
+# No shrink phase: shrinking a failing block of up to 300 x 64 values took
+# minutes; every example is still generated.
+@settings(max_examples=40, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(
     block=arrays(np.float64, st.tuples(st.integers(1, 300), st.integers(1, 64)), elements=values, fill=values),
     seed=st.integers(0, 2**32),

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import BROKEN_CASES, broken_model_file, init_model, strength_league
@@ -330,7 +330,10 @@ configs = st.one_of(
 
 
 class TestWriterMatchesJsonDump:
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # No shrink phase: shrinking a failing model of up to 257 teams took
+    # minutes; every example is still generated.
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+              phases=[p for p in Phase if p is not Phase.shrink])
     @given(
         m=st.one_of(st.integers(2, 12), st.sampled_from([255, 256, 257])),
         delta=st.integers(1, 64),
