@@ -788,20 +788,21 @@ class _Failing(io.StringIO):
             raise BrokenPipeError(32, "Broken pipe")
 
 
-_PROGRAM_CASES = [
-    # case, argv (M: the matches file), stdout, stderr, exit code, stderr text
-    ("no stdout", ["summary", "M"], None, None, 0, ""),
-    ("stdout flush fails", ["summary", "M"], "flush", None, 2, "steve: I/O error: [Errno 32] Broken pipe\n"),
-    ("stdout flush fails after an error", ["summary", "M", "--seed", "-1"], "flush", None, 1,
-     "steve: error: argument --seed"),
-    ("stderr write fails", ["summary", "M", "--seed", "-1"], "", "write", 2, None),
-    ("stderr flush fails", ["summary", "M"], "", "flush", 2, None),
-    ("--help", ["--help"], "", None, 0, ""),
-]
+#: case: argv (M: the matches file), what fails of stdout (None: no stream) and
+#: of stderr, exit code, and the start of stderr (None: unreadable).
+_PROGRAM_CASES = {
+    "no stdout": (["summary", "M"], None, "", 0, ""),
+    "stdout flush fails": (["summary", "M"], "flush", "", 2, "steve: I/O error: [Errno 32] Broken pipe\n"),
+    "stdout flush fails after an error": (["summary", "M", "--seed", "-1"], "flush", "", 1,
+                                          "steve: error: argument --seed"),
+    "stderr write fails": (["summary", "M", "--seed", "-1"], "", "write", 2, None),
+    "stderr flush fails": (["summary", "M"], "", "flush", 2, None),
+    "--help": (["--help"], "", "", 0, ""),
+}
 
 
-@pytest.mark.parametrize("case, argv, stdout, stderr, code, err", _PROGRAM_CASES, ids=[c[0] for c in _PROGRAM_CASES])
-def test_main_as_the_program_flushes_then_exits(matches_file, case, argv, stdout, stderr, code, err):
+@pytest.mark.parametrize("argv, stdout, stderr, code, err", _PROGRAM_CASES.values(), ids=_PROGRAM_CASES)
+def test_main_as_the_program_flushes_then_exits(matches_file, argv, stdout, stderr, code, err):
     # Without argv, main flushes both streams and ends the process through os._exit.
     stdout = None if stdout is None else _Failing(stdout)
     stderr = _Failing(stderr)
