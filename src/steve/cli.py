@@ -65,10 +65,9 @@ def _stage_seed(seed: int, stage: int) -> int:
 
 
 @contextmanager
-def _open_text(path: str):
-    """The text file ``path``; a byte that is not UTF-8 raises ``ValueError`` naming it."""
-    # "utf-8-sig" drops the byte-order mark that Excel's "CSV UTF-8" writes first.
-    with open(path, "r", encoding="utf-8-sig", newline="") as f:
+def _open_utf8(path: str):
+    """The file ``path`` in binary, read as UTF-8: a byte that is not UTF-8 raises ``ValueError`` naming it."""
+    with open(path, "rb") as f:
         try:
             yield f
         except UnicodeDecodeError:
@@ -81,7 +80,7 @@ def _open_text(path: str):
 def _load_dataset(path: str) -> Dataset:
     from . import match_data
 
-    with _open_text(path) as f:
+    with _open_utf8(path) as f:
         registry, matches = match_data.ingest_csv(f)
     return match_data.to_quads(matches, registry)
 
@@ -99,8 +98,9 @@ def _resolve_team(registry: TeamRegistry, name: str) -> int:
 def _team_list(arg: str) -> list[str]:
     """Interpret --teams as a file of names (one per line) or a comma list."""
     if Path(arg).exists():
-        with _open_text(arg) as f:
-            names = [line.strip() for line in f.read().splitlines()]
+        with _open_utf8(arg) as f:
+            # "utf-8-sig" drops the byte-order mark that Excel's "CSV UTF-8" writes first.
+            names = [line.strip() for line in f.read().decode("utf-8-sig").splitlines()]
     else:
         names = [piece.strip() for piece in arg.split(",")]
     names = [n for n in names if n]
@@ -111,7 +111,8 @@ def _team_list(arg: str) -> list[str]:
 
 def _print(args, doc, text) -> None:
     """Print one result line: ``doc`` as JSON with ``--output json``, else ``text()``."""
-    print(json.dumps(doc) if args.output == "json" else text())
+    # Flushed at once, so a failed write is met at the line that failed in either stdout mode.
+    print(json.dumps(doc) if args.output == "json" else text(), flush=True)
 
 
 def _progress(args, epochs: int):
@@ -225,8 +226,10 @@ def cmd_evaluate(args) -> int:
 
     kind, param = _parse_representation(args.representation)
     ds = _load_dataset(args.matches)
-    with _open_text(args.values) as f:
-        values = valuation.load_values(f)
+    with _open_utf8(args.values) as f:
+        # Each line decoded as it is read: a bad record before a bad byte is named first.
+        lines = f.read().removeprefix(b"\xef\xbb\xbf").splitlines(keepends=True)
+        values = valuation.load_values(map(bytes.decode, lines))
     names = ds.registry.names
     missing = [n for n in names if n not in values]
     if missing:

@@ -6,23 +6,27 @@ winner-first (``a`` won iff ``d == 0``); draws keep home-team-first order.
 Raw results and quadruples are both held as int64 columns, one entry per
 match in file order.  The raw results (goals, competition) are kept
 because the count-based baseline features need them.
+
+:func:`ingest_csv` parses a matches file in one loop over pieces: blocks
+of whole lines of a binary file, or chunks of lines of a text stream.
+:func:`_plain_block` parses a piece that holds one plain record a line
+with numpy over its bytes; from the start of any other piece,
+``csv.reader`` reads :data:`_CHUNK_ROWS` lines and names the first bad
+record.
 """
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import math
-import os
-import stat
 from dataclasses import dataclass
 from enum import Enum
 from collections import defaultdict
 from contextlib import suppress
 from itertools import chain, count, islice, repeat
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -44,13 +48,13 @@ class Competition(Enum):
 #: Required CSV columns, in canonical order.
 CSV_FIELDS = ("season_label", "competition", "home", "away", "home_goals", "away_goals")
 
-#: Lines of a text stream, or CSV records, parsed and checked together by
-#: :func:`ingest_csv`.
+#: Lines of a text stream parsed together by :func:`ingest_csv`, and the
+#: lines ``csv.reader`` reads from the start of a piece that is not plain.
 _CHUNK_ROWS = 1 << 12
-#: Bytes of a file that :func:`ingest_csv` reads and parses together, cut
-#: back to their last line end: about 10,000 lines of the benchmark's
-#: leagues.  Blocks of 1 MiB parsed the wide league no faster, and raised
-#: the process's peak RSS by 4 MB.
+#: Bytes of a binary file that :func:`ingest_csv` reads at a time, parsed
+#: together once cut back to their last line end: about 10,000 lines of the
+#: benchmark's leagues.  Blocks of 1 MiB parsed the wide league no faster,
+#: and raised the process's peak RSS by 4 MB.
 _BLOCK_BYTES = 1 << 19
 _COMPETITION_CODE = {c.value: code for code, c in enumerate(Competition)}
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -418,120 +422,95 @@ def _plain_block(
     ])
 
 
-def _raising(error: Exception) -> Iterator[str]:
-    """Lines that raise ``error`` where the first would be."""
-    raise error
-    yield
+def _chunks(lines: Iterator[str]) -> Iterator[list[str]]:
+    """The first of ``lines`` alone (the header's), then the rest :data:`_CHUNK_ROWS` at a time.
 
-
-def _stream_id_block(lines: Iterator[str], col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
-    """Team ids, season label codes and rows of the records after the header, read :data:`_CHUNK_ROWS` lines at a time.
-
-    Returns the id of each team name and the code of each season label,
-    both numbered 1, 2, ... in first-appearance order (home before away,
-    row by row), and the int64 rows of :func:`_id_rows`.  A chunk of lines
-    that each end in a line end is parsed as its UTF-8 text by
-    :func:`_plain_block`.  A chunk it refuses goes to ``csv.reader``, which
-    names the first bad record and reads on past the chunk only to the end
-    of a record that spans its last line.  A line or record that cannot be
-    read is raised after the records before it are checked, as a row-by-row
-    parse would.
+    A line that cannot be read raises after the chunk of the lines before it.
     """
-    team_ids: dict[str, int] = defaultdict(count(1).__next__)
-    label_codes: dict[str, int] = defaultdict(count(1).__next__)
-    blocks = [np.zeros((len(CSV_FIELDS), 0), dtype=np.int64)]
-    row_no = 2
-    while True:
-        chunk, unreadable = [], None
+    for size in chain([1], repeat(_CHUNK_ROWS)):
+        chunk: list[str] = []
         try:
-            chunk.extend(islice(lines, _CHUNK_ROWS))
-        except (OSError, ValueError) as e:
-            unreadable = e
-        if not chunk and unreadable is None:
-            break
-        text, block = "".join(chunk), None
-        if unreadable is None and text.count("\n") == len(chunk) and all(map(str.endswith, chunk, repeat("\n"))):
-            with suppress(UnicodeEncodeError):
-                block = _plain_block(text.encode("utf-8"), col, team_ids, label_codes)
-        if block is None:
-            rest = lines if unreadable is None else _raising(unreadable)
-            rows, error = csv_records(chain(chunk, rest), row_no, len(chunk))
-            block = _id_rows(_record_fields(rows, row_no, col), team_ids, label_codes)
-            if error or unreadable:
-                raise error or unreadable
-            row_no += len(rows)
-        else:
-            row_no += len(chunk)
-        blocks.append(block)
-        if len(chunk) < _CHUNK_ROWS:
-            break
-    return team_ids, label_codes, np.concatenate(blocks, axis=1)
+            chunk.extend(islice(lines, size))
+        except (OSError, ValueError):
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
 
 
-def _file_id_block(fd: int, col: list[int]) -> tuple[dict[str, int], dict[str, int], np.ndarray] | None:
-    """What :func:`_stream_id_block` returns for the records after the header of file ``fd``, read from its bytes.
+def _blocks(f: BinaryIO) -> Iterator[bytes]:
+    """The bytes of the binary file ``f`` past a byte-order mark, in blocks of whole lines.
 
-    The file's first line is its header.  Its bytes are first scanned for
-    ``"``, NUL and a ``\\r`` not in ``\\r\\n``.  Then the bytes after the
-    header are read :data:`_BLOCK_BYTES` at a time with ``os.pread``, each
-    block cut back to its last line end, and parsed by
-    :func:`_plain_block`.  ``None`` if the file is not a regular file, the
-    scan finds one of those bytes, a read fails or falls short, a line is
-    longer than a block, or a block is refused; the caller then parses the
-    file from its text stream, which ``os.pread`` does not move.
+    The first line is a block of its own if a ``\\n`` ends it within
+    :data:`_BLOCK_BYTES` bytes.  Then each read asks for :data:`_BLOCK_BYTES`
+    bytes, and a block ends at the read's last line end; the bytes past it
+    start the next block.  The last block ends where the file does.
     """
-    try:
-        info = os.fstat(fd)
-        if not stat.S_ISREG(info.st_mode):
-            return None
-        start = 0  # just past the header
-        for at in range(0, info.st_size, _BLOCK_BYTES):
-            # One byte more shows a "\r\n" across the end of the block.
-            data = os.pread(fd, _BLOCK_BYTES + 1, at)
-            if (
-                len(data) != min(_BLOCK_BYTES + 1, info.st_size - at)
-                or b'"' in data
-                or b"\0" in data
-                or b"\r" in data and data.count(b"\r", 0, _BLOCK_BYTES) != data.count(b"\r\n")
-            ):
-                return None
-            if not at:
-                start = data.find(b"\n") + 1
-        if not start:
-            return None
-        team_ids: dict[str, int] = defaultdict(count(1).__next__)
-        label_codes: dict[str, int] = defaultdict(count(1).__next__)
-        blocks = [np.zeros((len(CSV_FIELDS), 0), dtype=np.int64)]
-        while start < info.st_size:
-            data = os.pread(fd, _BLOCK_BYTES, start)
-            cut = len(data) if start + len(data) >= info.st_size else data.rfind(b"\n") + 1
-            if not cut:
-                return None
-            start += cut
-            lines = data[:cut]
-            block = _plain_block(lines if lines.endswith(b"\n") else lines + b"\n", col, team_ids, label_codes)
-            if block is None:
-                return None
-            blocks.append(block)
-    except OSError:
-        return None
-    return team_ids, label_codes, np.concatenate(blocks, axis=1)
+    rest = f.readline(_BLOCK_BYTES).removeprefix(b"\xef\xbb\xbf")
+    if rest.endswith(b"\n"):
+        yield rest
+        rest = b""
+    while data := f.read(_BLOCK_BYTES):
+        # The last "\n", or the last "\r" that a "\n" of the next read cannot follow.
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        if not cut:
+            rest += data
+            continue
+        block, rest = b"".join((rest, memoryview(data)[:cut])), data[cut:]
+        del data  # one copy of the block while it is parsed
+        yield block
+    if rest:
+        yield rest
 
 
-def _unread_utf8_file(stream) -> int | None:
-    """The descriptor of ``stream`` if it is a UTF-8 text file not yet read from, else ``None``."""
-    if not isinstance(stream, io.TextIOWrapper) or stream.errors != "strict":
-        return None
-    try:
-        if codecs.lookup(stream.encoding).name in ("utf-8", "utf-8-sig") and stream.tell() == 0:
-            return stream.fileno()
-    except (LookupError, OSError, ValueError):
-        pass
-    return None
+def _plain_piece(
+    piece: bytes | list[str], col: list[int], team_ids: dict[str, int], label_codes: dict[str, int]
+) -> tuple[np.ndarray | None, int]:
+    """:func:`_plain_block` of a block of a binary file or a chunk of text lines, and its line count.
+
+    A chunk is parsed as its UTF-8 text where each of its lines ends in a
+    ``\\n`` and holds no other; the last block of a file may end without one.
+    """
+    if isinstance(piece, list):
+        text = "".join(piece)
+        if text.count("\n") != len(piece) or not all(map(str.endswith, piece, repeat("\n"))):
+            return None, 0
+        # A lone surrogate passes as bytes that are not UTF-8, which _plain_block refuses.
+        piece = text.encode("utf-8", "surrogatepass")
+    if not piece.endswith(b"\n"):
+        piece += b"\n"
+    block = _plain_block(piece, col, team_ids, label_codes)
+    # Its lines are its "\n"s, which numpy counts six times as fast as bytes.count.
+    return block, 0 if block is None else int(np.count_nonzero(np.frombuffer(piece, dtype=np.uint8) == ord("\n")))
 
 
-def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
-    """Parse match rows from ``stream`` (an iterable of CSV lines).
+def _records_from(
+    piece: bytes | list[str], pieces: Iterator, row_no: int, until_line: int
+) -> tuple[list[list[str]], Exception | None, bytes | list[str]]:
+    """:func:`csv_records` of the lines from the start of ``piece`` on, and the piece of the lines left unread.
+
+    The lines of a block are its ``bytes.splitlines(keepends=True)``, each
+    decoded as UTF-8 when ``csv.reader`` reaches it; those of a chunk are
+    its items.  Past the end of ``piece`` the reader goes on into the next
+    of ``pieces``, and the piece left is the unread rest of the last one begun.
+    """
+    text = isinstance(piece, list)
+    unread = iter(())
+
+    def lines():
+        nonlocal unread
+        for each in chain([piece], pieces):
+            unread = iter(each if text else each.splitlines(keepends=True))
+            yield from (unread if text else map(bytes.decode, unread))
+
+    rows, error = csv_records(lines(), row_no, until_line)
+    return rows, error, list(unread) if text else b"".join(unread)
+
+
+def ingest_csv(stream: BinaryIO | Iterable[str]) -> tuple[TeamRegistry, Matches]:
+    """Parse match rows from ``stream``: a binary file of UTF-8 CSV, or an iterable of CSV lines.
 
     The header row is mandatory and must name exactly the columns in
     :data:`CSV_FIELDS` (any order).  Team ids follow first appearance, home
@@ -542,18 +521,20 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
     named by its record number (the header is record 1; a quoted field may
     span lines).  Goal counts must fit a 64-bit integer.
 
-    Where ``stream`` is a UTF-8 text file with universal newlines, opened
-    at its start (as :func:`open` gives one), the records are read from
-    the file's bytes :data:`_BLOCK_BYTES` at a time (see
-    :func:`_file_id_block`).  If any block is refused, or the file holds a
-    quote, a NUL or a lone ``\\r``, the whole file is parsed from
-    ``stream`` instead, :data:`_CHUNK_ROWS` lines at a time (see
-    :func:`_stream_id_block`), which gives every other stream's result and
-    errors.
+    A binary file (``open(path, "rb")``, a pipe, ``io.BytesIO``) is read in
+    blocks of :data:`_BLOCK_BYTES` (see :func:`_blocks`), and its lines are
+    those ``open(path, encoding="utf-8-sig", newline="")`` gives.  Any other
+    stream is read by its lines, :data:`_CHUNK_ROWS` at a time.  Each block
+    or chunk goes to :func:`_plain_block`; from the start of one it refuses,
+    ``csv.reader`` reads :data:`_CHUNK_ROWS` lines, and on to the end of a
+    record that spans the last of them, and the parse goes on from there.
+    A line of a binary file is decoded when ``csv.reader`` reaches it, so a
+    byte that is not UTF-8 raises ``UnicodeDecodeError`` after the records
+    before it are checked.
     """
-    fd = _unread_utf8_file(stream)
-    lines = iter(stream)
-    rows, error = csv_records(lines, until_line=1)
+    binary = isinstance(stream, (io.RawIOBase, io.BufferedIOBase))
+    pieces = _blocks(stream) if binary else _chunks(iter(stream))
+    rows, error, piece = _records_from(next(pieces, []), pieces, 1, 1)
     if error:
         raise error
     if not rows:
@@ -565,12 +546,23 @@ def ingest_csv(stream: Iterable[str]) -> tuple[TeamRegistry, Matches]:
         )
     col = [header.index(name) for name in CSV_FIELDS]
 
-    # Universal newlines (``newlines`` is set once a line end is read) end
-    # the stream's lines at each "\n" of a file with no lone "\r".
-    parsed = fd is not None and stream.newlines is not None and _file_id_block(fd, col)
-    team_ids, label_codes, block = parsed or _stream_id_block(lines, col)
+    team_ids: dict[str, int] = defaultdict(count(1).__next__)
+    label_codes: dict[str, int] = defaultdict(count(1).__next__)
+    blocks = [np.zeros((len(CSV_FIELDS), 0), dtype=np.int64)]
+    row_no = 2
+    while piece or (piece := next(pieces, None)):
+        block, lines = _plain_piece(piece, col, team_ids, label_codes)
+        if block is None:
+            rows, error, piece = _records_from(piece, pieces, row_no, _CHUNK_ROWS)
+            block, lines = _id_rows(_record_fields(rows, row_no, col), team_ids, label_codes), len(rows)
+            if error:
+                raise error
+        else:
+            piece = None
+        blocks.append(block)
+        row_no += lines
 
-    home, away, hg, ag, label_code, comp = block
+    home, away, hg, ag, label_code, comp = np.concatenate(blocks, axis=1)
     if not home.size:
         raise ValueError("empty input: no match rows")
     labels = sorted(label_codes)

@@ -579,18 +579,23 @@ def test_truncated_character_at_the_end_is_named_by_file_offset(matches_file, ca
     )
 
 
+@pytest.mark.parametrize("where", ["within the first 8 KB", "past the first 8 KB"])
 @pytest.mark.parametrize("kind, message", [
     ("matches", "row 2: goals must be integers"), ("values", "row 2: non-numeric value 'x'"),
 ])
-def test_bad_record_before_a_byte_not_utf8_is_named_first(matches_file, tmp_path, capsys, kind, message):
-    # The bad byte lies past the first block that the text reader decodes.
+def test_bad_record_before_a_byte_not_utf8_is_named_first(matches_file, tmp_path, capsys, kind, message, where):
+    # Wherever the bad byte lies: in the first 8 KB, which a text reader
+    # decodes at once, or past them.
     values = tmp_path / "values.csv"
     values.write_text(values_csv([f"Club {c}" for c in "ABCDEFGH"], seed=1), encoding="utf-8")
     path = matches_file if kind == "matches" else values
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()[:6]
     lines[1] = lines[1].rsplit(",", 1)[0] + ",x"
-    lines += lines[2:] * (20_000 // len("\n".join(lines)) + 1)
-    path.write_bytes("\n".join(lines).encode() + b"\n\xff\n")
+    if where == "past the first 8 KB":
+        lines += lines[2:] * (20_000 // len("\n".join(lines)) + 1)
+    data = "\n".join(lines).encode() + b"\n\xff\n"
+    assert (len(data) > 8192) == (where == "past the first 8 KB")
+    path.write_bytes(data)
     argv = ["summary", str(matches_file)] if kind == "matches" else [
         "evaluate", str(matches_file), str(values), "--representation", "cat-1"]
     assert main(argv + ["--quiet"]) == 1
@@ -749,6 +754,17 @@ def test_output_that_cannot_be_written(matches_file, model_file, tmp_path, comma
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("steve: I/O error: ")
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_train_into_a_closed_pipe_writes_no_model(matches_file, tmp_path, unbuffered):
+    # The first epoch line fails in either stdout mode, before the model is saved.
+    before = set(tmp_path.iterdir())
+    argv = ["train", str(matches_file), "-o", str(tmp_path / "m.json"), "--epochs", "2", "--delta", "4"]
+    proc = run_steve_into("closed pipe", argv, unbuffered)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("steve: I/O error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_main_with_argv_returns_the_code_and_leaves_the_process(matches_file, capsys):

@@ -422,7 +422,7 @@ def outcome(parse_fn, source):
     """``parse_fn``'s result or error text; a ``Path`` is opened as the CLI opens a matches file."""
     try:
         if isinstance(source, Path):
-            with cli._open_text(source) as f:
+            with cli._open_utf8(source) as f:
                 return None, parse_fn(f)
         return None, parse_fn(stream_of(source))
     except ValueError as e:
@@ -607,7 +607,8 @@ class TestIngestMatchesReferenceParser:
         assert (errors[1][0] is UnicodeDecodeError) == (failing_at <= 3)
 
     # Plain chunks (one record a line, no quotes) are parsed from their
-    # UTF-8 text; any other chunk goes with the rest of the file to csv.reader.
+    # UTF-8 text; csv.reader reads any other chunk, and on only to the end of
+    # a record that spans its last line.
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 2**12])
     @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
@@ -731,98 +732,158 @@ class TestIngestMatchesReferenceParser:
         assert csv_reader_records == expected
 
 
-def ingest_on(source, chunk=4, block_bytes=256, **patches):
-    """``outcome`` of ``ingest_csv``, and whether it parsed ``source`` from its text stream.
+def ingest_on(source, chunk=4, block_bytes=256):
+    """``outcome`` of ``ingest_csv``, and the number of lines each ``csv.reader`` read, in order.
 
     A list of lines or ``bytes`` is written to a temporary file, opened as
     the CLI opens it, and named ``<file>`` in the error text; any other
     source is parsed as it is.  The result is compared as registry names,
-    every column and the season labels.  ``patches`` replace attributes of
-    ``os`` during the parse.
+    every column and the season labels.  A parse that reads only its
+    header with ``csv.reader`` gives ``[1]`` as the line counts.
     """
-    streamed = mock.Mock(wraps=match_data._stream_id_block)
+    reads = []
+    reader = csv.reader
+
+    def counting(lines, *args, **kwargs):
+        reads.append(0)
+
+        def counted(line):
+            reads[-1] += 1
+            return line
+
+        return reader(map(counted, lines), *args, **kwargs)
+
     fds = len(os.listdir("/proc/self/fd"))
     with ExitStack() as patched:
         if isinstance(source, (list, bytes)):
             source = patched.enter_context(written(source if isinstance(source, bytes) else "".join(source).encode()))
         patched.enter_context(mock.patch.object(match_data, "_CHUNK_ROWS", chunk))
         patched.enter_context(mock.patch.object(match_data, "_BLOCK_BYTES", block_bytes))
-        patched.enter_context(mock.patch.object(match_data, "_stream_id_block", streamed))
-        for name, value in patches.items():
-            patched.enter_context(mock.patch.object(os, name, value))
+        patched.enter_context(mock.patch.object(match_data.csv, "reader", counting))
         error, got = outcome(ingest_csv, source)
         if error is not None:
             error = error.replace(str(source), "<file>")
     assert len(os.listdir("/proc/self/fd")) == fds
-    return error, columns_of(got), streamed.call_count
+    return error, columns_of(got), reads
+
+
+@contextmanager
+def recorded_blocks():
+    """The data of every call of ``_plain_block`` made inside the block, in order."""
+    blocks = []
+    plain_block = match_data._plain_block
+
+    def recorded(data, *args):
+        blocks.append(data)
+        return plain_block(data, *args)
+
+    with mock.patch.object(match_data, "_plain_block", recorded):
+        yield blocks
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 class TestBlockIngest:
-    """A file is parsed from its bytes a block at a time, with the result and errors of its text.
+    """A binary file is parsed a block at a time, with the result and errors of its text.
 
     With the 256 bytes ``ingest_on`` takes as the block size, the 60
-    records of ``lines()`` (2,474 bytes after the header) take ten
-    blocks of six lines.  A file the blocks refuse is parsed from
-    its text stream, as any other stream is.
+    records of ``lines()`` (2,474 bytes after the header) take ten blocks
+    of about six lines.  From the start of a block that ``_plain_block``
+    refuses, ``csv.reader`` reads four lines (``ingest_on``'s chunk size),
+    or on to the end of a record that spans the fourth, and the blocks go
+    on from there.
     """
 
     def lines(self):
         return [line + "\n" for line in plain_lines(60, seed=7)]  # the header, then records 2..61
 
-    def assert_as_text(self, lines, streamed, **patches):
+    def assert_as_text(self, lines, plain=True, **kwargs):
         """The file of ``lines`` gives the outcome of their text as a ``StringIO``, and the list the reference's.
 
-        ``streamed``: whether the file is parsed from its text stream.
-        Returns the error text.
+        ``plain``: whether ``csv.reader`` reads only the header of the file.
+        ``kwargs`` go to ``ingest_on``.  Returns the error text.
         """
-        from_text = ingest_on(io.StringIO("".join(lines), newline=""), **patches)
-        assert from_text[2] == 1
-        assert ingest_on(lines, **patches) == (*from_text[:2], streamed)
+        from_text = ingest_on(io.StringIO("".join(lines), newline=""), **kwargs)
+        from_file = ingest_on(lines, **kwargs)
+        assert from_file[:2] == from_text[:2]
+        assert (from_file[2] == [1]) == plain, from_file[2]
         assert_same_as_reference(lines, 4)
         return from_text[0]
 
     def test_blocks_end_at_line_ends(self):
         lines = self.lines()
-        blocks = []
-        plain_block = match_data._plain_block
-
-        def recorded(data, *args):
-            blocks.append(data)
-            return plain_block(data, *args)
-
-        with mock.patch.object(match_data, "_plain_block", recorded):
-            assert ingest_on(lines)[2] == 0
+        with recorded_blocks() as blocks:
+            assert ingest_on(lines)[2] == [1]
         assert b"".join(blocks) == "".join(lines[1:]).encode()
-        assert all(block.endswith(b"\n") and len(block) <= 256 for block in blocks) and len(blocks) == 10
+        # Each block is one read cut back to its last line end, after the rest of the read before.
+        longest = max(map(len, lines))
+        assert all(block.endswith(b"\n") and len(block) < 256 + longest for block in blocks) and len(blocks) == 10
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_each_byte_is_read_once(self, quoted):
+        lines = self.lines()
+        if quoted:
+            lines[30:31] = ['2011/x,NationalLeague,"Club\n', ' 1",Club 2,1,0\n']
+        data = b"\xef\xbb\xbf" + "".join(lines).encode()
+        reads = []
+
+        class Recorded(io.BytesIO):
+            def read(self, size=-1):
+                reads.append(super().read(size))
+                return reads[-1]
+
+            def readline(self, size=-1):
+                reads.append(super().readline(size))
+                return reads[-1]
+
+        with mock.patch.object(match_data, "_BLOCK_BYTES", 256), mock.patch.object(match_data, "_CHUNK_ROWS", 4):
+            got = ingest_csv(Recorded(data))
+        assert b"".join(reads) == data and max(map(len, reads)) <= 256
+        assert columns_of(got) == ingest_on(lines)[1] is not None
 
     def test_clean_file_is_read_in_blocks(self):
-        assert self.assert_as_text(self.lines(), streamed=0) is None
-        assert self.assert_as_text(self.lines()[:31], streamed=0) is None
+        assert self.assert_as_text(self.lines()) is None
+        assert self.assert_as_text(self.lines()[:31]) is None
 
     @pytest.mark.parametrize("over", [-1, 0, 1])
     def test_file_at_the_block_size(self, over):
-        # One block holds every byte after the header from the block size on.
+        # One read holds every byte after the header from the block size on.
         lines = self.lines()
         body = len("".join(lines[1:]).encode())
-        assert self.assert_as_text(lines, streamed=0, block_bytes=body + over) is None
+        assert self.assert_as_text(lines, block_bytes=body + over) is None
 
     def test_several_blocks_of_many_lines(self):
         # As many blocks as chunks of _CHUNK_ROWS lines, each with a bad record in reach.
         lines = [line + "\n" for line in plain_lines(3 * 4096 + 17, seed=3)]
         for block_bytes in (4096, match_data._BLOCK_BYTES):
             assert ingest_on(lines, chunk=4096, block_bytes=block_bytes) \
-                == (*ingest_on(io.StringIO("".join(lines)), chunk=4096)[:2], 0)
+                == ingest_on(io.StringIO("".join(lines)), chunk=4096)
         lines[2 * 4096 + 5] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
-        error = ingest_on(lines, chunk=4096, block_bytes=4096)
-        assert error == ("ValueError: row 8198: home and away team are both 'Club 3'", None, 1)
+        error, columns, reads = ingest_on(lines, chunk=4096, block_bytes=4096)
+        assert (error, columns) == ("ValueError: row 8198: home and away team are both 'Club 3'", None)
+        assert reads[0] == 1 and sum(reads[1:]) <= 4096
 
     def test_crlf_line_ends_and_a_byte_order_mark(self):
         lines = [line.replace("\n", "\r\n") for line in self.lines()]
-        assert self.assert_as_text(lines, streamed=0) is None
+        assert self.assert_as_text(lines) is None
         assert ingest_on(lines)[1] == ingest_on(self.lines())[1]
         data = "".join(self.lines()).encode()
-        assert ingest_on(b"\xef\xbb\xbf" + data) == (*ingest_on(data)[:2], 0)
+        assert ingest_on(b"\xef\xbb\xbf" + data) == ingest_on(data)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_ends_across_reads(self, end):
+        # Some of these reads end between the "\r" and the "\n" of a line end
+        # (counted below), or just after a lone "\r".  The bad last record
+        # shows that no line end is read as two.
+        lines = [line.replace("\n", end) for line in self.lines()]
+        lines[-1] = f"2011/x,NationalLeague,Club 3,Club 3,1,0{end}"
+        expected = ingest_on(io.StringIO("".join(lines), newline=""))[:2]
+        assert expected == ("ValueError: row 61: home and away team are both 'Club 3'", None)
+        data, split = "".join(lines).encode(), 0
+        for block_bytes in range(200, 300):
+            assert ingest_on(lines, block_bytes=block_bytes)[:2] == expected
+            # The last byte of each read after the header line's.
+            split += data[len(lines[0]) - 1 + block_bytes::block_bytes].count(b"\r")
+        assert split or end == "\r"
 
     @pytest.mark.parametrize("bad,message", [
         ("NationalLeague,Club 3,Club 3,1,0", "home and away team are both 'Club 3'"),
@@ -838,21 +899,21 @@ class TestBlockIngest:
     def test_bad_record(self, at, bad, message):
         lines = self.lines()
         lines[at] = f"2011/x,{bad}\n"
-        error = self.assert_as_text(lines, streamed=1)
+        error = self.assert_as_text(lines, plain=False)
         assert error == f"ValueError: row {at + 1}: {message}"
 
     def test_bad_records_in_two_blocks(self):
         lines = self.lines()
         lines[10] = "2011/x,NationalLeague,Club 3,Club 4,x,0\n"
         lines[45] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
-        assert self.assert_as_text(lines, streamed=1) == "ValueError: row 11: goals must be integers"
+        assert self.assert_as_text(lines, plain=False) == "ValueError: row 11: goals must be integers"
 
     @pytest.mark.parametrize("at", [10, 45])
-    @pytest.mark.parametrize("odd,streamed", [
-        ("\n", 0), ("  \r\n", 0), (" \n", 0), ("\u00a0\n", 0), ("X\n", 1), ("crlf", 0), ("no line end", 0),
-        ("lone cr", 1), ("nul", 1),
+    @pytest.mark.parametrize("odd,plain", [
+        ("\n", True), ("  \r\n", True), (" \n", True), ("\u00a0\n", True), ("X\n", False), ("crlf", True),
+        ("no line end", True), ("lone cr", False), ("nul", False),
     ])
-    def test_odd_line(self, odd, streamed, at):
+    def test_odd_line(self, odd, plain, at):
         lines = self.lines()
         if odd == "crlf":
             lines[at] = lines[at].replace("\n", "\r\n")
@@ -864,14 +925,24 @@ class TestBlockIngest:
             lines[at] = lines[at].replace("Club ", "Club\0", 1)
         else:
             lines.insert(at, odd)
-        error = self.assert_as_text(lines, streamed=streamed)
+        error = self.assert_as_text(lines, plain=plain)
         if odd == "lone cr":
-            # The file's text stream ends a line at a lone "\r".
+            # A lone "\r" ends a line, as it does in the file's text stream.
             assert error == f"ValueError: row {at + 1}: expected 6 fields, got 3"
         elif odd == "X\n":
             assert error == f"ValueError: row {at + 1}: expected 6 fields, got 1"
         else:
             assert error is None
+
+    @pytest.mark.parametrize("odd", ['"', "\r", "\0"])
+    @pytest.mark.parametrize("at", [10, 45, 60])
+    def test_a_quote_a_lone_cr_or_a_nul_sends_a_chunk_to_csv_reader(self, at, odd):
+        # Only the block that holds the odd line goes to csv.reader, four
+        # lines at a time; the blocks before and after it parse as plain.
+        lines = self.lines()
+        lines[at] = lines[at].replace("Club ", f"Club{odd}", 1)
+        reads = ingest_on(lines)[2]
+        assert reads[0] == 1 and 1 <= len(reads) - 1 <= 2 and max(reads[1:]) <= 4, reads
 
     def test_padded_fields(self):
         # Fields that differ only in white space str.strip takes off, U+00A0
@@ -880,7 +951,7 @@ class TestBlockIngest:
         lines[5] = " 2011/x ,\tNationalLeague , Ajax,Club 2 , 1 ,0\n"
         lines[6] = "2011/x,NationalLeague,Ajax\u00a0,\u3000Club 2,01,+0\n"
         lines[7] = "2011/x,NationalLeague,Club 2,Ajax,1,0\n"
-        assert self.assert_as_text(lines, streamed=0) is None
+        assert self.assert_as_text(lines) is None
         names, labels, columns = ingest_on(lines)[1]
         assert names.count("Ajax") == 1 and not {" Ajax", "Ajax\u00a0", "Club 2 "} & set(names)
         ajax, club_2 = names.index("Ajax") + 1, names.index("Club 2") + 1
@@ -891,7 +962,7 @@ class TestBlockIngest:
     def test_goal_spellings(self, goals):
         lines = self.lines()
         lines[7] = f"2011/x,NationalLeague,Club 1,Club 2,{goals},{goals}\n"
-        assert self.assert_as_text(lines, streamed=0) is None
+        assert self.assert_as_text(lines) is None
         assert ingest_on(lines)[1][2][2][6] == int(goals)
 
     @pytest.mark.parametrize("keys", ["every key", "labels"])
@@ -902,53 +973,67 @@ class TestBlockIngest:
         mix = {"every key": lambda words, lengths: np.zeros(len(lengths), dtype=np.uint64),
                "labels": lambda words, lengths: (words[0] & ~np.uint64(0xFF << 24)) * np.uint64(0x9E3779B97F4A7C15)}
         monkeypatch.setattr(match_data, "_mix", mix[keys])
-        assert self.assert_as_text(self.lines(), streamed=1) is None
+        assert self.assert_as_text(self.lines(), plain=False) is None
+        if keys == "every key":
+            assert sum(ingest_on(self.lines())[2]) == 61  # every line goes to csv.reader
 
-    @pytest.mark.parametrize("at,streamed", [(10, 0), (250, 1), (450, 1)])
-    def test_byte_not_utf8(self, at, streamed):
-        # The text stream decodes 8 KB at a time, so a byte in the first
-        # 8 KB is met with the header, before any block is read.  Of these
-        # 600 records (26 KB), line 250 is past the first 8 KB.
+    @pytest.mark.parametrize("at", [10, 250, 450])
+    def test_byte_not_utf8(self, at):
+        # Of these 600 records (26 KB), line 250 is past the first 8 KB
+        # that a text reader decodes at once.  No line from the bad byte's
+        # on reaches csv.reader.
         lines = [line + "\n" for line in plain_lines(600, seed=7)]
         data = "".join(lines).encode()
         offset = len("".join(lines[:at]).encode()) + 5
         data = data[:offset] + b"\xff" + data[offset + 1:]
-        error = ingest_on(data, block_bytes=match_data._BLOCK_BYTES)[0]
-        assert ingest_on(data) == (error, None, streamed)
+        error, columns, reads = ingest_on(data, block_bytes=match_data._BLOCK_BYTES)
+        assert ingest_on(data)[:2] == (error, None)
         assert error == (f"ValueError: <file>: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
                          f"at byte offset {offset}, line {at + 1}: invalid start byte)")
+        assert sum(reads) <= at
+
+    @pytest.mark.parametrize("bad_at", [5, 9])
+    @pytest.mark.parametrize("byte_at", [10, 250])
+    def test_bad_record_before_a_byte_not_utf8(self, bad_at, byte_at):
+        # The record is named, in the bad byte's block or before it.
+        lines = [line + "\n" for line in plain_lines(600, seed=7)]
+        lines[byte_at - bad_at] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        data = "".join(lines).encode()
+        offset = len("".join(lines[:byte_at]).encode()) + 5
+        data = data[:offset] + b"\xff" + data[offset + 1:]
+        expected = f"ValueError: row {byte_at - bad_at + 1}: home and away team are both 'Club 3'"
+        for block_bytes in (256, match_data._BLOCK_BYTES):
+            assert ingest_on(data, block_bytes=block_bytes)[:2] == (expected, None)
 
     @pytest.mark.parametrize("at", [10, 45])
-    def test_quoted_field_parses_from_the_text_stream(self, at):
+    def test_quoted_field(self, at):
         lines = self.lines()
         fields = lines[at].split(",")
         fields[2] = f'"{fields[2]}"'
         lines[at] = ",".join(fields)
-        assert self.assert_as_text(lines, streamed=1) is None
+        assert self.assert_as_text(lines, plain=False) is None
         lines[at + 5:at + 6] = ['2011/x,NationalLeague,"Club\n', ' 1",Club 2,1,0\n']
-        assert self.assert_as_text(lines, streamed=1) is None
+        assert self.assert_as_text(lines, plain=False) is None
 
-    def test_quoted_header_parses_from_the_text_stream(self):
+    def test_quoted_header(self):
+        # Only the header goes to csv.reader.
         lines = self.lines()
         lines[0] = lines[0].replace("home,", '"home",')
-        assert self.assert_as_text(lines, streamed=1) is None
+        assert self.assert_as_text(lines) is None
 
-    @pytest.mark.parametrize("odd", ['"', "\r", "\0"])
-    @pytest.mark.parametrize("at", [10, 45, 60])
-    def test_scan_finds_a_quote_a_lone_cr_or_a_nul_before_any_block_is_parsed(self, at, odd):
-        # The file is read a block and a byte at a time, and no block is
-        # read again to be parsed.
-        lines = self.lines()
-        lines[at] = lines[at].replace("Club ", f"Club{odd}", 1)
-        reads = []
-        pread = os.pread
-
-        def recorded(fd, n, offset):
-            reads.append(n)
-            return pread(fd, n, offset)
-
-        assert ingest_on(lines, pread=recorded)[2] == 1
-        assert reads and set(reads) == {257}
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_quoted_record_across_a_block_cut(self, end):
+        # Where a block ends inside the two-line record, csv.reader reads on
+        # into the next block to finish it, and the blocks go on after it.
+        lines = [line.replace("\n", end) for line in self.lines()]
+        lines[30:31] = [f'2011/x,NationalLeague,"Club{end}', f' 1",Club 2,1,0{end}']
+        cut_inside = 0
+        for block_bytes in range(200, 260):
+            assert self.assert_as_text(lines, plain=False, block_bytes=block_bytes) is None
+            with recorded_blocks() as blocks:
+                ingest_on(lines, block_bytes=block_bytes)
+            cut_inside += any(block.endswith(f'"Club{end}'.encode()) for block in blocks)
+        assert cut_inside
 
     @pytest.mark.parametrize("quote_at", [2, 45])
     def test_quoted_file_is_parsed_while_streaming(self, quote_at):
@@ -960,7 +1045,7 @@ class TestBlockIngest:
         fields[2] = f'"{fields[2]}"'
         lines[quote_at] = ",".join(fields)
         lines[3] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
-        assert self.assert_as_text(lines, streamed=1) == "ValueError: row 4: home and away team are both 'Club 3'"
+        assert self.assert_as_text(lines, plain=False) == "ValueError: row 4: home and away team are both 'Club 3'"
 
         class Counting(io.TextIOWrapper):
             lines_read = 0
@@ -980,8 +1065,7 @@ class TestBlockIngest:
 
     @pytest.mark.parametrize("bad_at", [None, 10])
     def test_read_error_in_a_stream(self, bad_at):
-        # A stream that is not a file is parsed from its lines, and a bad
-        # record before the read error still comes first.
+        # A stream of text lines, and a bad record before the read error still comes first.
         lines = self.lines()
         if bad_at is not None:
             lines[bad_at] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
@@ -993,39 +1077,76 @@ class TestBlockIngest:
                         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
                     yield line
 
-        error = ingest_on(Stream())
+        error = ingest_on(Stream())[:2]
         assert error == ("ValueError: row 11: home and away team are both 'Club 3'" if bad_at else
                          "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: "
-                         "invalid start byte", None, 1)
+                         "invalid start byte", None)
 
-    def test_list_and_pipe_parse_from_their_lines(self):
+    @pytest.mark.parametrize("bad_at", [None, 10, 45])
+    def test_read_error_in_a_file(self, bad_at):
+        # The records before the failed read are checked first: a bad
+        # record in a block read before it is named.
         lines = self.lines()
-        from_file = ingest_on(lines)
-        assert from_file[2] == 0
-        assert ingest_on(iter(lines)) == (*from_file[:2], 1)
-        assert ingest_on(io.StringIO("".join(lines))) == (*from_file[:2], 1)
+        if bad_at is not None:
+            lines[bad_at] = "2011/x,NationalLeague,Club 3,Club 3,1,0\n"
+        data = "".join(lines).encode()
+        failing_at = len("".join(lines[:40]).encode())
+
+        class Failing(io.BytesIO):
+            def read(self, size=-1):
+                if self.tell() + size > failing_at:
+                    raise OSError(5, "Input/output error")
+                return super().read(size)
+
+        with mock.patch.object(match_data, "_BLOCK_BYTES", 256), mock.patch.object(match_data, "_CHUNK_ROWS", 4), \
+                pytest.raises(ValueError if bad_at == 10 else OSError) as info:
+            ingest_csv(Failing(data))
+        assert str(info.value) == ("row 11: home and away team are both 'Club 3'" if bad_at == 10 else
+                                   "[Errno 5] Input/output error")
+
+    def test_short_reads(self):
+        # A read that returns fewer bytes than it asked for, as a pipe's may, is not the end of the file.
+        class Short(io.BytesIO):
+            def read(self, size=-1):
+                return super().read(min(size, 100))
+
+        lines = self.lines()
+        lines[30:31] = ['2011/x,NationalLeague,"Club\n', ' 1",Club 2,1,0\n']
+        with mock.patch.object(match_data, "_BLOCK_BYTES", 256), mock.patch.object(match_data, "_CHUNK_ROWS", 4):
+            got = ingest_csv(Short("".join(lines).encode()))
+        assert columns_of(got) == ingest_on(lines)[1] is not None
+
+    def test_pipe_and_file_descriptor_parse_in_blocks(self, tmp_path):
+        # /dev/stdin is a pipe, or a file when redirected from one.
+        lines = self.lines()
+        path = tmp_path / "matches.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+
+        def parsed(source):
+            with recorded_blocks() as blocks:
+                return ingest_on(source), blocks
+
+        from_file = parsed(path)
+        assert from_file[0][2] == [1] and len(from_file[1]) == 10
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            assert parsed(Path(f"/dev/fd/{fd}")) == from_file
+        finally:
+            os.close(fd)
         r, w = os.pipe()
         try:
             os.write(w, "".join(lines).encode())  # less than a pipe holds
             os.close(w)
-            assert ingest_on(Path(f"/dev/fd/{r}")) == (*from_file[:2], 1)
+            assert parsed(Path(f"/dev/fd/{r}")) == from_file
         finally:
             os.close(r)
-
-    def test_file_named_by_its_descriptor_is_read_in_blocks(self, tmp_path):
-        # As /dev/stdin is when redirected from a file.
-        lines = self.lines()
-        path = tmp_path / "matches.csv"
-        path.write_text("".join(lines), encoding="utf-8")
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            assert ingest_on(Path(f"/dev/fd/{fd}")) == (*ingest_on(lines)[:2], 0)
-        finally:
-            os.close(fd)
+        # A list and a text stream are read by their lines.
+        assert ingest_on(iter(lines)) == ingest_on(io.StringIO("".join(lines))) == from_file[0]
 
     @pytest.mark.parametrize("how", ["latin-1", "lines end at \\r", "read from"])
     def test_other_text_files_parse_from_their_lines(self, how, tmp_path):
-        # Blocks are read as UTF-8, cut at "\n", after the file's first line.
+        # A text file is an iterable of lines, whatever its encoding, line
+        # ends or place.
         lines = [line.replace("\n", "\r\n") for line in self.lines()]
         lines[5] = lines[5].replace("Club 1,", "Émile,")
         path = tmp_path / "matches.csv"
@@ -1041,26 +1162,7 @@ class TestBlockIngest:
         with opened() as f:
             from_lines = ingest_on(iter(list(f)))
         with opened() as f:
-            assert ingest_on(f) == (*from_lines[:2], 1)
-
-    @pytest.mark.parametrize("which,streamed", [("scan", 1), ("parse", 1), ("short scan", 1), ("short parse", 0)])
-    def test_failed_read_parses_from_the_text_stream(self, which, streamed):
-        # A short parse read is cut at its last line end, and the next read
-        # starts there; a short scan read is a file that changed.
-        lines = self.lines()
-        pread = os.pread
-
-        def failing(fd, n, offset):
-            kind = {257: "scan", 256: "parse"}[n] if offset > 1000 else None
-            if kind == which:
-                raise OSError(5, "Input/output error")
-            return pread(fd, n - (f"short {kind}" == which), offset)
-
-        from_lines = ingest_on(iter(lines))
-        assert ingest_on(lines, pread=failing) == (*from_lines[:2], streamed)
-        assert ingest_on(lines, pread=mock.Mock(side_effect=OSError(5, "Input/output error"))) \
-            == (*from_lines[:2], 1)
+            assert ingest_on(f) == from_lines
 
     def test_line_longer_than_a_block(self):
-        from_lines = ingest_on(iter(self.lines()))
-        assert ingest_on(self.lines(), block_bytes=8) == (*from_lines[:2], 1)
+        assert ingest_on(self.lines(), block_bytes=8) == ingest_on(iter(self.lines()))
