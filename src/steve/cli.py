@@ -18,20 +18,37 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytics import format_aligned, most_similar, rank_teams, ranking_records, similarity_records
-from .teams import TeamRegistry
-from .trainer import TrainConfig, train
-
 if TYPE_CHECKING:
     from .match_data import Dataset
+    from .teams import TeamRegistry
 
 # Each command imports the other steve modules it calls, so that ``rank``
 # and ``similar`` start without compiling the ingest and valuation code.
+# The names below are bound in this module on first use, and by ``_run``
+# once the arguments parse, so ``--help`` and usage errors load no numpy.
+# They stay attributes of ``cli``: replacing ``cli.train`` replaces what
+# ``cmd_train`` calls.
+_LAZY = {
+    "TrainConfig": "trainer",
+    "train": "trainer",
+    "format_aligned": "analytics",
+    "most_similar": "analytics",
+    "rank_teams": "analytics",
+    "ranking_records": "analytics",
+    "similarity_records": "analytics",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    return value
+
 
 _STAGE_TRAIN = 0
 _STAGE_EVAL = 1
@@ -61,6 +78,8 @@ def _seed(text: str) -> int:
 
 
 def _stage_seed(seed: int, stage: int) -> int:
+    import numpy as np
+
     return int(np.random.SeedSequence(seed, spawn_key=(stage,)).generate_state(1)[0])
 
 
@@ -222,6 +241,8 @@ def _features(kind, param, ds, newest, model):
 
 
 def cmd_evaluate(args) -> int:
+    import numpy as np
+
     from . import valuation
 
     kind, param = _parse_representation(args.representation)
@@ -343,6 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name in _LAZY:
+            if name not in globals():
+                __getattr__(name)
         return args.func(args)
     except ValueError as e:
         print(f"steve: error: {e}", file=sys.stderr)

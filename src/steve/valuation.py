@@ -221,10 +221,12 @@ def mlp_train(features: np.ndarray, targets: np.ndarray, task: Task, seed: int) 
     """Train the fixed 50/20 network with mini-batch Adam, seeded by ``seed``.
 
     Each batch takes one in-place Adam step over the flat parameter block,
-    without computing the loss.  Its batch-sized arrays live in buffers made
-    once: a step that allocated and freed them could make the allocator hand
-    the heap top back and fault it in again every step (glibc trims a free
-    top over 128 KiB), at a cost that depends on the heap's earlier layout.
+    without computing the loss.  Its batch-sized float matrices live in
+    buffers made once, the gathered batch included (``np.take`` writes into
+    ``out`` directly only with ``mode="clip"``): a step that allocated and
+    freed them could make the allocator hand the heap top back and fault it
+    in again every step (glibc trims a free top over 128 KiB), at a cost
+    that depends on the heap's earlier layout.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64 if task is Task.REGRESSION else None)
@@ -257,7 +259,9 @@ def mlp_train(features: np.ndarray, targets: np.ndarray, task: Task, seed: int) 
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
             xb, *buffers = work if len(idx) == batch else [w[: len(idx)] for w in work]
-            np.take(X, idx, axis=0, out=xb)
+            # "clip" writes straight into xb; numpy buffers ``out`` under the default "raise".
+            # The indices come from a permutation of range(n), so none is clipped.
+            np.take(X, idx, axis=0, out=xb, mode="clip")
             _grads(net, xb, y[idx], grads, work=buffers)
             t += 1
             bc1 = 1.0 - _BETA1**t

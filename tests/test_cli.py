@@ -869,6 +869,102 @@ def test_command_loads_only_the_modules_it_runs(matches_file, model_file, tmp_pa
     assert not unloaded & set(loaded)
 
 
+#: Imports ``steve.cli``, runs ``main(argv)`` unless argv is null, and prints
+#: the exit code, the start of stdout and which of the heavy modules loaded.
+_HEAVY_MODULES = """
+import contextlib, io, json, sys
+from steve.cli import main
+argv, code, out = json.loads(sys.argv[1]), None, io.StringIO()
+if argv is not None:
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+print(json.dumps([code, out.getvalue()[:12],
+                  [m for m in ("numpy", "steve.trainer", "steve.analytics") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (None, None, "", ""),
+    (["--help"], 0, "usage: steve", ""),
+    ([], 1, "", "steve: error: the following arguments are required: command\n"),
+    (["rank"], 1, "", "steve: error: the following arguments are required: model, --teams\n"),
+    (["bogus"], 1, "", "steve: error: argument command: invalid choice: 'bogus' (choose from "),
+    (["train", "m.csv", "--epochs", "x"], 1, "", "steve: error: argument --epochs: invalid int value: 'x'\n"),
+])
+def test_help_and_usage_errors_load_no_numpy(argv, code, out, err):
+    # Each would otherwise spend most of its start importing numpy and the layers it never calls.
+    proc = run_python("-c", _HEAVY_MODULES, json.dumps(argv))
+    assert proc.returncode == 0
+    assert proc.stderr.startswith(err) and len(proc.stderr.splitlines()) == bool(err), proc.stderr
+    assert json.loads(proc.stdout) == [code, out, []]
+
+
+#: Each layer function ``cli`` binds on first use, with the module that defines it.
+_LAZY_NAMES = {
+    "TrainConfig": "trainer",
+    "train": "trainer",
+    "format_aligned": "analytics",
+    "most_similar": "analytics",
+    "rank_teams": "analytics",
+    "ranking_records": "analytics",
+    "similarity_records": "analytics",
+}
+
+
+@pytest.mark.parametrize("name, module", _LAZY_NAMES.items())
+def test_lazy_name_is_its_layers_own_object(monkeypatch, name, module):
+    from importlib import import_module
+
+    from steve import cli
+
+    monkeypatch.delitem(vars(cli), name, raising=False)  # bound by an earlier test's command
+    assert getattr(cli, name) is getattr(import_module(f"steve.{module}"), name)
+    assert vars(cli)[name] is getattr(cli, name)
+
+
+def test_unknown_cli_attribute_is_an_attribute_error():
+    from steve import cli
+
+    with pytest.raises(AttributeError, match="module 'steve.cli' has no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
+@pytest.mark.parametrize("name, command", [
+    ("train", "train"),
+    ("train", "evaluate"),
+    ("rank_teams", "rank"),
+    ("ranking_records", "rank"),
+    ("most_similar", "similar"),
+    ("similarity_records", "similar"),
+])
+def test_replacing_a_cli_name_replaces_what_the_command_calls(
+        monkeypatch, matches_file, model_file, tmp_path, capsys, name, command):
+    # A tracer wraps these names where ``cli`` looks them up.
+    from steve import cli
+
+    names = team_names(model_file)
+    values = tmp_path / "values.csv"
+    values.write_text(values_csv(names, seed=1), encoding="utf-8")
+    argv = {
+        "train": ["train", str(matches_file), "-o", str(tmp_path / "m.json"), "--epochs", "1", "--quiet"],
+        "evaluate": ["evaluate", str(matches_file), str(values), "--representation", "steve-16", "--quiet"],
+        "rank": ["rank", str(model_file), "--teams", ",".join(names)],
+        "similar": ["similar", str(model_file), "--team", names[0], "--k", "2"],
+    }[command]
+    original, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(calls) == 1
+
+
 # A fresh ``steve`` whose address space is capped at 2 GiB: a runaway
 # allocation ends in a ``MemoryError`` at once instead of exhausting the host.
 _CAPPED = """
