@@ -156,7 +156,6 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         epochs=args.epochs,
-        weight_decay=args.weight_decay,
         seed=args.seed,
     )
     model = train(_load_dataset(args.matches), cfg, progress=_progress(args, cfg.epochs))
@@ -322,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--learning-rate", type=float, default=0.0001)
     p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--weight-decay", type=float, default=1e-6,
-                   help="L2 penalty counted in the reported loss only; it does not change "
-                        "the trained vectors (its gradient is radial on unit rows)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("similar", parents=[common], help="most similar teams by winner distance")

@@ -41,18 +41,12 @@ def _store_ints(obj, names: tuple[str, ...]) -> None:
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for :func:`train`.
-
-    ``weight_decay`` changes only the reported loss, not the trained
-    vectors: its gradient is radial on unit rows, and the tangent Adam step
-    removes it.
-    """
+    """Hyperparameters for :func:`train`."""
 
     delta: int = 16
     batch_size: int = 128
     learning_rate: float = 0.0001
     epochs: int = 40
-    weight_decay: float = 1e-6
     seed: int = 7
 
     def __post_init__(self):
@@ -65,8 +59,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -181,7 +173,7 @@ def _unit_rows(rng: np.random.Generator, m: int, delta: int) -> np.ndarray:
 
 
 def _stacked_gradients(
-    theta: np.ndarray, a: np.ndarray, opp: np.ndarray, w: np.ndarray, weight_decay: float,
+    theta: np.ndarray, a: np.ndarray, opp: np.ndarray, w: np.ndarray,
     mask: np.ndarray, pos: np.ndarray, with_loss: bool,
 ) -> tuple[float | None, np.ndarray, np.ndarray, np.ndarray]:
     """Batch loss, touched rows of ``theta`` (sorted), those rows and their summed gradients.
@@ -212,17 +204,7 @@ def _stacked_gradients(
         flat.ravel(), weights=np.concatenate([g, -g]).ravel(), minlength=rows.size * delta
     ).reshape(rows.size, delta)
 
-    x = theta.take(rows, axis=0)
-    if weight_decay:
-        # Coupled L2 on exactly the touched rows, evaluated pre-update, with
-        # the winner and loser sums added separately.
-        if with_loss:
-            sq = x**2
-            split = np.searchsorted(rows, theta.shape[0] // 2)
-            loss += weight_decay * (float(np.sum(sq[:split])) + float(np.sum(sq[split:])))
-        grads += 2.0 * weight_decay * x
-
-    return loss, rows, x, grads
+    return loss, rows, theta.take(rows, axis=0), grads
 
 
 def _adam_step(
@@ -283,9 +265,9 @@ def train(
     Every epoch reshuffles the quadruples with one generator advanced across
     epochs, so identical inputs and seed give a bit-identical model.  The
     optional ``progress`` sink receives ``(epoch, mean_loss)`` where
-    ``mean_loss`` is the summed batch loss (weight decay included) divided
-    by the number of quadruples.  The loss is computed only when
-    ``progress`` is given; the trained model is the same bits either way.
+    ``mean_loss`` is the summed batch loss divided by the number of
+    quadruples.  The loss is computed only when ``progress`` is given; the
+    trained model is the same bits either way.
     ``on_batch`` runs after each completed batch update and is meant for
     instrumentation; only when it is given is the batch's update split into
     its winner and loser rows.  The batches run, sinks included, under
@@ -314,7 +296,7 @@ def train(
     def diverged(team: int) -> ValueError:
         return ValueError(
             f"training diverged: team {ds.registry.name_of(team)!r} has a non-finite vector "
-            f"(learning_rate={cfg.learning_rate}, weight_decay={cfg.weight_decay})"
+            f"(learning_rate={cfg.learning_rate})"
         )
 
     with_loss = progress is not None
@@ -330,8 +312,7 @@ def train(
                 stop = start + cfg.batch_size
                 try:
                     loss, rows, x, grads = _stacked_gradients(
-                        theta, ea[start:stop], eopp[start:stop], ew[start:stop], cfg.weight_decay,
-                        mask, pos, with_loss,
+                        theta, ea[start:stop], eopp[start:stop], ew[start:stop], mask, pos, with_loss,
                     )
                     _adam_step(theta, opt, rows, x, grads, cfg.learning_rate)
                 except FloatingPointError:

@@ -99,46 +99,31 @@ def init_model(
     return EmbeddingModel(np.concatenate([phi, psi]), registry, x_max)
 
 
-def kernel_gradients(
-    model: EmbeddingModel, batch: Sequence[MatchQuad], weight_decay: float = 0.0
-) -> tuple[float, GradientUpdate]:
+def kernel_gradients(model: EmbeddingModel, batch: Sequence[MatchQuad]) -> tuple[float, GradientUpdate]:
     """Loss and summed gradients of ``batch`` from the stacked kernel ``train`` runs.
 
     The loss is the season-weighted squared distance of every quadruple,
-    ``(s / x_max) * |phi_a - (phi_b if d else psi_b)|^2``, plus
-    ``weight_decay * |row|^2`` once per touched row.
+    ``(s / x_max) * |phi_a - (phi_b if d else psi_b)|^2``.
     """
     quads = Dataset.from_quads(batch, model.x_max, model.registry)
     m = model.m
     loss, rows, _, grads = _stacked_gradients(
-        model.theta, quads.a - 1, quads.b - 1 + m * (1 - quads.d), quads.s / model.x_max, weight_decay,
+        model.theta, quads.a - 1, quads.b - 1 + m * (1 - quads.d), quads.s / model.x_max,
         np.zeros(2 * m, dtype=bool), np.empty(2 * m, dtype=np.int64), with_loss=True,
     )
     return loss, GradientUpdate.split(rows, grads, m)
 
 
-def brute_batch_loss(model: EmbeddingModel, batch: Sequence[MatchQuad], weight_decay: float) -> float:
+def brute_batch_loss(model: EmbeddingModel, batch: Sequence[MatchQuad]) -> float:
     """Plain-python reference for the batch loss, independent of the trainer.
 
-    The sum of the season-weighted sample losses, plus ``weight_decay`` times
-    the squared norm of each touched row.
+    The sum of the season-weighted sample losses.
     """
     total = 0.0
-    touched_phi, touched_psi = set(), set()
     for q in batch:
-        w = q.s / model.x_max
-        if q.d == 1:
-            diff = model.phi[q.a - 1] - model.phi[q.b - 1]
-            touched_phi.update((q.a - 1, q.b - 1))
-        else:
-            diff = model.phi[q.a - 1] - model.psi[q.b - 1]
-            touched_phi.add(q.a - 1)
-            touched_psi.add(q.b - 1)
-        total += w * float(diff @ diff)
-    for r in touched_phi:
-        total += weight_decay * float(model.phi[r] @ model.phi[r])
-    for r in touched_psi:
-        total += weight_decay * float(model.psi[r] @ model.psi[r])
+        other = model.phi[q.b - 1] if q.d == 1 else model.psi[q.b - 1]
+        diff = model.phi[q.a - 1] - other
+        total += q.s / model.x_max * float(diff @ diff)
     return total
 
 
@@ -367,7 +352,6 @@ class _ReferenceAdamState:
 
 def reference_batch_arrays(
     model: EmbeddingModel, a: np.ndarray, b: np.ndarray, s: np.ndarray, d: np.ndarray,
-    weight_decay: float,
 ) -> tuple[float, GradientUpdate]:
     """Vectorized loss + sparse gradients over pre-validated index arrays."""
     phi, psi = model.phi, model.psi
@@ -377,7 +361,7 @@ def reference_batch_arrays(
     other = psi[b].copy()
     other[draws] = phi[b[draws]]
     diff = phi[a] - other
-    data_loss = float(np.sum(w * np.einsum("ij,ij->i", diff, diff)))
+    loss = float(np.sum(w * np.einsum("ij,ij->i", diff, diff)))
 
     # d(loss)/d(phi_a) per sample; the opposing row gets the negation.
     g = (2.0 * w)[:, None] * diff
@@ -396,15 +380,6 @@ def reference_batch_arrays(
     else:
         psi_rows = np.empty(0, dtype=np.int64)
         psi_grads = np.empty((0, model.delta))
-
-    loss = data_loss
-    if weight_decay:
-        # Coupled L2 on exactly the touched rows, evaluated pre-update.
-        loss += weight_decay * (
-            float(np.sum(phi[phi_rows] ** 2)) + float(np.sum(psi[psi_rows] ** 2))
-        )
-        phi_grads += 2.0 * weight_decay * phi[phi_rows]
-        psi_grads += 2.0 * weight_decay * psi[psi_rows]
 
     return loss, GradientUpdate(phi_rows, phi_grads, psi_rows, psi_grads)
 
@@ -458,7 +433,7 @@ def reference_train(ds: Dataset, cfg: TrainConfig, progress=None, on_batch=None)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            loss, update = reference_batch_arrays(model, a[idx], b[idx], s[idx], d[idx], cfg.weight_decay)
+            loss, update = reference_batch_arrays(model, a[idx], b[idx], s[idx], d[idx])
             _reference_adam_step(model, opt, update, cfg.learning_rate)
             total += loss
             if on_batch is not None:
