@@ -15,12 +15,12 @@ __version__ = "0.1.0"
 
 #: Every submodule, with the public names it defines.
 _EXPORTS = {
-    "teams": ("TeamRegistry",),
+    "teams": ("EmbeddingModel", "TeamRegistry"),
     "match_data": (
         "Competition", "Dataset", "MatchQuad", "Matches", "dataset_summary", "ingest_csv",
         "to_quads",
     ),
-    "trainer": ("EmbeddingModel", "TrainConfig", "train"),
+    "trainer": ("TrainConfig", "train"),
     "analytics": (
         "HeadToHead", "Outcome", "RankingEntry", "head_to_head", "most_similar", "rank_teams",
         "winner_distance",

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trainer import EmbeddingModel
+from .teams import EmbeddingModel
 
 
 class Outcome(Enum):

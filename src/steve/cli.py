@@ -12,7 +12,6 @@ out of memory, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -26,11 +25,11 @@ if TYPE_CHECKING:
     from .match_data import Dataset
     from .teams import TeamRegistry
 
-# Each command imports the other steve modules it calls, so that ``rank``
-# and ``similar`` start without compiling the ingest and valuation code.
-# The names below are bound in this module on first use, and by ``_run``
-# once the arguments parse, so ``--help`` and usage errors load no numpy.
-# They stay attributes of ``cli``: replacing ``cli.train`` replaces what
+# Each command imports only the steve modules it calls, once its arguments
+# parse: ``--help`` and usage errors load no numpy, and ``summary`` loads
+# neither the trainer nor the ranking code.  The names below are attributes
+# of this module, each bound from its layer on first use, and every command
+# reaches them through ``_cli``, so replacing ``cli.train`` replaces what
 # ``cmd_train`` calls.
 _LAZY = {
     "TrainConfig": "trainer",
@@ -50,6 +49,7 @@ def __getattr__(name):
     return value
 
 
+_cli = sys.modules[__name__]
 _STAGE_TRAIN = 0
 _STAGE_EVAL = 1
 
@@ -151,14 +151,14 @@ def _report_written(args, path: str) -> None:
 def cmd_train(args) -> int:
     from . import model_io
 
-    cfg = TrainConfig(
+    cfg = _cli.TrainConfig(
         delta=args.delta,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         epochs=args.epochs,
         seed=args.seed,
     )
-    model = train(_load_dataset(args.matches), cfg, progress=_progress(args, cfg.epochs))
+    model = _cli.train(_load_dataset(args.matches), cfg, progress=_progress(args, cfg.epochs))
     model_io.save_model(model, args.model_out, train_config=cfg)
     _report_written(args, args.model_out)
     return 0
@@ -171,8 +171,8 @@ def cmd_similar(args) -> int:
     team = _resolve_team(model.registry, args.team)
     if not 1 <= args.k <= model.m - 1:
         raise ValueError(f"--k must be in 1..{model.m - 1}, got {args.k}")
-    records = similarity_records(model, most_similar(model, team, args.k))
-    _print(args, records, lambda: format_aligned(records, ("team", "distance")))
+    records = _cli.similarity_records(model, _cli.most_similar(model, team, args.k))
+    _print(args, records, lambda: _cli.format_aligned(records, ("team", "distance")))
     return 0
 
 
@@ -181,8 +181,8 @@ def cmd_rank(args) -> int:
 
     model = model_io.load_model(args.model)
     ids = [_resolve_team(model.registry, name) for name in _team_list(args.teams)]
-    records = ranking_records(model, rank_teams(model, ids))
-    _print(args, records, lambda: format_aligned(records, ("rank", "team", "victories")))
+    records = _cli.ranking_records(model, _cli.rank_teams(model, ids))
+    _print(args, records, lambda: _cli.format_aligned(records, ("rank", "team", "victories")))
     return 0
 
 
@@ -258,8 +258,8 @@ def cmd_evaluate(args) -> int:
 
     model = None
     if kind == "steve":
-        cfg = TrainConfig(delta=param, seed=_stage_seed(args.seed, _STAGE_TRAIN))
-        model = train(ds, cfg, progress=_progress(args, cfg.epochs))
+        cfg = _cli.TrainConfig(delta=param, seed=_stage_seed(args.seed, _STAGE_TRAIN))
+        model = _cli.train(ds, cfg, progress=_progress(args, cfg.epochs))
     _, features, standardize = _features(kind, param, ds, ds.x_max, model)
     task = valuation.Task(args.task)
     targets = y if task is valuation.Task.REGRESSION else valuation.quartile_labels(y)
@@ -276,6 +276,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export_features(args) -> int:
+    import csv
+
     from . import model_io
 
     kind, param = _parse_representation(args.representation)
@@ -360,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for name in _LAZY:
-            if name not in globals():
-                __getattr__(name)
         return args.func(args)
     except ValueError as e:
         print(f"steve: error: {e}", file=sys.stderr)

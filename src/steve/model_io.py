@@ -33,11 +33,14 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .teams import TeamRegistry
-from .trainer import EmbeddingModel, TrainConfig
+from .teams import EmbeddingModel, TeamRegistry
+
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 MODEL_FORMAT_VERSION = 1
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .analytics import format_aligned
 from .match_data import _blank, csv_records
-from .trainer import EmbeddingModel
+
+if TYPE_CHECKING:
+    from .teams import EmbeddingModel
 
 
 class Task(Enum):
@@ -302,6 +303,18 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
+def _median(values: np.ndarray) -> np.float64:
+    """``np.median`` of a non-empty 1-d float array, bit for bit, without importing ``numpy.ma``.
+
+    The same partition and mean as ``np.median``; a NaN, which sorts last, is the result.
+    """
+    n = values.size
+    part = np.partition(values, [*range((n - 1) // 2, n // 2 + 1), -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return np.mean(part[(n - 1) // 2 : n // 2 + 1])
+
+
 def compute_metrics(predictions: np.ndarray, targets: np.ndarray, task: Task) -> dict[str, float]:
     """Fold-level metrics.
 
@@ -323,7 +336,7 @@ def compute_metrics(predictions: np.ndarray, targets: np.ndarray, task: Task) ->
         return {
             "rmse": float(np.sqrt(np.mean(err**2))),
             "mae": float(np.mean(np.abs(err))),
-            "median_ae": float(np.median(np.abs(err))),
+            "median_ae": float(_median(np.abs(err))),
         }
 
     per_class = []
@@ -384,6 +397,8 @@ class EvalReport:
 
     def format_table(self) -> str:
         """One aligned row of ``mean +/- std`` per metric column."""
+        from .analytics import format_aligned
+
         record = {"representation": self.metadata.get("representation", "features")}
         for m in self.per_fold:
             record[_DISPLAY_NAMES.get(m, m)] = f"{self.mean[m]:.2f} ± {self.std[m]:.2f}"

@@ -828,7 +828,8 @@ def test_main_as_the_program_flushes_then_exits(matches_file, argv, stdout, stde
         assert stderr.getvalue().startswith(err) and len(stderr.getvalue().splitlines()) == bool(err)
 
 
-#: Prints the exit code of ``main(argv)`` and the ``steve.*`` modules it loaded.
+#: Prints the exit code of ``main(argv)`` and the ``steve.*`` modules it
+#: loaded, with ``numpy.ma`` if it loaded that too.
 _IMPORT_GRAPH = """
 import contextlib, io, json, sys
 from steve.cli import main
@@ -837,26 +838,31 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = main(sys.argv[1:])
     except SystemExit as e:
         code = e.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("steve."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("steve.") or m == "numpy.ma")]))
 """
 
 
 @pytest.mark.parametrize("command, unloaded", [
     ("--help", {"steve.match_data", "steve.valuation", "steve.baselines"}),
-    ("rank", {"steve.match_data", "steve.valuation", "steve.baselines"}),
-    ("similar", {"steve.match_data", "steve.valuation", "steve.baselines"}),
-    ("summary", {"steve.valuation", "steve.baselines"}),
-    ("train", {"steve.valuation", "steve.baselines"}),
+    ("rank", {"steve.match_data", "steve.valuation", "steve.baselines", "steve.trainer"}),
+    ("similar", {"steve.match_data", "steve.valuation", "steve.baselines", "steve.trainer"}),
+    ("summary", {"steve.valuation", "steve.baselines", "steve.trainer", "steve.analytics"}),
+    ("train", {"steve.valuation", "steve.baselines", "steve.analytics"}),
+    ("evaluate", {"steve.trainer", "steve.analytics", "numpy.ma"}),
 ])
 def test_command_loads_only_the_modules_it_runs(matches_file, model_file, tmp_path, command, unloaded):
     # Compiling a module it never calls would slow every start of the command.
     names = team_names(model_file)
+    values = tmp_path / "values.csv"
+    values.write_text(values_csv(names, seed=1), encoding="utf-8")
     argv = {
         "--help": ["--help"],
         "rank": ["rank", str(model_file), "--teams", ",".join(names)],
         "similar": ["similar", str(model_file), "--team", names[0], "--k", "2"],
         "summary": ["summary", str(matches_file)],
         "train": ["train", str(matches_file), "-o", str(tmp_path / "m.json"), "--epochs", "1", "--quiet"],
+        "evaluate": ["evaluate", str(matches_file), str(values), "--representation", "cat-1",
+                     "--task", "regression", "--output", "json"],
     }[command]
     proc = run_python("-c", _IMPORT_GRAPH, *argv, env={"PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
